@@ -52,7 +52,10 @@ def main() -> None:
     # 3. semantic-aware generation (paper Alg. 3) for the write model
     generator = SemanticGenerator(corpus, random.Random(1), pin_prob=1.0,
                                   batch_limit=4)
-    batch = generator.construct(write_model)
+    # construct decides the batch (donor pins + a fallback seed per
+    # slot); build turns one recipe into a packet, here every one
+    recipes = generator.construct(write_model)
+    batch = [generator.build(write_model, recipe) for recipe in recipes]
     print(f"\nsemantic generation produced {len(batch)} spliced packets "
           "for modbus.write_multiple_registers:")
     for spliced_tree, wire in batch:

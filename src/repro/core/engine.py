@@ -23,7 +23,7 @@ from typing import Deque, List, Optional, Tuple
 from repro.core.corpus import PuzzleCorpus
 from repro.core.cracker import FileCracker
 from repro.core.seedpool import SeedPool
-from repro.core.semantic import SemanticGenerator
+from repro.core.semantic import SemanticGenerator, SpliceRecipe
 from repro.model.datamodel import DataModel, Pit
 from repro.model.generation import choose_model, generate_packet
 from repro.model.instree import InsTree
@@ -482,25 +482,30 @@ class PeachStar(GenerationFuzzer):
         #: fraction of iterations drawn from the pending semantic queue
         #: (the remainder keeps exploring with the inherent strategy)
         self.semantic_ratio = semantic_ratio
-        self._pending: Deque[Tuple[InsTree, bytes, str]] = deque()
+        #: decided-but-unbuilt spliced seeds: (recipe, model name), built
+        #: only when popped
+        self._pending: Deque[Tuple[SpliceRecipe, str]] = deque()
 
     # -- packet production ---------------------------------------------------
 
     def _produce(self) -> Tuple[InsTree, bytes, DataModel, bool]:
         if self._pending and self.rng.random() < self.semantic_ratio:
-            tree, packet, model_name = self._pending.popleft()
+            recipe, model_name = self._pending.popleft()
             model = self.pit.model(model_name)
+            tree, packet = self.generator.build(model, recipe)
             return tree, packet, model, True
         model = choose_model(self.pit, self.rng)
         if self.semantic_enabled and not self.corpus.is_empty and \
                 self.rng.random() < self.semantic_ratio:
-            batch = self.generator.construct(model)
-            if batch:
-                self.clock.charge_semantic_generation(len(batch))
+            recipes = self.generator.construct(model)
+            if recipes:
+                # the paper's cost model charges the whole batch here,
+                # at construct time, however few slots are ever built
+                self.clock.charge_semantic_generation(len(recipes))
                 self.clock.charge_fixup()
-                for tree, packet in batch[1:]:
-                    self._pending.append((tree, packet, model.name))
-                tree, packet = batch[0]
+                for recipe in recipes[1:]:
+                    self._pending.append((recipe, model.name))
+                tree, packet = self.generator.build(model, recipes[0])
                 return tree, packet, model, True
         tree, packet = generate_packet(model, self.rng, self.policy)
         return tree, packet, model, False
@@ -515,6 +520,6 @@ class PeachStar(GenerationFuzzer):
         self.stats.puzzles = self.corpus.puzzle_count()
         if new_puzzles and self._pending and \
                 len(self._pending) > 4 * self.generator.batch_limit:
-            # keep the queue bounded: drop the stalest spliced packets
+            # keep the queue bounded: drop the stalest spliced recipes
             while len(self._pending) > 2 * self.generator.batch_limit:
                 self._pending.popleft()

@@ -9,6 +9,19 @@ must bound that, so the recursion is capped at ``batch_limit`` seeds per
 invocation with rng-shuffled donor order (the enumeration *prefix* under
 a random order is an unbiased sample of the product).
 
+Decide eagerly, build lazily.  :meth:`SemanticGenerator.construct` makes
+every random decision of a batch up front — which positions are pinned,
+which donors are sampled, the DFS over their decoded values — and
+returns one :class:`SpliceRecipe` per batch slot: the donor assignments
+plus a 32-bit seed for the inherent-rule fallback.  Packets are built
+only when a recipe is consumed, by :meth:`SemanticGenerator.build`, a
+pure function of the recipe that draws nothing from the generator's RNG.
+Most slots of a batch are never executed (the engines run one and queue
+or drop the rest), so deferring the build skips most of the splicing
+work without changing which decisions a campaign makes at construct
+time.  Recipes are also what the workspace checkpoints for the pending
+queue: a model name, the assignments and the seed reproduce the packet.
+
 Integrity is restored afterwards by the File Fixup pass, which in this
 implementation is DataModel.build's relation/fixup resolution — spliced
 donor values for relation or fixup carriers are never used.
@@ -17,13 +30,25 @@ donor values for relation or fixup carriers are never used.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.core.corpus import PuzzleCorpus
 from repro.model.datamodel import DataModel, ValueProvider
 from repro.model.fields import Blob, Choice, Field, Number, Repeat, Str
 from repro.model.instree import InsTree
 from repro.model.mutators import GenerationPolicy, MutatorProvider
+
+
+class SpliceRecipe(NamedTuple):
+    """One batch slot of Alg. 3, decided but not yet built.
+
+    *assignments* maps dotted leaf paths to decoded donor values;
+    *seed* seeds the inherent-rule fallback for every unpinned leaf and
+    Choice/Repeat shape decision.
+    """
+
+    assignments: Dict[str, object]
+    seed: int
 
 
 class _SpliceProvider(ValueProvider):
@@ -109,8 +134,7 @@ class SemanticGenerator:
         """
         positions = []
         for field in model.linear():
-            if field.token or field.relation is not None \
-                    or field.fixup is not None:
+            if not _spliceable(field):
                 continue
             if not self.corpus.has_donors(field):
                 continue
@@ -142,16 +166,17 @@ class SemanticGenerator:
 
     # ------------------------------------------------------------------
 
-    def construct(self, model: DataModel) -> List[Tuple[InsTree, bytes]]:
-        """Generate a batch of spliced seeds for *model*.
+    def construct(self, model: DataModel) -> List[SpliceRecipe]:
+        """Decide a batch of spliced seeds for *model*.
 
-        Returns ``[]`` when no position has donors (the caller then uses
-        the inherent strategy unchanged).
+        Returns one recipe per batch slot, to be built with
+        :meth:`build` when consumed, or ``[]`` when no position has
+        donors (the caller then uses the inherent strategy unchanged).
         """
         positions = self._donor_positions(model)
         if not positions:
             return []
-        batch: List[Tuple[InsTree, bytes]] = []
+        batch: List[SpliceRecipe] = []
         assignments: Dict[str, object] = {}
 
         def recurse(index: int) -> bool:
@@ -159,10 +184,8 @@ class SemanticGenerator:
             if len(batch) >= self.batch_limit:
                 return False
             if index == len(positions):
-                fallback = MutatorProvider(self.rng, self.policy)
-                provider = _SpliceProvider(dict(assignments), fallback)
-                tree = model.build(provider)
-                batch.append((tree, model.to_wire(tree)))
+                batch.append(SpliceRecipe(dict(assignments),
+                                          self.rng.getrandbits(32)))
                 return True
             path, field, donors = positions[index]
             for donor in donors:
@@ -178,6 +201,26 @@ class SemanticGenerator:
         recurse(0)
         self.seeds_generated += len(batch)
         return batch
+
+    def build(self, model: DataModel,
+              recipe: SpliceRecipe) -> Tuple[InsTree, bytes]:
+        """Build the packet *recipe* describes (pure: same recipe, same
+        bytes; draws nothing from ``self.rng``)."""
+        fallback = MutatorProvider(random.Random(recipe.seed), self.policy)
+        tree = model.build(_SpliceProvider(recipe.assignments, fallback))
+        return tree, model.to_wire(tree)
+
+
+def _spliceable(field: Field) -> bool:
+    """Whether a linear-model leaf may be pinned to a donor value."""
+    return not field.token and field.relation is None \
+        and field.fixup is None
+
+
+def splice_paths(model: DataModel) -> FrozenSet[str]:
+    """Every leaf path a :class:`SpliceRecipe` for *model* may assign."""
+    return frozenset(_find_path(model.root, field, "")
+                     for field in model.linear() if _spliceable(field))
 
 
 def _find_path(field: Field, target: Field, prefix: str) -> Optional[str]:

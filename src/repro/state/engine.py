@@ -253,15 +253,16 @@ class SessionFuzzer(PeachStar):
         Mirrors :meth:`PeachStar._produce` minus the model choice and
         the pending-batch queue (sessions need *this* model now; the
         unused remainder of a semantic batch would only queue packets
-        for states the trace has already left).
+        for states the trace has already left, so only the first recipe
+        is ever built).
         """
         if self.semantic_enabled and not self.corpus.is_empty and \
                 self.rng.random() < self.semantic_ratio:
-            batch = self.generator.construct(model)
-            if batch:
-                self.clock.charge_semantic_generation(len(batch))
+            recipes = self.generator.construct(model)
+            if recipes:
+                self.clock.charge_semantic_generation(len(recipes))
                 self.clock.charge_fixup()
-                tree, packet = batch[0]
+                tree, packet = self.generator.build(model, recipes[0])
                 return tree, packet, True
         tree, packet = generate_packet(model, self.rng, self.policy)
         return tree, packet, False

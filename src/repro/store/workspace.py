@@ -41,15 +41,13 @@ import json
 import os
 from typing import Dict, List, Optional, Tuple
 
-from repro.model.datamodel import ValueProvider
-from repro.model.fields import Choice, Repeat
-from repro.model.instree import InsNode
+from repro.model.fields import ModelError
 from repro.runtime.coverage import BUCKET_LUT
 from repro.sanitizer.report import CrashReport
 from repro.util import fs_slug
 
 #: bump when the on-disk layout changes incompatibly
-STATE_FORMAT = 1
+STATE_FORMAT = 2
 
 
 class WorkspaceError(RuntimeError):
@@ -88,13 +86,13 @@ def _rng_state_from_json(blob) -> tuple:
     return (version, tuple(internal), gauss)
 
 
-# -- InsTree (de)serialization for the pending semantic queue ---------------
+# -- pending semantic queue ---------------------------------------------------
 #
-# Pending entries are always *built* trees (semantic-generation output),
-# so they are exactly reproducible from the build decisions: leaf values
-# plus Choice/Repeat shapes, replayed through ``DataModel.build``.  This
-# keeps state.json pure JSON — no pickle, so resuming a workspace from an
-# untrusted source cannot execute code.
+# Pending entries are splice recipes (``repro.core.semantic.SpliceRecipe``):
+# a model name, the donor assignments and the fallback seed determine the
+# packet exactly, so the checkpoint stores just those.  state.json stays
+# pure JSON — no pickle, so resuming a workspace from an untrusted source
+# cannot execute code — and every field is validated on restore.
 
 def _value_to_json(value):
     if isinstance(value, bytes):
@@ -105,82 +103,64 @@ def _value_to_json(value):
 def _value_from_json(blob):
     if isinstance(blob, dict):
         return bytes.fromhex(blob["b"])
+    if type(blob) not in (int, str):
+        raise ValueError(f"{blob!r} is not a leaf value")
     return blob
 
 
-def _tree_decisions(node: InsNode, prefix: str, leaves: dict,
-                    choices: dict, repeats: dict) -> None:
-    """Record build decisions, mirroring ``DataModel._build_node`` paths."""
-    path = f"{prefix}.{node.name}" if prefix else node.name
-    field = node.field
-    if node.is_leaf:
-        leaves[path] = _value_to_json(node.value)
-    elif isinstance(field, Choice):
-        chosen = node.children[0].field
-        for index, option in enumerate(field.children()):
-            if option is chosen:
-                choices[path] = index
-                break
-        _tree_decisions(node.children[0], path, leaves, choices, repeats)
-    elif isinstance(field, Repeat):
-        repeats[path] = len(node.children)
-        for index, child in enumerate(node.children):
-            _tree_decisions(child, f"{path}[{index}]", leaves, choices,
-                            repeats)
-    else:
-        for child in node.children:
-            _tree_decisions(child, path, leaves, choices, repeats)
-
-
-class _DecisionProvider(ValueProvider):
-    """Replays recorded build decisions through ``DataModel.build``."""
-
-    def __init__(self, blob: dict):
-        self._leaves = blob["leaves"]
-        self._choices = blob["choices"]
-        self._repeats = blob["repeats"]
-
-    def leaf_value(self, field, path):
-        value = self._leaves.get(path)
-        return _value_from_json(value) if value is not None else None
-
-    def choose_option(self, choice, path):
-        return self._choices.get(path, 0)
-
-    def repeat_count(self, repeat, path):
-        count = self._repeats.get(path)
-        return count if count is not None else max(repeat.min_count, 1)
-
-
 def _pending_to_json(pending) -> list:
-    entries = []
-    for tree, packet, model_name in pending:
-        leaves: dict = {}
-        choices: dict = {}
-        repeats: dict = {}
-        _tree_decisions(tree.root, "", leaves, choices, repeats)
-        entries.append({
-            "model": model_name,
-            "packet": packet.hex(),
-            "leaves": leaves,
-            "choices": choices,
-            "repeats": repeats,
-        })
-    return entries
+    return [{"model": model_name,
+             "assignments": {path: _value_to_json(value)
+                             for path, value in recipe.assignments.items()},
+             "seed": recipe.seed}
+            for recipe, model_name in pending]
 
 
-def _pending_from_json(entries: list, pit) -> list:
+def _pending_from_json(entries, pit) -> list:
+    """Validated ``(recipe, model_name)`` pairs from checkpoint *entries*."""
+    from repro.core.semantic import SpliceRecipe, splice_paths  # late
+
+    if not isinstance(entries, list):
+        raise WorkspaceError("pending queue is not a list; workspace is "
+                             "corrupt")
     pending = []
-    for blob in entries:
-        model = pit.model(blob["model"])
-        tree = model.build(_DecisionProvider(blob))
-        packet = model.to_wire(tree)
-        if packet != bytes.fromhex(blob["packet"]):
+    for index, blob in enumerate(entries):
+        where = f"pending recipe {index}"
+        if not isinstance(blob, dict) or \
+                set(blob) != {"model", "assignments", "seed"}:
             raise WorkspaceError(
-                f"pending packet for model {blob['model']!r} did not "
-                "rebuild bit-identically; workspace is corrupt or from "
-                "an incompatible version")
-        pending.append((tree, packet, blob["model"]))
+                f"{where} is malformed (expected the keys model, "
+                "assignments, seed); workspace is corrupt")
+        name, assignments, seed = \
+            blob["model"], blob["assignments"], blob["seed"]
+        try:
+            model = pit.model(name)
+        except ModelError:
+            raise WorkspaceError(
+                f"{where} names unknown model {name!r}; workspace is "
+                "corrupt or from another target") from None
+        if type(seed) is not int or not 0 <= seed < 1 << 32:
+            raise WorkspaceError(
+                f"{where} (model {name!r}) has seed {seed!r}, not a "
+                "32-bit unsigned int; workspace is corrupt")
+        if not isinstance(assignments, dict):
+            raise WorkspaceError(
+                f"{where} (model {name!r}) has no assignment map; "
+                "workspace is corrupt")
+        stray = sorted(set(assignments) - splice_paths(model))
+        if stray:
+            raise WorkspaceError(
+                f"{where} assigns {stray[0]!r}, which is not a spliceable "
+                f"leaf of model {name!r}; workspace is corrupt or from an "
+                "incompatible version")
+        try:
+            values = {path: _value_from_json(value)
+                      for path, value in assignments.items()}
+        except (KeyError, TypeError, ValueError):
+            raise WorkspaceError(
+                f"{where} (model {name!r}) holds an undecodable value; "
+                "workspace is corrupt") from None
+        pending.append((SpliceRecipe(values, seed), name))
     return pending
 
 
@@ -500,7 +480,8 @@ class CampaignWorkspace:
         if state.get("format") != STATE_FORMAT:
             raise WorkspaceError(
                 f"state format {state.get('format')!r} is not supported "
-                f"(expected {STATE_FORMAT})")
+                f"(expected {STATE_FORMAT}); the checkpoint was written "
+                "by an incompatible version")
         return state
 
     def finalize(self, result_dict: dict) -> None:
@@ -609,7 +590,7 @@ class CampaignWorkspace:
             engine.stats.puzzles = corpus.puzzle_count()
             engine._pending.clear()
             engine._pending.extend(
-                _pending_from_json(state["pending"], engine.pit))
+                _pending_from_json(state.get("pending"), engine.pit))
 
         # -- learned-state automaton ------------------------------------------
         if "learner" in state:

@@ -76,8 +76,12 @@ class TestCrackGenerateLoop:
         assert semantic_seen > 0
         # spliced packets must parse under their own model (fixup worked)
         pit = engine.pit
-        for tree, wire, model_name in list(engine._pending)[:10]:
-            assert pit.model(model_name).matches(wire)
+        pending = list(engine._pending)[:10]
+        assert pending
+        for recipe, model_name in pending:
+            model = pit.model(model_name)
+            _tree, wire = engine.generator.build(model, recipe)
+            assert model.matches(wire)
 
     def test_cracker_harvests_cross_model_puzzles(self):
         """A valid read request cracks under both its own model and the

@@ -388,11 +388,11 @@ class TestSessionResume:
         ws_dir = str(tmp_path / "ws")
         spec = get_target("libmodbus")
         result = run_campaign(
-            "peach-star", spec, seed=3,
+            "peach-star", spec, seed=2,
             config=_session_config(workspace=ws_dir,
                                    max_executions=2500,
                                    checkpoint_every=200))
-        assert result.unique_crashes, "seed 3 finds the seeded UAF"
+        assert result.unique_crashes, "seed 2 finds the seeded UAF"
         loaded = CampaignWorkspace(ws_dir).load_crash_reports()
         by_key = {report.dedup_key: report for report in loaded}
         for report in result.unique_crashes:

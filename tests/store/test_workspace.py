@@ -16,6 +16,7 @@ from repro.core import (
     CampaignConfig, config_from_dict, config_to_dict, resume_campaign,
     run_campaign,
 )
+from repro.core.campaign import make_engine
 from repro.protocols import get_target
 from repro.store import CampaignWorkspace, WorkspaceError
 
@@ -151,6 +152,104 @@ class TestKillAndResumeDeterminism:
         assert resume_campaign(ws_dir, stop_after_executions=260) is None
         resumed = resume_campaign(ws_dir)
         assert _signature(resumed) == _signature(full)
+
+
+class TestPendingRecipes:
+    """The pending semantic queue checkpoints as splice recipes."""
+
+    def _killed_with_pending(self, ws_dir):
+        """A libmodbus Peach* workspace killed with recipes queued, both
+        in the live engine and in the checkpoint resume rewinds to."""
+        spec = get_target("libmodbus")
+        config = _config(workspace=ws_dir)
+        engine = make_engine("peach-star", spec, 7, config)
+        assert run_campaign("peach-star", spec, seed=7, config=config,
+                            engine=engine,
+                            stop_after_executions=137) is None
+        assert len(engine._pending) > 0
+        state = _read_state(ws_dir)
+        assert state["executions"] < 137
+        assert state["pending"]
+        return state
+
+    def test_kill_with_recipes_pending_resumes_bit_identical(
+            self, tmp_path):
+        full = run_campaign("peach-star", get_target("libmodbus"), seed=7,
+                            config=_config(workspace=str(tmp_path / "full")))
+        killed_dir = str(tmp_path / "killed")
+        self._killed_with_pending(killed_dir)
+        resumed = resume_campaign(killed_dir)
+        assert _signature(resumed) == _signature(full)
+        assert CampaignWorkspace(killed_dir).corpus_path_hashes() == \
+            CampaignWorkspace(str(tmp_path / "full")).corpus_path_hashes()
+
+    def test_recipes_checkpoint_as_model_assignments_seed(self, tmp_path):
+        state = self._killed_with_pending(str(tmp_path / "ws"))
+        for entry in state["pending"]:
+            assert set(entry) == {"model", "assignments", "seed"}
+            assert 0 <= entry["seed"] < 1 << 32
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda state: state.update(format=1),
+         r"state format 1 is not supported \(expected 2\)"),
+        (lambda state: state["pending"][0].update(model="modbus.bogus"),
+         r"unknown model 'modbus\.bogus'"),
+        (lambda state: state["pending"][0].update(seed=1 << 32),
+         r"seed 4294967296, not a 32-bit"),
+        (lambda state: state["pending"][0].update(seed="12"),
+         r"seed '12', not a 32-bit"),
+        (lambda state: state["pending"][0].update(seed=1.5),
+         r"seed 1\.5, not a 32-bit"),
+        (lambda state: state["pending"][0]["assignments"].update(
+            {"modbus.nowhere": 1}),
+         r"assigns 'modbus\.nowhere', which is not a spliceable leaf"),
+        (lambda state: state["pending"][0].pop("seed"),
+         r"pending recipe 0 is malformed"),
+        (lambda state: state.pop("pending"),
+         r"pending queue is not a list"),
+    ], ids=["format-1", "unknown-model", "seed-too-wide", "seed-str",
+            "seed-float", "stray-path", "missing-seed", "no-queue"])
+    def test_hostile_state_fails_loudly(self, tmp_path, corrupt, message):
+        ws_dir = str(tmp_path / "ws")
+        state = self._killed_with_pending(ws_dir)
+        corrupt(state)
+        _write_state(ws_dir, state)
+        with pytest.raises(WorkspaceError, match=message):
+            resume_campaign(ws_dir)
+
+    def test_undecodable_assignment_value_fails_loudly(self, tmp_path):
+        ws_dir = str(tmp_path / "ws")
+        state = self._killed_with_pending(ws_dir)
+        entry = next(entry for entry in state["pending"]
+                     if entry["assignments"])
+        path = next(iter(entry["assignments"]))
+        entry["assignments"][path] = {"b": "not hex"}
+        _write_state(ws_dir, state)
+        with pytest.raises(WorkspaceError, match="undecodable value"):
+            resume_campaign(ws_dir)
+
+    def test_format_1_manifest_fails_loudly(self, tmp_path):
+        ws_dir = str(tmp_path / "ws")
+        self._killed_with_pending(ws_dir)
+        path = os.path.join(ws_dir, "config.json")
+        with open(path) as handle:
+            manifest = json.load(handle)
+        manifest["format"] = 1
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(WorkspaceError,
+                           match=r"format 1 is not supported \(expected 2\)"):
+            resume_campaign(ws_dir)
+
+
+def _read_state(ws_dir):
+    with open(os.path.join(ws_dir, "state.json")) as handle:
+        return json.load(handle)
+
+
+def _write_state(ws_dir, state):
+    with open(os.path.join(ws_dir, "state.json"), "w") as handle:
+        json.dump(state, handle)
 
 
 class TestAtomicWriteDurability:
