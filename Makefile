@@ -8,8 +8,8 @@
 #                      BENCH_*.json)
 #   make test-matrix — the cross-protocol conformance matrix plus the
 #                      channel-fault/differential-oracle, live-network
-#                      (socket/serve), coverage-impl parity and
-#                      batched-execution identity suites
+#                      (socket/serve), sparse-vs-vector coverage parity
+#                      and batch-size identity suites
 #   make fleet-demo  — a small synced 4-shard fleet in /tmp, rendered
 #                      with the per-shard/merged summary table
 #   make sessions-demo — the stateful session-fuzzing walkthrough

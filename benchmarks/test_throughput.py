@@ -1,21 +1,17 @@
 """Real wall-clock throughput: execs/sec per engine/target, plus the
-sparse-vs-dense coverage pipeline speedup.
+fleet, socket, session and state-learning comparisons.
 
 Unlike the other benchmarks (which report the paper's *simulated-clock*
 artifacts), this one measures the harness itself: how many target
-executions per wall-clock second each engine sustains, and how much
-faster the journaled sparse coverage pipeline is than the dense
-O(MAP_SIZE) reference it replaced.  Results land in
-``BENCH_throughput.json`` so future PRs have a perf trajectory.
-
-The speedup assertion is the PR's acceptance gate: the headline campaign
-(Peach* with full coverage measurement) must run at least 3x faster with
-the sparse pipeline than with the seed's dense implementation.
+executions per wall-clock second each engine sustains.  Results land in
+``BENCH_throughput.json``.  Rates here are single short campaigns and
+are informational; wall-time regressions are gated by the campaign
+benchmark (``python -m benchmarks.perf run`` / ``compare``), which
+takes interleaved medians corrected for host speed.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import tempfile
@@ -25,25 +21,18 @@ from dataclasses import replace
 import pytest
 
 from benchmarks.conftest import (
-    BENCH_HOURS, CLAIMS_ENABLED, artifact_path, bench_config, print_block,
-    write_artifact,
+    BENCH_HOURS, CLAIMS_ENABLED, bench_config, print_block, write_artifact,
 )
 from repro.core.campaign import make_engine, run_campaign
 from repro.core.fleet import run_fleet
 from repro.protocols import TARGET_NAMES, get_target
-from repro.runtime._dense_ref import DenseCoverageMap, DenseGlobalCoverage
 from repro.runtime.instrument import resolve_backend
 
 #: targets timed for the per-target execs/sec table (all six)
 THROUGHPUT_TARGETS = TARGET_NAMES
-#: the headline campaign used for the sparse-vs-dense gate
+#: the headline campaign (Peach* on libmodbus), timed best-of-3
 HEADLINE_TARGET = "libmodbus"
 HEADLINE_SEED = 500
-#: regression gate: the headline rate may not drop more than this far
-#: below the best entry in the recorded trajectory
-REGRESSION_TOLERANCE = 0.25
-#: trajectory entries kept in the artifact (oldest dropped first)
-TRAJECTORY_LIMIT = 20
 #: fleet-vs-serial comparison: shards of the headline campaign.  Sync
 #: is deliberately sparse (AFL syncs far less often than it fuzzes):
 #: each round pays a pool spin-up plus the file-level exchange, so the
@@ -53,8 +42,7 @@ FLEET_SYNC_EVERY = 400
 #: floor gate on fleet_vs_serial.paths_per_sec_ratio: fleet overhead
 #: (pool spin-up, sync phases, shard checkpointing) may not drag the
 #: fleet below this fraction of the serial path rate.  The committed
-#: artifact records ~0.6; the floor leaves the same kind of headroom
-#: the 25% throughput tolerance does, scaled for the ratio's higher
+#: artifact records ~0.6; the floor leaves headroom for the ratio's
 #: machine-to-machine variance.
 FLEET_RATIO_FLOOR = 0.35
 #: floor gate on socket_vs_inprocess.execs_per_sec_ratio: driving the
@@ -69,74 +57,26 @@ _CACHE = {}
 
 
 def _artifact_name() -> str:
-    # the committed trajectory artifact holds full-budget numbers only;
-    # compressed smoke runs (REPRO_BENCH_HOURS=2) write alongside it so
-    # they never clobber (or gate against) the 24h headline payload
+    # the committed artifact holds full-budget numbers only; compressed
+    # smoke runs (REPRO_BENCH_HOURS=2) write alongside it so they never
+    # clobber the 24h payload
     return "throughput" if CLAIMS_ENABLED else "throughput_smoke"
 
 
-def _trim_trajectory(trajectory: list) -> list:
-    """Cap the trajectory without ratcheting the baseline down.
-
-    A plain tail-slice would eventually age out the best entry, letting
-    slow 25%-at-a-time regressions compound unnoticed; the all-time best
-    entry is therefore always retained alongside the most recent runs.
-    """
-    if len(trajectory) <= TRAJECTORY_LIMIT:
-        return trajectory
-    best = max(trajectory, key=lambda entry: entry["execs_per_sec"])
-    recent = trajectory[-TRAJECTORY_LIMIT:]
-    if best not in recent:
-        recent = [best] + recent[1:]
-    return recent
-
-
-def _prior_trajectory() -> list:
-    """Execs/sec trajectory recorded by previous runs of this artifact."""
-    path = artifact_path(_artifact_name())
-    if not os.path.exists(path):
-        return []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            prior = json.load(handle)
-    except (OSError, ValueError):
-        return []
-    trajectory = list(prior.get("trajectory", ()))
-    if not trajectory and "sparse_vs_dense" in prior:
-        # pre-trajectory artifact (PR 1): synthesize its single entry
-        gate = prior["sparse_vs_dense"]
-        trajectory = [{
-            "python": prior.get("python"),
-            "backend": prior.get("backend"),
-            "bench_hours": prior.get("bench_hours"),
-            "execs_per_sec": gate["sparse_execs_per_sec"],
-            "speedup": gate.get("speedup"),
-        }]
-    return trajectory
-
-
-def _timed_campaign(engine_name, target_name, seed, dense=False,
-                    rounds=1):
+def _timed_campaign(engine_name, target_name, seed, rounds=1):
     """Run one campaign for real; return (execs_per_sec, result, secs).
 
     *rounds* > 1 re-runs the (deterministic, identical-result) campaign
     and keeps the fastest wall time — scheduler noise on shared runners
     swings single-shot rates by 20%+, and best-of-N is the stable
-    estimate of what the machine can do (same methodology as the
-    batched-vs-unbatched entry).
+    estimate of what the machine can do.
     """
     spec = get_target(target_name)
     config = bench_config()
     best = None
     for _ in range(rounds):
-        engine = None
-        if dense:
-            engine = make_engine(engine_name, spec, seed, config)
-            engine.target.collector.map = DenseCoverageMap()
-            engine.seed_pool.coverage = DenseGlobalCoverage()
         start = time.perf_counter()
-        result = run_campaign(engine_name, spec, seed=seed, config=config,
-                              engine=engine)
+        result = run_campaign(engine_name, spec, seed=seed, config=config)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best[2]:
             best = (result.executions / max(elapsed, 1e-9), result,
@@ -230,94 +170,6 @@ def _socket_vs_inprocess() -> dict:
         "socket_wall_seconds": round(socket_secs, 3),
         "execs_per_sec_ratio": round(
             socket_rate / max(inprocess_rate, 1e-9), 2),
-    }
-
-
-#: floor gate on batched_vs_unbatched.ratio — unbatched-over-batched
-#: Python calls for the same campaign: the batched hot path
-#: (``iterate_batch`` + ``Target.run_into`` + rotate-on-retain map
-#: pool) must do strictly less interpreter work than the one-at-a-time
-#: loop — the two are bit-identical, so a ratio at or below 1.0 means
-#: the batching machinery costs more than it saves and the default
-#: ``batch_size=16`` is wrong.
-BATCH_RATIO_FLOOR = 1.0
-BATCH_SIZE = 16
-BATCH_ROUNDS = 3
-
-
-def _count_python_calls(config):
-    """Run the headline campaign counting Python-level function calls.
-
-    The count is a deterministic proxy for interpreter work: same seed,
-    same config → the exact same call sequence on every run, machine
-    load notwithstanding.
-    """
-    calls = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    spec = get_target(HEADLINE_TARGET)
-    sys.setprofile(profiler)
-    try:
-        result = run_campaign("peach-star", spec, seed=HEADLINE_SEED,
-                              config=config)
-    finally:
-        sys.setprofile(None)
-    return calls, result
-
-
-def _batched_vs_unbatched() -> dict:
-    """What batching buys: batch_size=16 vs batch_size=1, same campaign.
-
-    The gated ``ratio`` is unbatched-over-batched *Python calls
-    executed* (via ``sys.setprofile``), not wall time: the batch loop's
-    savings are hoisted per-iteration plumbing — a fixed handful of
-    interpreter calls per execution — and the call count measures
-    exactly that, deterministically.  Wall-clock rates for both
-    configs are recorded too (best of ``BATCH_ROUNDS`` order-
-    alternating rounds each) but are informational only: on shared
-    runners scheduler/frequency noise swings short campaign timings by
-    more than the few-percent batch margin, so a wall-clock floor gate
-    would flake where the work-count gate cannot.  The two loops are
-    bit-identical by construction — ``paths_identical`` re-checks the
-    corpus half of that claim on every benchmark run.
-    """
-    spec = get_target(HEADLINE_TARGET)
-    base = bench_config()
-    configs = [(1, replace(base, batch_size=1)),
-               (BATCH_SIZE, replace(base, batch_size=BATCH_SIZE))]
-    calls = {}
-    results = {}
-    for size, config in configs:
-        calls[size], results[size] = _count_python_calls(config)
-    best = {}
-    for round_index in range(BATCH_ROUNDS):
-        ordered = configs if round_index % 2 == 0 else configs[::-1]
-        for size, config in ordered:
-            start = time.perf_counter()
-            result = run_campaign("peach-star", spec, seed=HEADLINE_SEED,
-                                  config=config)
-            elapsed = time.perf_counter() - start
-            rate = result.executions / max(elapsed, 1e-9)
-            best[size] = max(best.get(size, 0.0), rate)
-    unbatched, batched = results[1], results[BATCH_SIZE]
-    return {
-        "target": HEADLINE_TARGET,
-        "engine": "peach-star",
-        "batch_size": BATCH_SIZE,
-        "executions": batched.executions,
-        "paths_identical": (batched.path_hashes == unbatched.path_hashes),
-        "python_calls_unbatched": calls[1],
-        "python_calls_batched": calls[BATCH_SIZE],
-        "ratio": round(calls[1] / max(calls[BATCH_SIZE], 1), 5),
-        "wall_rounds": BATCH_ROUNDS,
-        "batched_execs_per_sec": round(best[BATCH_SIZE], 1),
-        "unbatched_execs_per_sec": round(best[1], 1),
-        "execs_per_sec_ratio": round(
-            best[BATCH_SIZE] / max(best[1], 1e-9), 3),
     }
 
 
@@ -470,7 +322,6 @@ def _throughput():
     if "payload" in _CACHE:
         return _CACHE["payload"]
     targets = {}
-    headline = None
     for target_name in THROUGHPUT_TARGETS:
         rows = {}
         for engine_name in ("peach", "peach-star"):
@@ -485,62 +336,17 @@ def _throughput():
                 "wall_seconds": round(elapsed, 3),
                 "final_paths": result.final_paths,
             }
-            if is_headline:
-                headline = (rate, result, elapsed)
         targets[target_name] = rows
 
-    # the sparse side of the gate is the headline campaign already
-    # timed in the loop above (same engine/target/seed, deterministic)
-    sparse_rate, sparse_result, sparse_secs = headline
-    dense_rate, dense_result, dense_secs = _timed_campaign(
-        "peach-star", HEADLINE_TARGET, HEADLINE_SEED, dense=True)
-    assert sparse_result.executions == dense_result.executions, \
-        "sparse and dense campaigns diverged; equivalence is broken"
-    prior = _prior_trajectory()
-    current_entry = {
-        "python": "%d.%d.%d" % sys.version_info[:3],
-        "backend": resolve_backend("auto"),
-        "bench_hours": BENCH_HOURS,
-        "execs_per_sec": round(sparse_rate, 1),
-        "speedup": round(sparse_rate / max(dense_rate, 1e-9), 2),
-    }
-    # only gate against entries recorded under a comparable environment:
-    # a backend or interpreter switch legitimately moves the baseline
-    def _comparable(entry):
-        return (entry.get("backend") == current_entry["backend"]
-                and entry.get("bench_hours") == BENCH_HOURS
-                and str(entry.get("python", "")).rsplit(".", 1)[0]
-                == current_entry["python"].rsplit(".", 1)[0])
-    prior_best = max((entry["execs_per_sec"] for entry in prior
-                      if _comparable(entry)), default=None)
     payload = {
         "backend": resolve_backend("auto"),
         "python": "%d.%d.%d" % sys.version_info[:3],
         "bench_hours": BENCH_HOURS,
         "targets": targets,
-        "sparse_vs_dense": {
-            "target": HEADLINE_TARGET,
-            "engine": "peach-star",
-            "executions": sparse_result.executions,
-            "sparse_execs_per_sec": round(sparse_rate, 1),
-            "dense_execs_per_sec": round(dense_rate, 1),
-            "sparse_wall_seconds": round(sparse_secs, 3),
-            "dense_wall_seconds": round(dense_secs, 3),
-            "speedup": round(sparse_rate / max(dense_rate, 1e-9), 2),
-        },
-        "batched_vs_unbatched": _batched_vs_unbatched(),
         "fleet_vs_serial": _fleet_vs_serial(),
         "socket_vs_inprocess": _socket_vs_inprocess(),
         "sessions_vs_single_packet": _sessions_vs_single_packet(),
         "learned_vs_scripted": _learned_vs_scripted(),
-        "trajectory": _trim_trajectory(prior + [current_entry]),
-        "regression": {
-            "prior_best_execs_per_sec": prior_best,
-            "current_execs_per_sec": round(sparse_rate, 1),
-            "ratio": (round(sparse_rate / prior_best, 3)
-                      if prior_best else None),
-            "tolerance": REGRESSION_TOLERANCE,
-        },
     }
     _CACHE["payload"] = payload
     return payload
@@ -557,20 +363,9 @@ def test_throughput_artifact(benchmark):
                         f"{row['execs_per_sec']:>10.1f} "
                         f"{row['executions']:>6} "
                         f"{row['wall_seconds']:>8.3f}")
-    gate = payload["sparse_vs_dense"]
-    rows.append(f"\nsparse vs dense ({gate['engine']} on {gate['target']}): "
-                f"{gate['sparse_execs_per_sec']:.1f} vs "
-                f"{gate['dense_execs_per_sec']:.1f} execs/sec "
-                f"= {gate['speedup']:.2f}x  (backend: {payload['backend']})")
-    batch = payload["batched_vs_unbatched"]
-    rows.append(f"batched vs unbatched (batch {batch['batch_size']} on "
-                f"{batch['target']}): "
-                f"{batch['ratio']:.4f}x fewer Python calls; "
-                f"{batch['batched_execs_per_sec']:.1f} vs "
-                f"{batch['unbatched_execs_per_sec']:.1f} execs/sec "
-                f"(paths identical: {batch['paths_identical']})")
+    rows.append(f"(backend: {payload['backend']})")
     fleet = payload["fleet_vs_serial"]
-    rows.append(f"fleet vs serial ({fleet['shards']} shards on "
+    rows.append(f"\nfleet vs serial ({fleet['shards']} shards on "
                 f"{fleet['target']}): "
                 f"{fleet['fleet_paths_per_sec']:.1f} vs "
                 f"{fleet['serial_paths_per_sec']:.1f} paths/sec "
@@ -623,8 +418,7 @@ def test_fleet_vs_serial_entry(benchmark):
 def test_fleet_ratio_floor(benchmark):
     """Fleet-overhead regression gate: the fleet's paths/sec may not
     fall below ``FLEET_RATIO_FLOOR`` of the serial rate.  Smoke runs
-    skip it for the same reason as the throughput gate — compressed
-    budgets inflate the fixed per-round costs."""
+    skip it: compressed budgets inflate the fixed per-round costs."""
     if not CLAIMS_ENABLED:
         pytest.skip("fleet ratio gate needs the near-full benchmark budget")
     payload = benchmark.pedantic(_throughput, rounds=1, iterations=1)
@@ -660,36 +454,6 @@ def test_socket_ratio_floor(benchmark):
         f"the transport-overhead gate requires >= {SOCKET_RATIO_FLOOR}")
 
 
-def test_batched_vs_unbatched_entry(benchmark):
-    """The batching comparison is recorded and structurally sane: both
-    loop shapes execute the full budget and discover the exact same
-    corpus (the bit-identity claim's path-level half)."""
-    payload = benchmark.pedantic(_throughput, rounds=1, iterations=1)
-    batch = payload["batched_vs_unbatched"]
-    assert batch["executions"] > 0
-    assert batch["batched_execs_per_sec"] > 0
-    assert batch["unbatched_execs_per_sec"] > 0
-    assert batch["python_calls_batched"] > 0
-    assert batch["python_calls_unbatched"] > 0
-    assert batch["paths_identical"]
-
-
-def test_batched_ratio_floor(benchmark):
-    """Batching regression gate: the batched hot path must execute
-    strictly less interpreter work than the one-at-a-time loop
-    (deterministic Python-call ratio > 1.0) — it is bit-identical, so
-    doing *more* work would mean the default ``batch_size=16`` costs
-    throughput.  Smoke runs skip it: compressed budgets leave too few
-    executions for the hoisted-per-iteration savings to register."""
-    if not CLAIMS_ENABLED:
-        pytest.skip("batch ratio gate needs the near-full benchmark budget")
-    payload = benchmark.pedantic(_throughput, rounds=1, iterations=1)
-    ratio = payload["batched_vs_unbatched"]["ratio"]
-    assert ratio > BATCH_RATIO_FLOOR, (
-        f"the batched loop executes {ratio:.4f}x the unbatched loop's "
-        f"Python calls; the batching gate requires > {BATCH_RATIO_FLOOR}")
-
-
 def test_sessions_vs_single_packet_entry(benchmark):
     """The session comparison is recorded and structurally sane: both
     modes discover paths under the same budget, and the directed
@@ -723,31 +487,3 @@ def test_learned_vs_scripted_entry(benchmark):
         assert unmodelled["session_only_edges_reached"] > 0, (
             "a full-budget learning campaign on lib60870 must reach "
             "the STOPDT-gated drop edges")
-
-
-def test_sparse_pipeline_at_least_3x_dense(benchmark):
-    payload = benchmark.pedantic(_throughput, rounds=1, iterations=1)
-    speedup = payload["sparse_vs_dense"]["speedup"]
-    assert speedup >= 3.0, (
-        f"sparse coverage pipeline is only {speedup:.2f}x the dense "
-        "reference; the perf acceptance gate requires >= 3x")
-
-
-def test_no_throughput_regression_vs_trajectory(benchmark):
-    """The ROADMAP regression check: the headline campaign's execs/sec
-    may not drop more than 25% below the best recorded trajectory entry.
-    Smoke runs (compressed budgets) exercise the plumbing but skip the
-    gate — their rates are not comparable to the 24h trajectory."""
-    if not CLAIMS_ENABLED:
-        pytest.skip("regression gate needs the near-full benchmark budget")
-    payload = benchmark.pedantic(_throughput, rounds=1, iterations=1)
-    regression = payload["regression"]
-    prior_best = regression["prior_best_execs_per_sec"]
-    if not prior_best:
-        pytest.skip("no recorded trajectory yet")
-    current = regression["current_execs_per_sec"]
-    floor = (1.0 - REGRESSION_TOLERANCE) * prior_best
-    assert current >= floor, (
-        f"headline throughput {current:.1f} execs/sec fell more than "
-        f"{REGRESSION_TOLERANCE:.0%} below the best recorded trajectory "
-        f"entry ({prior_best:.1f} execs/sec; floor {floor:.1f})")

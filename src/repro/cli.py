@@ -53,19 +53,6 @@ def _add_budget_args(parser: argparse.ArgumentParser) -> None:
                         choices=("auto", "monitoring", "settrace"),
                         help="line-coverage backend (auto: sys.monitoring "
                              "on CPython 3.12+, else sys.settrace)")
-    parser.add_argument("--coverage-impl", default="auto",
-                        choices=("auto", "sparse", "vector"),
-                        dest="coverage_impl",
-                        help="coverage-map implementation (auto: the "
-                             "numpy-vectorized maps when numpy imports, "
-                             "else the pure-Python sparse maps; both are "
-                             "bit-for-bit equivalent)")
-    parser.add_argument("--batch", type=int, default=16, metavar="N",
-                        dest="batch_size",
-                        help="iterations per instrumentation window in "
-                             "the batched execution pipeline (1 = "
-                             "unbatched; results are bit-identical "
-                             "either way)")
 
 
 def _add_sessions_arg(parser: argparse.ArgumentParser) -> None:
@@ -156,9 +143,6 @@ def _config(args) -> CampaignConfig:
     return CampaignConfig(budget_hours=args.hours,
                           max_executions=args.max_execs,
                           coverage_backend=args.backend,
-                          coverage_impl=getattr(args, "coverage_impl",
-                                                "auto"),
-                          batch_size=getattr(args, "batch_size", 16),
                           sessions=getattr(args, "sessions", False),
                           learn_states=getattr(args, "learn_states", False),
                           channel_faults=getattr(args, "channel_faults", 0.0),

@@ -21,13 +21,15 @@ from repro.core.seedpool import SeedPool
 from repro.model.mutators import GenerationPolicy
 from repro.net.config import NetConfig
 from repro.runtime.clock import SimulatedClock
-from repro.runtime.coverage import (
-    make_coverage_map, make_global_coverage, resolve_coverage_impl,
-)
+from repro.runtime.coverage import make_coverage_map, make_global_coverage
 from repro.runtime.instrument import make_line_collector
 from repro.runtime.target import Target
 from repro.sanitizer.report import CrashReport
 from repro.store.workspace import CampaignWorkspace
+
+#: iterations per ``GenerationFuzzer.iterate_batch`` call in the driver
+#: loop; any value gives the same campaign (pinned in tests/core)
+BATCH_SIZE = 16
 
 
 @dataclass
@@ -134,13 +136,6 @@ class CampaignConfig:
     net: Optional[NetConfig] = None
     #: line-coverage backend: "auto" | "monitoring" | "settrace"
     coverage_backend: str = "auto"
-    #: coverage-map implementation: "auto" | "sparse" | "vector"
-    #: (``REPRO_COVERAGE_IMPL`` overrides "auto"; both are parity-pinned
-    #: bit-for-bit, "vector" needs numpy)
-    coverage_impl: str = "auto"
-    #: iterations executed per collector window by the batched pipeline
-    #: (1 = unbatched; the outcome stream is bit-identical either way)
-    batch_size: int = 16
     #: directory to persist the campaign into (None = in-memory only).
     #: One workspace per campaign: batch tasks must not share one.
     workspace: Optional[str] = None
@@ -203,9 +198,6 @@ def validate_campaign_config(engine_name: str, target_spec,
     initializes shard workspaces.
     """
     validate_session_support(engine_name, target_spec, config)
-    if config.batch_size < 1:
-        raise ValueError(f"batch size {config.batch_size} < 1")
-    resolve_coverage_impl(config.coverage_impl)  # raises when unusable
     if config.channel_burst < 0:
         raise ValueError(f"channel burst {config.channel_burst} < 0")
     if config.channel_burst > 0 and config.channel_faults <= 0.0:
@@ -232,11 +224,9 @@ def make_engine(engine_name: str, target_spec, seed: int,
     config = config if config is not None else CampaignConfig()
     validate_campaign_config(engine_name, target_spec, config)
     rng = random.Random(seed)
-    # resolve once so the collector map and the virgin map always agree
-    coverage_impl = resolve_coverage_impl(config.coverage_impl)
     collector = make_line_collector(
         ("repro/protocols",),
-        coverage_map=make_coverage_map(coverage_impl),
+        coverage_map=make_coverage_map(),
         hang_budget=config.hang_budget,
         backend=config.coverage_backend)
     channel = None
@@ -312,7 +302,7 @@ def make_engine(engine_name: str, target_spec, seed: int,
                          "choices: peach, peach-star")
     # the virgin map matches the collector's map implementation, so
     # merge/would_be_new take the vectorized fast path end to end
-    engine.seed_pool = SeedPool(make_global_coverage(coverage_impl))
+    engine.seed_pool = SeedPool(make_global_coverage())
     return engine
 
 
@@ -388,8 +378,7 @@ def _drive_campaign_loop(engine_name: str, target_spec, seed: int,
             exec_bound = min(exec_bound, stop_after_executions)
         if pause_after_executions is not None:
             exec_bound = min(exec_bound, pause_after_executions)
-        outcomes = engine.iterate_batch(config.batch_size,
-                                        exec_bound=exec_bound,
+        outcomes = engine.iterate_batch(BATCH_SIZE, exec_bound=exec_bound,
                                         time_bound_ms=budget_ms)
         for outcome in outcomes:
             # bookkeeping reads the outcome's stamped readings, not the

@@ -53,11 +53,11 @@ class IterationOutcome:
     new_divergences: Tuple = ()
     #: the ValuableSeed retained this iteration (None unless valuable);
     #: the campaign driver persists it from here instead of reaching
-    #: into the pool, which would race ahead under batched execution
+    #: into the pool, which is already ahead when a batch completes
     seed: Optional[object] = None
     #: post-iteration engine readings, captured so the campaign driver's
-    #: cadence bookkeeping sees the same values whether the outcome is
-    #: handed over immediately (unbatched) or after the batch completes
+    #: cadence bookkeeping sees each iteration's values even though it
+    #: reads the outcomes only after the whole batch has run
     executions: int = 0
     hours: float = 0.0
     paths: int = 0
@@ -134,8 +134,8 @@ class GenerationFuzzer:
 
     engine_name = "peach"
     uses_feedback = False
-    #: whether this engine's produce/execute split supports the batched
-    #: pipeline (session engines produce whole traces and opt out)
+    #: whether iterate_batch may run several iterations per call
+    #: (session engines produce whole traces and opt out)
     supports_batching = True
 
     def __init__(self, pit: Pit, target: Target, rng: random.Random,
@@ -153,9 +153,9 @@ class GenerationFuzzer:
         self.divergences = CrashDatabase()
         self.stats = EngineStats()
         self.seed_pool = SeedPool()  # used for *measurement* only
-        #: coverage map pool for the batched pipeline — maps whose
-        #: coverage must outlive the batch (valuable outcomes) are
-        #: retired from rotation until the driver has read them; see
+        #: coverage map pool for iterate_batch — maps whose coverage must
+        #: outlive the batch (valuable outcomes) are retired from
+        #: rotation until the driver has read them; see
         #: :meth:`_batch_map_pool`
         self._batch_maps: List = []
 
@@ -170,8 +170,21 @@ class GenerationFuzzer:
 
     def iterate(self) -> IterationOutcome:
         """Run one generate→execute→record iteration."""
+        return self._iteration(None)
+
+    def _iteration(self, coverage_map) -> IterationOutcome:
+        """The iteration body; *coverage_map* receives the coverage.
+
+        ``None`` records into the target's own collector map through
+        :meth:`Target.run`; a map records into that map through
+        :meth:`Target.run_into`, so the result's coverage outlives the
+        next iteration (:meth:`iterate_batch` relies on this).
+        """
         tree, packet, model, semantic = self._produce()
-        result = self.target.run(packet, model.name)
+        if coverage_map is None:
+            result = self.target.run(packet, model.name)
+        else:
+            result = self.target.run_into(packet, model.name, coverage_map)
         self.clock.charge_execution(instrumented=self.uses_feedback)
         self.stats.executions += 1
         if semantic:
@@ -215,18 +228,19 @@ class GenerationFuzzer:
     # -- batched execution -----------------------------------------------------
 
     def _can_batch(self) -> bool:
-        """Whether the batched pipeline applies to this configuration.
+        """Whether :meth:`iterate_batch` may run more than one iteration.
 
-        Channels (per-frame fault RNG draws), oracles (steering feedback
-        mid-processing) and non-batching targets (sockets) fall back to
-        per-iteration execution — "where the backend allows it".
+        It needs an engine that produces single packets (session engines
+        produce whole traces), a target that records into a caller's
+        map (the in-process :class:`Target`; the live-network
+        ``SocketTarget`` does not) and a collector producing coverage.
+        Channels and oracles run inside the shared iteration body, so
+        they batch like plain campaigns.
         """
         target = self.target
         return (self.supports_batching
                 and getattr(target, "supports_batch", False)
-                and target.collector is not None
-                and target.channel is None
-                and self.oracle is None)
+                and target.collector is not None)
 
     def _batch_map_pool(self):
         """The retained-coverage map pool (type-matched, never shrunk).
@@ -235,8 +249,8 @@ class GenerationFuzzer:
         advances ``i`` past maps whose coverage must outlive the batch
         (valuable outcomes — the campaign driver serializes exactly
         those).  Everything else reuses the same map, which stays
-        cache-hot like the unbatched single-map path; the pool converges
-        to (max valuable outcomes per batch + 1) entries.
+        cache-hot like the collector's own map; the pool converges to
+        (max valuable outcomes per batch + 1) entries.
         """
         maps = self._batch_maps
         template = type(self.target.collector.map)
@@ -250,123 +264,43 @@ class GenerationFuzzer:
                       exec_bound: Optional[int] = None,
                       time_bound_ms: Optional[float] = None
                       ) -> List[IterationOutcome]:
-        """Run up to *max_iterations* iterations as one batched hot loop.
+        """Run up to *max_iterations* iterations of the iteration body.
 
-        Each iteration interleaves produce → execute → process exactly
-        like :meth:`iterate` (same operation order, so the outcome
-        stream, RNG draws and clock arithmetic are bit-identical to the
-        unbatched loop by construction), but the loop body is flattened:
-        per-iteration attribute lookups and the :meth:`Target.run`
-        wrapper are hoisted, coverage whose consumer outlives the batch
-        (valuable outcomes, which the campaign driver serializes) is
-        retired into the per-engine map pool while everything else
-        reuses one cache-hot map, and the coverage verdict
-        short-circuits through ``would_be_new`` — a stale map makes
-        ``SeedPool.consider`` a provable no-op, so skipping it is
-        state-identical.
-
-        An earlier produce-N-up-front design held one collector window
-        across the batch; measured on the settrace backend the window
-        toggle costs ~0.1µs while discarding/replaying productions at
-        valuable/crash boundaries wasted ~40% of production time
-        (production dominates the iteration), so producing lazily and
-        toggling per execution is strictly faster.
+        Every iteration is the body :meth:`iterate` runs, so the outcome
+        stream, RNG draws and clock arithmetic equal those of as many
+        :meth:`iterate` calls.  What the batch adds is the map pool: an
+        outcome's coverage must survive until the campaign driver reads
+        it after the batch, so a valuable outcome retires its map from
+        rotation and the next iteration records into a fresh one.
 
         *exec_bound* caps total executions (the campaign driver aligns
-        batches to its record/checkpoint cadences with it) and
-        *time_bound_ms* stops the batch exactly where the unbatched
-        driver loop would have stopped.  Configurations outside the
-        batched pipeline (sessions, channels, oracles, socket targets)
-        fall back to plain :meth:`iterate` calls honoring the bounds.
+        batches to its checkpoint/stop/pause cadences with it) and
+        *time_bound_ms* stops the batch exactly where a one-at-a-time
+        driver loop would have stopped.  Where :meth:`_can_batch` says
+        no, the call runs a single :meth:`iterate`.
         """
         n = max_iterations
         if exec_bound is not None:
             n = min(n, exec_bound - self.stats.executions)
         if n <= 1 or not self._can_batch():
-            # One outcome per call: on the unbatched path the result's
-            # coverage is the collector's (or trace's) live map, which
-            # the next iteration would overwrite before the caller's
-            # bookkeeping could read it.  The batched path below avoids
-            # this with the per-execution map pool.
+            # One outcome per call: the result's coverage is the
+            # collector's (or trace's) live map, which the next
+            # iteration would overwrite before the caller's bookkeeping
+            # could read it.
             return [self.iterate()]
-
-        maps, map_template = self._batch_map_pool()
-        map_index = 0
-        current_map = maps[0]
-        produce = self._produce
-        run_into = self.target.run_into
-        clock = self.clock
-        stats = self.stats
-        seed_pool = self.seed_pool
-        would_be_new = seed_pool.coverage.would_be_new
-        crashes_add = self.crashes.add
-        deadline = time_bound_ms if time_bound_ms is not None \
-            else float("inf")
+        maps, template = self._batch_map_pool()
+        index = 0
         outcomes: List[IterationOutcome] = []
-        # Hot counters the loop owns exclusively live in locals; the
-        # same int operations happen in the same order as the
-        # attribute-based unbatched loop, so every stamped reading is
-        # bit-identical.  The clock stays attribute-based — ``produce``
-        # charges semantic-generation/fixup costs into it every
-        # iteration — but the execution charge is inlined (two separate
-        # adds, exactly like ``SimulatedClock.charge_execution``: float
-        # addition is not associative and the clock must stay
-        # bit-identical).
-        costs = clock.costs
-        exec_cost = costs.exec_cost_ms
-        coverage_cost = costs.coverage_overhead_ms \
-            if self.uses_feedback else None
-        executions = stats.executions
-        semantic_executions = 0
-        paths = seed_pool.path_count
-        # _absorb_net_stats is skipped per iteration: _can_batch already
-        # guarantees no channel (the fault counter's only source) and an
-        # in-process Target (which has no net counters to take)
         for _ in range(n):
-            tree, packet, model, semantic = produce()
-            result = run_into(packet, model.name, current_map)
-            clock.now_ms += exec_cost
-            if coverage_cost is not None:
-                clock.now_ms += coverage_cost
-            executions += 1
-            if semantic:
-                semantic_executions += 1
-            outcome = IterationOutcome(
-                packet=packet, model_name=model.name, result=result,
-                semantic=semantic)
-            crash = result.crash
-            if crash is None and not result.hang:
-                if would_be_new(result.coverage):
-                    stats.executions = executions
-                    seed = seed_pool.consider(
-                        packet, model.name, tree, result.coverage,
-                        executions, clock.now_ms)
-                    outcome.seed = seed
-                    outcome.valuable = True
-                    stats.valuable_seeds += 1
-                    self._on_valuable_seed(seed)
-                    paths = seed_pool.path_count
-                    # the driver serializes this outcome's coverage after
-                    # the batch: retire its map and record the remaining
-                    # iterations into a fresh one
-                    map_index += 1
-                    if map_index == len(maps):
-                        maps.append(map_template())
-                    current_map = maps[map_index]
-            elif crash is not None:
-                stats.crashes_total += 1
-                outcome.new_unique_crash = crashes_add(
-                    crash, clock.now_ms / 3_600_000.0)
-            else:
-                stats.hangs += 1
-            outcome.executions = executions
-            outcome.hours = clock.now_ms / 3_600_000.0
-            outcome.paths = paths
+            outcome = self._iteration(maps[index])
             outcomes.append(outcome)
-            if clock.now_ms >= deadline:
+            if outcome.valuable:
+                index += 1
+                if index == len(maps):
+                    maps.append(template())
+            if time_bound_ms is not None and \
+                    self.clock.now_ms >= time_bound_ms:
                 break
-        stats.executions = executions
-        stats.semantic_executions += semantic_executions
         return outcomes
 
     def _on_valuable_seed(self, seed) -> None:

@@ -153,7 +153,7 @@ class SemanticGenerator:
 
         Memoized: the recursive walk re-derives the same constant path
         for every donor-bearing position of every construct call, which
-        showed up in the batched-pipeline profiles.
+        showed up in the hot-loop profiles.
         """
         key = (id(model), id(target))
         path = self._path_cache.get(key)

@@ -41,7 +41,7 @@ class GenerationPolicy:
 
 
 #: (width, signed) -> edge-case list; pure in those two attributes, and
-#: rebuilding it per draw was measurable in the batched-pipeline profiles
+#: rebuilding it per draw was measurable in the hot-loop profiles
 _EDGE_CASE_CACHE: Dict[tuple, List[int]] = {}
 
 

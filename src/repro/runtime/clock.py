@@ -43,10 +43,9 @@ class CostModel:
 class SimulatedClock:
     """Virtual clock advanced by charged operation costs.
 
-    The batched execution pipeline interleaves production and execution
-    exactly like the unbatched loop, so every charge is a plain ``+=``
-    in program order — float accumulation is bit-identical across batch
-    sizes with no bookkeeping.
+    Every charge is a plain ``+=`` in program order, so float
+    accumulation is bit-identical however the campaign driver groups
+    iterations into batches.
     """
 
     def __init__(self, cost_model: CostModel | None = None):

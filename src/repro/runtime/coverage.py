@@ -32,9 +32,9 @@ Two implementations share that model:
   ``merge``/``would_be_new``/``absorb``/``fast_reset`` as numpy
   fancy-index operations over zero-copy ``frombuffer`` views.
 
-:func:`resolve_coverage_impl` picks between them (``REPRO_COVERAGE_IMPL=
-sparse|vector|auto``); the parity suite in
-``tests/runtime/test_vector_parity.py`` pins them bit-for-bit equal.
+:func:`resolve_coverage_impl` picks the vector backend whenever numpy
+imports; the parity suite in ``tests/runtime/test_vector_parity.py``
+pins the two bit-for-bit equal.
 Both memoize the sorted journal (keyed by a generation counter plus the
 journal length — within one generation the journal only grows) so
 ``path_hash`` and ``iter_hits`` never re-sort what they already sorted.
@@ -42,10 +42,9 @@ journal length — within one generation the journal only grows) so
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, List, Tuple
 
-try:  # the vector backend is optional; "auto" falls back to sparse
+try:  # the vector backend is optional; without numpy maps are sparse
     import numpy as _np
 except ImportError:  # pragma: no cover - container always ships numpy
     _np = None
@@ -301,9 +300,7 @@ class VectorCoverageMap(CoverageMap):
 
     def __init__(self):
         if _np is None:  # pragma: no cover - factory gates on numpy
-            raise RuntimeError(
-                "the vector coverage impl needs numpy; use the sparse "
-                "impl (REPRO_COVERAGE_IMPL=sparse)")
+            raise RuntimeError("the vector coverage impl needs numpy")
         super().__init__()
         self._counts_np = _np.frombuffer(self.counts, dtype=_np.uint8)
         self._idx = _np.empty(0, dtype=_np.int64)
@@ -378,9 +375,7 @@ class VectorGlobalCoverage(GlobalCoverage):
 
     def __init__(self):
         if _np is None:  # pragma: no cover - factory gates on numpy
-            raise RuntimeError(
-                "the vector coverage impl needs numpy; use the sparse "
-                "impl (REPRO_COVERAGE_IMPL=sparse)")
+            raise RuntimeError("the vector coverage impl needs numpy")
         super().__init__()
         self._virgin_np = _np.frombuffer(self.virgin, dtype=_np.uint8)
 
@@ -416,46 +411,25 @@ class VectorGlobalCoverage(GlobalCoverage):
 
 # -- implementation selection -------------------------------------------------
 
-def numpy_available() -> bool:
-    """True when the vector coverage implementation can run."""
-    return _np is not None
+def resolve_coverage_impl() -> str:
+    """``"vector"`` when numpy imports, else ``"sparse"``.
 
-
-def resolve_coverage_impl(impl: str = "auto") -> str:
-    """Resolve an implementation request to ``"vector"`` or ``"sparse"``.
-
-    ``"auto"`` consults ``REPRO_COVERAGE_IMPL`` and then prefers the
-    vectorized backend when numpy is importable, falling back to the
-    sparse reference otherwise; an explicit ``"vector"`` request without
-    numpy raises so misconfiguration is loud.  (Same contract as
-    :func:`repro.runtime.instrument.resolve_backend` for the collector
-    choice — the two axes compose freely.)
+    The two are pinned bit-for-bit equal, so this is a speed choice
+    only; below ``_VECTOR_MIN_JOURNAL`` the vector kernels already fall
+    back to the sparse walks.
     """
-    choice = impl or "auto"
-    if choice == "auto":
-        choice = os.environ.get("REPRO_COVERAGE_IMPL", "auto") or "auto"
-    if choice == "auto":
-        return "vector" if _np is not None else "sparse"
-    if choice not in ("vector", "sparse"):
-        raise ValueError(
-            f"unknown coverage impl {choice!r}; "
-            "choices: auto, vector, sparse")
-    if choice == "vector" and _np is None:
-        raise RuntimeError(
-            "REPRO_COVERAGE_IMPL=vector requested but numpy is not "
-            "importable; install numpy or use the sparse impl")
-    return choice
+    return "vector" if _np is not None else "sparse"
 
 
-def make_coverage_map(impl: str = "auto") -> CoverageMap:
-    """Build an execution map of the resolved implementation."""
-    if resolve_coverage_impl(impl) == "vector":
+def make_coverage_map() -> CoverageMap:
+    """An execution map of the resolved implementation."""
+    if resolve_coverage_impl() == "vector":
         return VectorCoverageMap()
     return CoverageMap()
 
 
-def make_global_coverage(impl: str = "auto") -> GlobalCoverage:
-    """Build a virgin map of the resolved implementation."""
-    if resolve_coverage_impl(impl) == "vector":
+def make_global_coverage() -> GlobalCoverage:
+    """A virgin map of the resolved implementation."""
+    if resolve_coverage_impl() == "vector":
         return VectorGlobalCoverage()
     return GlobalCoverage()

@@ -33,10 +33,10 @@ tail.
 Collectors separate the per-execution map reset
 (:meth:`Collector.begin_execution`) from arming the instrumentation
 (:meth:`Collector.open_window`/:meth:`Collector.close_window`), so a
-harness can rebind ``Collector.map`` (the batched pipeline rotates a
-map pool through one collector) or re-arm without paying the other
-half.  ``begin()``/``end()`` compose both, preserving the one-execution
-context-manager contract.
+harness can rebind ``Collector.map`` (``Target.run_into`` records each
+execution of a batch into a map from the engine's pool) or re-arm
+without paying the other half.  ``begin()``/``end()`` compose both,
+preserving the one-execution context-manager contract.
 
 Both line collectors key their block-id cache by *code object* and then
 by line number, so the hot callback does two dict probes on interned
@@ -240,7 +240,7 @@ class _LineCollector(Collector):
         super().begin_execution()
         # rebind in case the map object was swapped between executions
         # (the equivalence tests inject the dense reference this way,
-        # and the batched pipeline rotates through its map pool)
+        # and Target.run_into rebinds the engine's pooled maps)
         self._visit = self.map.visit
 
 

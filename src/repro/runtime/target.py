@@ -112,10 +112,10 @@ class Target:
         the frames to actually deliver.
     """
 
-    #: the in-process target supports the batched execution pipeline
-    #: (:meth:`run_into` recording into a caller-pooled map); the
-    #: live-network SocketTarget duck-type does not and the engine falls
-    #: back to per-iteration execution there
+    #: the in-process target records into a caller's map
+    #: (:meth:`run_into`), so the engine may batch iterations; the
+    #: live-network SocketTarget duck-type does not and the engine runs
+    #: one iteration per batch there
     supports_batch = True
 
     def __init__(self, server_factory: Callable[[], ProtocolServer],
@@ -137,7 +137,30 @@ class Target:
         """
 
     def run(self, packet: bytes, model_name: Optional[str] = None) -> ExecResult:
-        """Execute *packet* against the server; never lets faults escape."""
+        """Execute *packet* against the server; never lets faults escape.
+
+        Coverage lands in the collector's own map, which the next
+        execution resets.
+        """
+        collector = self.collector
+        return self._run(packet, model_name,
+                         collector.map if collector is not None else None)
+
+    def run_into(self, packet: bytes, model_name: Optional[str],
+                 coverage_map: CoverageMap) -> ExecResult:
+        """:meth:`run`, recording coverage into *coverage_map* instead.
+
+        The collector is rebound to the caller's map, so results of
+        consecutive executions each keep their own coverage (the
+        engine's ``iterate_batch`` rotates a map pool through here).
+        Needs a collector.
+        """
+        return self._run(packet, model_name, coverage_map)
+
+    def _run(self, packet: bytes, model_name: Optional[str],
+             coverage_map: Optional[CoverageMap]) -> ExecResult:
+        """One execution: fresh heap, server reset outside the window,
+        the channel's frames delivered in order."""
         self.executions += 1
         heap = SimHeap()
         self.server.reset()
@@ -149,52 +172,20 @@ class Target:
             frames = self.channel.transmit(0, packet)
             frames.extend(self.channel.flush())
             delivered = list(frames)
-        crash = None
-        hang = False
-        response = None
-        blocks = 0
-        if self.collector is not None:
-            with self.collector:
-                crash, hang, response = self._dispatch_frames(
-                    heap, frames, model_name)
-            blocks = self.collector.blocks_executed
-            coverage = self.collector.map
-        else:
+        collector = self.collector
+        if collector is None:
             crash, hang, response = self._dispatch_frames(
                 heap, frames, model_name)
-            coverage = None
-        return ExecResult(coverage=coverage, crash=crash, hang=hang,
-                          response=response, blocks_executed=blocks,
-                          delivered=delivered)
-
-    def run_into(self, packet: bytes, model_name: Optional[str],
-                 coverage_map: CoverageMap) -> ExecResult:
-        """One execution recording into *coverage_map* (batched hot path).
-
-        Semantics are identical to :meth:`run` without a channel — fresh
-        heap, server reset outside the window, per-execution window
-        toggle (measured ~0.1µs on the settrace backend) — but the
-        context-manager protocol and the multi-frame delivery loop are
-        skipped, and coverage lands in the caller's map instead of the
-        collector's own, so a batch of results can outlive each other.
-
-        Only valid with a collector and without a channel; the engine's
-        ``_can_batch`` gates both.
-        """
-        self.executions += 1
-        heap = SimHeap()
-        self.server.reset()
-        collector = self.collector
+            return ExecResult(coverage=None, crash=crash, hang=hang,
+                              response=response, delivered=delivered)
         collector.map = coverage_map
-        collector.begin()
-        try:
-            crash, hang, response = self._dispatch(heap, packet, model_name)
-        finally:
-            collector.end()
+        with collector:
+            crash, hang, response = self._dispatch_frames(
+                heap, frames, model_name)
         return ExecResult(coverage=coverage_map, crash=crash, hang=hang,
                           response=response,
                           blocks_executed=collector.blocks_executed,
-                          delivered=None)
+                          delivered=delivered)
 
     def run_trace(self, steps: Sequence[Tuple[bytes, Optional[str]]],
                   binder=None) -> TraceResult:

@@ -75,9 +75,8 @@ class SessionFuzzer(PeachStar):
     engine_name = "peach-star"
     uses_feedback = True
     #: traces are produced and executed whole (run_trace resets the
-    #: server once per trace and shares a heap across steps), so the
-    #: single-packet batched pipeline does not apply — iterate_batch
-    #: falls back to per-trace iterate calls
+    #: server once per trace and shares a heap across steps) into the
+    #: trace's own map, so iterate_batch runs one trace per call
     supports_batching = False
 
     #: cumulative mutation-op thresholds on one uniform roll:

@@ -1,13 +1,15 @@
-"""Batched execution hot path: bit-identity and fallback contracts.
+"""Batched execution: bit-identity and fallback contracts.
 
-ISSUE (PR 10) tentpole: ``GenerationFuzzer.iterate_batch`` + the
-campaign driver's batched loop must be a pure performance change — the
-outcome stream, RNG trajectory, simulated clock, series, stats, crash
-ledger and kill/resume behaviour are bit-for-bit identical to the
-one-iteration-at-a-time loop, for every batch size, on both coverage
-implementations, and every configuration outside the batched pipeline
-(sessions, channels, oracles, baseline engines) falls back without
-changing a single observable.
+``GenerationFuzzer.iterate_batch`` is a loop over the one iteration
+body ``iterate`` runs, plus a coverage-map pool that keeps valuable
+outcomes' coverage alive until the campaign driver reads it.  Grouping
+iterations must be invisible: the outcome stream, RNG trajectory,
+simulated clock, series, stats, crash ledger and kill/resume behaviour
+are bit-for-bit identical whatever ``repro.core.campaign.BATCH_SIZE``
+is, on both coverage implementations, with channel faults, the
+differential oracle and divergence steering too.  Session engines and
+targets that cannot record into a caller's map get one outcome per
+call.
 
 The stat/triage satellites ride along: ``EngineStats.as_dict`` is
 derived from the dataclass fields, the ``channel_faults`` counter is
@@ -19,21 +21,31 @@ import dataclasses
 
 import pytest
 
+from repro.core import campaign
 from repro.core.campaign import (
     CampaignConfig, make_engine, resume_campaign, run_campaign,
 )
 from repro.core.engine import EngineStats
 from repro.protocols import get_target
-from repro.runtime.coverage import numpy_available
+from repro.runtime.coverage import (
+    CoverageMap, GlobalCoverage, resolve_coverage_impl,
+)
 
 BATCH_SIZES = (1, 2, 5, 16, 64)
 COVERAGE_IMPLS = ("sparse",) + (
-    ("vector",) if numpy_available() else ())
+    ("vector",) if resolve_coverage_impl() == "vector" else ())
+
+#: single-packet modes whose channel/oracle work runs inside the
+#: iteration body; steering rides on faults so it actually steers
+ORACLE_MODES = {
+    "faults": dict(channel_faults=0.25),
+    "differential": dict(differential=True),
+    "steer": dict(channel_faults=0.25, steer_divergence=True),
+}
 
 
 def _config(**overrides):
-    base = dict(budget_hours=24.0, max_executions=400, record_every=10,
-                coverage_impl="sparse")
+    base = dict(budget_hours=24.0, max_executions=400, record_every=10)
     base.update(overrides)
     return CampaignConfig(**base)
 
@@ -45,10 +57,28 @@ def _signature(result):
         result.final_edges,
         result.executions,
         sorted(report.dedup_key for report in result.unique_crashes),
+        sorted(report.dedup_key for report in result.unique_divergences),
         result.crash_times,
         result.stats,
         tuple(sorted(result.path_hashes)),
     )
+
+
+def _run(monkeypatch, batch_size, engine_name, spec, seed, config,
+         impl=None):
+    """One campaign with the driver's batch size set to *batch_size*.
+
+    *impl* ``"sparse"`` injects the pure-Python maps into the engine;
+    ``None``/``"vector"`` keep what ``make_engine`` picked.
+    """
+    monkeypatch.setattr(campaign, "BATCH_SIZE", batch_size)
+    engine = None
+    if impl == "sparse":
+        engine = make_engine(engine_name, spec, seed, config)
+        engine.target.collector.map = CoverageMap()
+        engine.seed_pool.coverage = GlobalCoverage()
+    return run_campaign(engine_name, spec, seed=seed, config=config,
+                        engine=engine)
 
 
 class TestBatchSizeInvariance:
@@ -56,41 +86,34 @@ class TestBatchSizeInvariance:
 
     @pytest.mark.parametrize("impl", COVERAGE_IMPLS)
     @pytest.mark.parametrize("target_name", ("libmodbus", "iec104"))
-    def test_campaigns_identical_across_batch_sizes(self, target_name,
-                                                    impl):
+    def test_campaigns_identical_across_batch_sizes(self, monkeypatch,
+                                                    target_name, impl):
         spec = get_target(target_name)
         reference = None
         for batch_size in BATCH_SIZES:
-            result = run_campaign(
-                "peach-star", spec, seed=7,
-                config=_config(batch_size=batch_size, coverage_impl=impl))
+            result = _run(monkeypatch, batch_size, "peach-star", spec, 7,
+                          _config(), impl=impl)
             signature = _signature(result)
             if reference is None:
                 reference = signature
             else:
                 assert signature == reference, (batch_size, impl)
 
-    def test_baseline_engine_identical_across_batch_sizes(self):
+    def test_baseline_engine_identical_across_batch_sizes(self,
+                                                          monkeypatch):
         spec = get_target("lib60870")
-        one = run_campaign("peach", spec, seed=3,
-                           config=_config(batch_size=1))
-        sixteen = run_campaign("peach", spec, seed=3,
-                               config=_config(batch_size=16))
+        one = _run(monkeypatch, 1, "peach", spec, 3, _config())
+        sixteen = _run(monkeypatch, 16, "peach", spec, 3, _config())
         assert _signature(sixteen) == _signature(one)
 
-    def test_time_budget_stops_batches_exactly(self):
+    def test_time_budget_stops_batches_exactly(self, monkeypatch):
         """No max_executions cap: the simulated clock alone ends the
         campaign, and a batch must stop at the same execution the
         unbatched loop does."""
         spec = get_target("libmodbus")
-        one = run_campaign(
-            "peach-star", spec, seed=9,
-            config=_config(max_executions=10**9, budget_hours=6.0,
-                           batch_size=1))
-        sixteen = run_campaign(
-            "peach-star", spec, seed=9,
-            config=_config(max_executions=10**9, budget_hours=6.0,
-                           batch_size=16))
+        config = _config(max_executions=10**9, budget_hours=6.0)
+        one = _run(monkeypatch, 1, "peach-star", spec, 9, config)
+        sixteen = _run(monkeypatch, 16, "peach-star", spec, 9, config)
         assert _signature(sixteen) == _signature(one)
 
 
@@ -120,89 +143,96 @@ class TestIterateBatchContract:
 
     def test_batched_equals_sequential_iterates(self):
         spec = get_target("libmodbus")
-        batched = make_engine("peach-star", spec, 4, _config())
-        unbatched = make_engine("peach-star", spec, 4, _config())
-        outcomes = batched.iterate_batch(40)
-        singles = [unbatched.iterate() for _ in range(len(outcomes))]
-        assert [o.executions for o in outcomes] == \
-            [o.executions for o in singles]
-        assert [o.hours for o in outcomes] == [o.hours for o in singles]
-        assert [o.paths for o in outcomes] == [o.paths for o in singles]
-        assert [o.valuable for o in outcomes] == \
-            [o.valuable for o in singles]
-        assert [o.packet for o in outcomes] == [o.packet for o in singles]
-        assert batched.clock.now_ms == unbatched.clock.now_ms
-        assert batched.stats.as_dict() == unbatched.stats.as_dict()
+        for overrides in ({},) + tuple(ORACLE_MODES.values()):
+            config = _config(**overrides)
+            batched = make_engine("peach-star", spec, 4, config)
+            unbatched = make_engine("peach-star", spec, 4, config)
+            outcomes = batched.iterate_batch(40)
+            assert len(outcomes) == 40
+            singles = [unbatched.iterate() for _ in range(len(outcomes))]
+            for field in ("executions", "hours", "paths", "valuable",
+                          "packet", "new_divergences"):
+                assert [getattr(o, field) for o in outcomes] == \
+                    [getattr(o, field) for o in singles], (overrides, field)
+            assert [o.result.delivered for o in outcomes] == \
+                [o.result.delivered for o in singles]
+            assert batched.clock.now_ms == unbatched.clock.now_ms
+            assert batched.stats.as_dict() == unbatched.stats.as_dict()
 
     def test_fallback_returns_one_outcome_per_call(self):
-        """Outside the batched pipeline the result's coverage is the
-        collector's live map — handing out more than one outcome per
-        call would let later iterations overwrite earlier coverage
-        before the driver reads it."""
+        """Session engines produce and run whole traces and opt out of
+        batching: ``iterate_batch`` hands out one outcome per call,
+        faulted sessions included.  Single-packet channel and oracle
+        modes run inside the iteration body and fill whole batches."""
         spec = get_target("iec104")
-        sessions = make_engine("peach-star", spec, 2,
-                               _config(sessions=True))
-        assert not sessions._can_batch()
-        assert len(sessions.iterate_batch(16)) == 1
-        faulted = make_engine("peach-star", spec, 2,
-                              _config(channel_faults=0.25))
-        assert not faulted._can_batch()
-        assert len(faulted.iterate_batch(16)) == 1
+        for overrides in (dict(sessions=True),
+                          dict(sessions=True, channel_faults=0.25)):
+            sessions = make_engine("peach-star", spec, 2,
+                                   _config(**overrides))
+            assert not sessions._can_batch()
+            assert len(sessions.iterate_batch(16)) == 1
+        for overrides in ORACLE_MODES.values():
+            single = make_engine("peach-star", spec, 2, _config(**overrides))
+            assert single._can_batch()
+            assert len(single.iterate_batch(16)) == 16
 
     def test_valuable_outcomes_get_retired_maps(self):
         """The driver serializes valuable outcomes' coverage after the
         batch: each must keep a private map, distinct from the shared
         non-valuable map and from every other valuable outcome's."""
         spec = get_target("libmodbus")
-        engine = make_engine("peach-star", spec, 1, _config())
-        valuable_maps = []
+        engine = make_engine("peach-star", spec, 1,
+                             _config(**ORACLE_MODES["steer"]))
         for _ in range(6):
-            for outcome in engine.iterate_batch(64):
-                if outcome.valuable:
-                    valuable_maps.append(outcome.result.coverage)
-                    assert outcome.result.coverage.edge_count() > 0
-        assert len(valuable_maps) >= 2
+            outcomes = engine.iterate_batch(64)
+            valuable = [o for o in outcomes if o.valuable]
+            maps = [o.result.coverage for o in valuable]
+            assert len(set(map(id, maps))) == len(maps)
+            for outcome in valuable:
+                # after the batch, the retired map (steered seeds'
+                # included) still holds exactly the seed's path
+                assert outcome.result.coverage.path_hash() == \
+                    outcome.seed.path_hash
+        assert engine.stats.valuable_seeds >= 2
+        assert engine.stats.steered_seeds > 0
         batch_maps = engine._batch_maps
-        # every retired map is pool-owned and no two valuable outcomes
-        # of one batch shared one (pool ids are unique)
         assert len(set(map(id, batch_maps))) == len(batch_maps)
 
 
-class TestBatchedFallbackIdentity:
-    """Modes outside the batched pipeline are untouched by batch_size."""
+class TestOracleModeBatching:
+    """Faulted, differential and steered single-packet campaigns run
+    through ``iterate_batch`` like plain ones, without changing a single
+    observable; sessions are untouched by the batch size."""
 
-    def test_session_campaign_identical(self):
+    @pytest.mark.parametrize("mode", tuple(ORACLE_MODES))
+    def test_campaign_identical_at_batch_1_and_16(self, monkeypatch, mode):
+        spec = get_target("libmodbus")
+        config = _config(**ORACLE_MODES[mode])
+        one = _run(monkeypatch, 1, "peach-star", spec, 5, config)
+        sixteen = _run(monkeypatch, 16, "peach-star", spec, 5, config)
+        assert _signature(sixteen) == _signature(one)
+        if mode != "differential":
+            assert one.stats["channel_faults"] > 0
+            assert one.stats["divergences_total"] > 0
+        if mode == "steer":
+            assert one.stats["steered_seeds"] > 0
+
+    def test_session_campaign_identical(self, monkeypatch):
         spec = get_target("iec104")
-        one = run_campaign("peach-star", spec, seed=5,
-                           config=_config(sessions=True, batch_size=1))
-        sixteen = run_campaign("peach-star", spec, seed=5,
-                               config=_config(sessions=True,
-                                              batch_size=16))
+        config = _config(sessions=True)
+        one = _run(monkeypatch, 1, "peach-star", spec, 5, config)
+        sixteen = _run(monkeypatch, 16, "peach-star", spec, 5, config)
         assert _signature(sixteen) == _signature(one)
 
-    def test_faulted_channel_campaign_identical(self):
+    def test_killed_faulted_campaign_resumes_bit_identical(self, tmp_path):
+        """Steered seeds are valuable outcomes too: their retired maps
+        feed the coverage journal that resume replays."""
         spec = get_target("libmodbus")
-        one = run_campaign(
-            "peach-star", spec, seed=5,
-            config=_config(channel_faults=0.25, batch_size=1))
-        sixteen = run_campaign(
-            "peach-star", spec, seed=5,
-            config=_config(channel_faults=0.25, batch_size=16))
-        assert _signature(sixteen) == _signature(one)
-
-
-class TestBatchedKillResume:
-    """The persistence guarantee survives batching: a batched campaign
-    killed mid-budget resumes bit-identical to the uninterrupted run,
-    and batched/unbatched workspaces converge."""
-
-    def test_killed_batched_campaign_resumes_bit_identical(self,
-                                                           tmp_path):
-        spec = get_target("libmodbus")
-        config = dict(checkpoint_every=50, batch_size=16)
+        config = dict(checkpoint_every=50, **ORACLE_MODES["steer"])
         full = run_campaign(
             "peach-star", spec, seed=7,
             config=_config(workspace=str(tmp_path / "full"), **config))
+        assert full.stats["steered_seeds"] > 0
         # NOT a checkpoint or batch multiple: resume must rewind to the
         # last checkpoint and re-execute the window through the batch
         killed = run_campaign(
@@ -213,17 +243,40 @@ class TestBatchedKillResume:
         resumed = resume_campaign(str(tmp_path / "killed"))
         assert _signature(resumed) == _signature(full)
 
-    def test_batched_workspace_matches_unbatched(self, tmp_path):
+
+class TestBatchedKillResume:
+    """The persistence guarantee survives batching: a batched campaign
+    killed mid-budget resumes bit-identical to the uninterrupted run,
+    and batched/unbatched workspaces converge."""
+
+    def test_killed_batched_campaign_resumes_bit_identical(self,
+                                                           tmp_path):
+        spec = get_target("libmodbus")
+        config = dict(checkpoint_every=50)
+        full = run_campaign(
+            "peach-star", spec, seed=7,
+            config=_config(workspace=str(tmp_path / "full"), **config))
+        killed = run_campaign(
+            "peach-star", spec, seed=7,
+            config=_config(workspace=str(tmp_path / "killed"), **config),
+            stop_after_executions=77)
+        assert killed is None
+        resumed = resume_campaign(str(tmp_path / "killed"))
+        assert _signature(resumed) == _signature(full)
+
+    def test_batched_workspace_matches_unbatched(self, monkeypatch,
+                                                 tmp_path):
         spec = get_target("lib60870")
-        one = run_campaign(
-            "peach-star", spec, seed=7,
-            config=_config(workspace=str(tmp_path / "one"),
-                           checkpoint_every=50, batch_size=1))
-        sixteen = run_campaign(
-            "peach-star", spec, seed=7,
-            config=_config(workspace=str(tmp_path / "sixteen"),
-                           checkpoint_every=50, batch_size=16))
+        one = _run(monkeypatch, 1, "peach-star", spec, 7,
+                   _config(workspace=str(tmp_path / "one"),
+                           checkpoint_every=50))
+        sixteen = _run(monkeypatch, 16, "peach-star", spec, 7,
+                       _config(workspace=str(tmp_path / "sixteen"),
+                               checkpoint_every=50))
         assert _signature(sixteen) == _signature(one)
+        journals = [(tmp_path / name / "coverage.jsonl").read_text()
+                    for name in ("one", "sixteen")]
+        assert journals[0] == journals[1]
 
 
 class TestStatSatellites:
@@ -258,13 +311,18 @@ class TestStatSatellites:
         engine = make_engine("peach-star", spec, 1, _config())
         run_campaign("peach-star", spec, seed=1, config=_config(),
                      engine=engine)
-        # session-corpus imports and donor refreshes re-crack known
-        # seeds: the LRU must be doing work by end of a campaign
-        assert engine.cracker.cache_hits >= 0
-        seed_packets = [s.packet for s in engine.seed_pool.seeds]
-        if seed_packets:
-            before = engine.cracker.cache_hits
-            tree = engine.seed_pool.seeds[0].tree
-            engine.cracker.crack(seed_packets[0], tree)
-            engine.cracker.crack(seed_packets[0], tree)
-            assert engine.cracker.cache_hits > before
+        seeds = engine.seed_pool.seeds
+        assert len(seeds) >= 2
+        # every valuable seed was cracked once during the campaign, and
+        # the LRU (256 entries) still holds all of them: re-cracking
+        # any seed is a hit, and each re-crack counts exactly one
+        before = engine.cracker.cache_hits
+        for count, seed in enumerate(seeds[:2], start=1):
+            engine.cracker.crack(seed.packet, seed.tree)
+            assert engine.cracker.cache_hits == before + count
+        # a packet never seen is a miss, then a hit
+        fresh = seeds[0].packet + b"\x00"
+        engine.cracker.crack(fresh)
+        assert engine.cracker.cache_hits == before + 2
+        engine.cracker.crack(fresh)
+        assert engine.cracker.cache_hits == before + 3

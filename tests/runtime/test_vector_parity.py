@@ -3,12 +3,12 @@
 ``VectorCoverageMap``/``VectorGlobalCoverage`` re-implement the hot
 coverage operations with numpy fancy-indexing, switching to the
 inherited pure-Python walks below ``_VECTOR_MIN_JOURNAL`` where the
-array-build overhead dominates.  These tests pin the contract from
-ISSUE (PR 10): for the same visit sequences, every observable — merge
-decisions, virgin bytes, path hashes, hit streams, whole
-``CampaignResult``s — is bit-for-bit identical between the two
-implementations, on journals both below and above the hybrid threshold
-so the numpy branches are actually exercised.
+array-build overhead dominates.  Campaigns use them whenever numpy
+imports.  These tests pin the contract: for the same visit sequences,
+every observable — merge decisions, virgin bytes, path hashes, hit
+streams, whole ``CampaignResult``s — is bit-for-bit identical between
+the two implementations, on journals both below and above the hybrid
+threshold so the numpy branches are actually exercised.
 
 Property-style invariants ride along: ``path_hash``/``iter_hits`` are
 pure in the map contents (touch order changes counts deterministically,
@@ -26,11 +26,11 @@ from repro.protocols import TARGET_NAMES, get_target
 from repro.runtime.coverage import (
     MAP_SIZE, _VECTOR_MIN_JOURNAL, CoverageMap, GlobalCoverage,
     VectorCoverageMap, VectorGlobalCoverage, make_coverage_map,
-    make_global_coverage, numpy_available, resolve_coverage_impl,
+    make_global_coverage, resolve_coverage_impl,
 )
 
 pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="vector impl needs numpy")
+    resolve_coverage_impl() != "vector", reason="vector impl needs numpy")
 
 #: journal lengths straddling the hybrid threshold: the short ones run
 #: the inherited pure-Python fallbacks, the long ones the numpy kernels
@@ -225,22 +225,14 @@ class TestGlobalParity:
 
 class TestFactories:
     def test_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COVERAGE_IMPL", raising=False)
-        assert resolve_coverage_impl("sparse") == "sparse"
-        assert resolve_coverage_impl("vector") == "vector"
-        assert resolve_coverage_impl("auto") == "vector"  # numpy present
+        assert resolve_coverage_impl() == "vector"  # numpy present
+        # no environment variable overrides the choice
         monkeypatch.setenv("REPRO_COVERAGE_IMPL", "sparse")
-        assert resolve_coverage_impl("auto") == "sparse"
+        assert resolve_coverage_impl() == "vector"
 
-    def test_factories_return_requested_types(self):
-        assert type(make_coverage_map("sparse")) is CoverageMap
-        assert type(make_coverage_map("vector")) is VectorCoverageMap
-        assert type(make_global_coverage("sparse")) is GlobalCoverage
-        assert type(make_global_coverage("vector")) is VectorGlobalCoverage
-
-    def test_unknown_impl_is_loud(self):
-        with pytest.raises(ValueError):
-            resolve_coverage_impl("dense")
+    def test_factories_return_resolved_types(self):
+        assert type(make_coverage_map()) is VectorCoverageMap
+        assert type(make_global_coverage()) is VectorGlobalCoverage
 
 
 def _short_config(**overrides):
@@ -263,22 +255,24 @@ def _result_signature(result):
 
 class TestCampaignParity:
     """Whole campaigns agree between the sparse and vector pipelines
-    on every protocol target (the ISSUE's six-protocol parity pin)."""
+    on every protocol target (the six-protocol parity pin).  Campaigns
+    pick the vector maps; the sparse side injects the pure-Python maps
+    into an otherwise identical engine."""
 
     @pytest.mark.parametrize("target_name", TARGET_NAMES)
     def test_peach_star_campaign_identical(self, target_name):
         spec = get_target(target_name)
-        sparse = run_campaign(
-            "peach-star", spec, seed=11,
-            config=_short_config(coverage_impl="sparse"))
-        vector = run_campaign(
-            "peach-star", spec, seed=11,
-            config=_short_config(coverage_impl="vector"))
+        config = _short_config()
+        sparse_engine = make_engine("peach-star", spec, 11, config)
+        sparse_engine.target.collector.map = CoverageMap()
+        sparse_engine.seed_pool.coverage = GlobalCoverage()
+        sparse = run_campaign("peach-star", spec, seed=11, config=config,
+                              engine=sparse_engine)
+        vector = run_campaign("peach-star", spec, seed=11, config=config)
         assert _result_signature(vector) == _result_signature(sparse)
 
-    def test_engine_wiring_uses_requested_impl(self):
+    def test_engine_wiring_uses_vector_maps(self):
         spec = get_target("libmodbus")
-        engine = make_engine("peach-star", spec, 1,
-                             _short_config(coverage_impl="vector"))
+        engine = make_engine("peach-star", spec, 1, _short_config())
         assert type(engine.target.collector.map) is VectorCoverageMap
         assert type(engine.seed_pool.coverage) is VectorGlobalCoverage

@@ -153,6 +153,26 @@ class TestKillAndResumeDeterminism:
         resumed = resume_campaign(ws_dir)
         assert _signature(resumed) == _signature(full)
 
+    def test_manifest_with_retired_knobs_resumes_bit_identical(
+            self, tmp_path):
+        """Manifests written before the batch-size and coverage-impl
+        knobs were removed carry both keys; resume ignores them (any
+        batch size and either map impl give the same campaign)."""
+        spec = get_target("libmodbus")
+        full = run_campaign("peach-star", spec, seed=7, config=_config())
+        ws_dir = str(tmp_path / "ws")
+        assert run_campaign("peach-star", spec, seed=7,
+                            config=_config(workspace=ws_dir),
+                            stop_after_executions=77) is None
+        config_path = os.path.join(ws_dir, "config.json")
+        with open(config_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["config"].update(batch_size=1, coverage_impl="sparse")
+        with open(config_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        resumed = resume_campaign(ws_dir)
+        assert _signature(resumed) == _signature(full)
+
 
 class TestPendingRecipes:
     """The pending semantic queue checkpoints as splice recipes."""
