@@ -18,6 +18,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fuzz", "iec104", "--engine", "afl"])
 
+    def test_retired_knobs_are_unrecognised(self, capsys):
+        import pytest
+        for knob in (["--batch", "4"], ["--coverage-impl", "sparse"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fuzz", "iec104", *knob])
+            assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_compare_prints_panel(self, capsys):

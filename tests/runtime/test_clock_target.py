@@ -1,9 +1,13 @@
 """Unit tests for the simulated clock and the target harness."""
 
+import random
+
+from repro.channel.faults import FaultingChannel
 from repro.protocols.iccp import IccpServer, build_read, build_write
 from repro.protocols.modbus import ModbusServer, build_read_request
 from repro.runtime import Target, TracingCollector
 from repro.runtime.clock import CostModel, SimulatedClock
+from repro.runtime.coverage import CoverageMap
 
 
 class TestSimulatedClock:
@@ -81,3 +85,52 @@ class TestTargetHarness:
         target = Target(IccpServer, TracingCollector(("repro/protocols",)))
         result = target.run(build_read(1, ""), model_name="iccp.read")
         assert result.crash.model_name == "iccp.read"
+
+
+class TestRunInto:
+    """``run`` and ``run_into`` are two entry points over one body."""
+
+    PACKETS = (build_read_request(3, 0, 2), build_read_request(1, 7, 9),
+               b"\x00\x01", build_read_request(3, 0, 120))
+
+    def _target(self, channel=None):
+        return Target(ModbusServer, TracingCollector(("repro/protocols",)),
+                      channel=channel)
+
+    def test_run_into_records_into_the_callers_map(self):
+        via_run, via_into = self._target(), self._target()
+        for packet in self.PACKETS:
+            expected = via_run.run(packet)
+            expected_journal = list(expected.coverage.journal)
+            own = CoverageMap()
+            result = via_into.run_into(packet, None, own)
+            assert result.coverage is own
+            assert list(own.journal) == expected_journal
+            assert result.response == expected.response
+        assert via_into.executions == via_run.executions == len(self.PACKETS)
+
+    def test_channel_frames_match_between_entry_points(self):
+        via_run = self._target(FaultingChannel(0.5, random.Random(5)))
+        via_into = self._target(FaultingChannel(0.5, random.Random(5)))
+        for packet in self.PACKETS * 3:
+            expected = via_run.run(packet)
+            result = via_into.run_into(packet, None, CoverageMap())
+            assert result.delivered == expected.delivered
+            assert result.response == expected.response
+            assert list(result.coverage.journal) == list(
+                expected.coverage.journal)
+
+    def test_entry_points_do_not_nest(self, monkeypatch):
+        """Per-stage timing sums both methods, so neither may call the
+        other (the time would be counted twice)."""
+        target = self._target()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("public entry points must not nest")
+
+        monkeypatch.setattr(target, "run_into", forbidden)
+        assert target.run(self.PACKETS[0]).response is not None
+        monkeypatch.undo()
+        monkeypatch.setattr(target, "run", forbidden)
+        result = target.run_into(self.PACKETS[0], None, CoverageMap())
+        assert result.response is not None

@@ -234,6 +234,13 @@ class TestFactories:
         assert type(make_coverage_map()) is VectorCoverageMap
         assert type(make_global_coverage()) is VectorGlobalCoverage
 
+    def test_resolves_sparse_without_numpy(self, monkeypatch):
+        from repro.runtime import coverage
+        monkeypatch.setattr(coverage, "_np", None)
+        assert resolve_coverage_impl() == "sparse"
+        assert type(make_coverage_map()) is CoverageMap
+        assert type(make_global_coverage()) is GlobalCoverage
+
 
 def _short_config(**overrides):
     return CampaignConfig(budget_hours=24.0, max_executions=140,
