@@ -8,8 +8,9 @@
 #                      BENCH_*.json)
 #   make test-matrix — the cross-protocol conformance matrix plus the
 #                      channel-fault/differential-oracle, live-network
-#                      (socket/serve), sparse-vs-vector coverage parity
-#                      and batch-size identity suites
+#                      (socket/serve), sparse-vs-vector coverage parity,
+#                      batch-size identity and workspace manifest/
+#                      checkpoint compatibility suites
 #   make fleet-demo  — a small synced 4-shard fleet in /tmp, rendered
 #                      with the per-shard/merged summary table
 #   make sessions-demo — the stateful session-fuzzing walkthrough
@@ -36,7 +37,8 @@ bench:
 test-matrix:
 	$(PY) -m pytest tests/protocols/test_conformance.py tests/channel \
 		tests/net tests/runtime/test_vector_parity.py \
-		tests/core/test_batching.py $(PYTEST_ARGS)
+		tests/core/test_batching.py tests/store/test_workspace.py \
+		$(PYTEST_ARGS)
 
 fleet-demo:
 	rm -rf $(FLEET_DEMO_DIR)

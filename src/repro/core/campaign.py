@@ -10,11 +10,15 @@ the paper instruments both Peach and Peach* for measurement.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import (
+    Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin,
+    get_type_hints,
+)
 
 from repro.core.engine import GenerationFuzzer, PeachStar
 from repro.core.seedpool import SeedPool
@@ -22,10 +26,10 @@ from repro.model.mutators import GenerationPolicy
 from repro.net.config import NetConfig
 from repro.runtime.clock import SimulatedClock
 from repro.runtime.coverage import make_coverage_map, make_global_coverage
-from repro.runtime.instrument import make_line_collector
+from repro.runtime.instrument import HANG_BUDGET, make_line_collector
 from repro.runtime.target import Target
 from repro.sanitizer.report import CrashReport
-from repro.store.workspace import CampaignWorkspace
+from repro.store.workspace import CampaignWorkspace, WorkspaceError
 
 #: iterations per ``GenerationFuzzer.iterate_batch`` call in the driver
 #: loop; any value gives the same campaign (pinned in tests/core)
@@ -84,19 +88,18 @@ def default_campaign_policy() -> GenerationPolicy:
 
 @dataclass
 class CampaignConfig:
-    """Knobs of one campaign run."""
+    """Knobs of one campaign run.
+
+    Generation tuning (the campaign policy, the semantic batch and
+    ratio, the session walk bound) and the hang budget are fixed by the
+    engines and collectors, as in the paper's one evaluation setup.
+    """
 
     budget_hours: float = 24.0
     max_executions: int = 200_000           # hard safety bound
     record_every: int = 25                  # sample the series every N execs
-    policy: Optional[GenerationPolicy] = field(
-        default_factory=default_campaign_policy)
-    semantic_batch: int = 16
-    semantic_ratio: float = 0.5
     pin_prob: float = 0.5
-    crack_enabled: bool = True
     semantic_enabled: bool = True
-    hang_budget: int = 120_000
     #: session mode: fuzz multi-packet traces over the target's state
     #: model (requires a target with one; see `peachstar fuzz --sessions`).
     #: ``executions`` then counts trace *steps*, so budgets stay
@@ -107,8 +110,6 @@ class CampaignConfig:
     #: state model — works on *every* target, modelled or not (see
     #: `peachstar fuzz --learn-states`).  Implies session semantics.
     learn_states: bool = False
-    #: session mode: length bound for fresh state-model walks
-    max_trace_steps: int = 6
     #: per-frame transport fault probability (0 = no channel at all —
     #: today's bit-exact path).  The fault RNG is derived from the
     #: campaign seed and checkpointed, so faulted campaigns keep
@@ -134,8 +135,6 @@ class CampaignConfig:
     #: a NetConfig rides into the workspace manifest so a killed socket
     #: campaign resumes with the transport it started with
     net: Optional[NetConfig] = None
-    #: line-coverage backend: "auto" | "monitoring" | "settrace"
-    coverage_backend: str = "auto"
     #: directory to persist the campaign into (None = in-memory only).
     #: One workspace per campaign: batch tasks must not share one.
     workspace: Optional[str] = None
@@ -144,66 +143,146 @@ class CampaignConfig:
 
 
 def config_to_dict(config: CampaignConfig) -> dict:
-    """JSON-safe snapshot of a campaign config (workspace manifests).
-
-    ``asdict`` already recurses into the nested :class:`GenerationPolicy`.
-    """
+    """JSON-safe snapshot of a campaign config (workspace manifests)."""
     return asdict(config)
 
 
-def config_from_dict(blob: dict) -> CampaignConfig:
-    """Inverse of :func:`config_to_dict` (tolerates added fields)."""
-    known = {f.name for f in CampaignConfig.__dataclass_fields__.values()}
-    kwargs = {key: value for key, value in blob.items() if key in known}
-    if kwargs.get("policy") is not None:
-        kwargs["policy"] = GenerationPolicy(**kwargs["policy"])
-    if kwargs.get("net") is not None:
-        kwargs["net"] = NetConfig(**kwargs["net"])
-    return CampaignConfig(**kwargs)
+#: a retired key whose every value gives the same campaign
+_ANY_VALUE = object()
 
 
-def validate_session_support(engine_name: str, target_spec,
-                             config: CampaignConfig) -> None:
-    """Raise early when session mode cannot run for this combination.
+def _retired_keys() -> Dict[str, object]:
+    """Keys older manifests carry that ``CampaignConfig`` no longer has.
 
-    Called by :func:`make_engine` and by entry points that create
-    on-disk state before any engine exists (the fleet initializes every
-    shard workspace first — failing later would leave a half-built
-    fleet behind).
+    Each maps to the one value every campaign this version reproduces
+    ran with, read from the constants the engines and collectors use.
     """
-    if not config.sessions and not config.learn_states:
-        return
-    if engine_name != "peach-star":
-        raise ValueError("session mode needs the peach-star engine "
-                         f"(got {engine_name!r})")
-    if config.sessions and config.learn_states:
-        raise ValueError(
-            "--sessions (hand-written state model) and --learn-states "
-            "(learned automaton) are mutually exclusive; pick one")
-    if config.learn_states:
-        return  # the learner needs no hand-written state model
-    if target_spec.make_state_model is None:
-        raise ValueError(
-            f"target {target_spec.name!r} ships no state model; "
-            "session mode is unavailable for it (state learning via "
-            "--learn-states works on every target)")
+    from repro.state.engine import SessionFuzzer  # late: layering
+    return {
+        "policy": asdict(default_campaign_policy()),
+        "semantic_batch": PeachStar.SEMANTIC_BATCH,
+        "semantic_ratio": PeachStar.SEMANTIC_RATIO,
+        "hang_budget": HANG_BUDGET,
+        "max_trace_steps": SessionFuzzer.MAX_TRACE_STEPS,
+        "crack_enabled": True,
+        # campaign-neutral: parity-pinned backends, any batch size and
+        # either coverage-map implementation give the same campaign
+        "coverage_backend": _ANY_VALUE,
+        "batch_size": _ANY_VALUE,
+        "coverage_impl": _ANY_VALUE,
+    }
+
+
+def _fits_json_type(value, hint) -> bool:
+    """Whether a decoded JSON *value* has the type a field declares.
+
+    Numbers fit float fields, only integers fit int fields, and a
+    boolean is never a number.
+    """
+    if type(value) is bool:
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _decode_fields(cls, blob, where: str, retired: Dict[str, object]):
+    """Build dataclass *cls* from a manifest object, refusing anything
+    this version would not resume into the same campaign."""
+    if not isinstance(blob, dict):
+        raise WorkspaceError(f"{where} is {blob!r}, not a JSON object; "
+                             "workspace is corrupt")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, value in blob.items():
+        if key in retired:
+            pinned = retired[key]
+            if pinned is not _ANY_VALUE and \
+                    json.dumps(value, sort_keys=True) != \
+                    json.dumps(pinned, sort_keys=True):
+                raise WorkspaceError(
+                    f"{where} key {key!r} is {value!r}, but this version "
+                    f"only reproduces campaigns run with {pinned!r} (the "
+                    "knob was retired)")
+            continue
+        hint = hints.get(key)
+        if hint is None:
+            raise WorkspaceError(
+                f"{where} has unknown key {key!r} (value {value!r}); "
+                "workspace is corrupt or from a newer version")
+        if get_origin(hint) is Union:  # Optional[X]
+            if value is None:
+                kwargs[key] = None
+                continue
+            hint = get_args(hint)[0]
+        if is_dataclass(hint):
+            kwargs[key] = _decode_fields(hint, value, f"{where} key {key!r}",
+                                         retired={})
+        elif _fits_json_type(value, hint):
+            kwargs[key] = value
+        else:
+            raise WorkspaceError(
+                f"{where} key {key!r} is {value!r}, not of type "
+                f"{hint.__name__}; workspace is corrupt")
+    return cls(**kwargs)
+
+
+def config_from_dict(blob: dict) -> CampaignConfig:
+    """Inverse of :func:`config_to_dict`, strict about what it accepts.
+
+    Every key must be a ``CampaignConfig`` field holding its field's
+    JSON type, or a retired key at the value this version still
+    reproduces; anything else raises :class:`WorkspaceError` naming the
+    key, so a foreign manifest never resumes into a different campaign.
+    Missing keys take their defaults.
+    """
+    return _decode_fields(CampaignConfig, blob, "manifest config",
+                          _retired_keys())
 
 
 def validate_campaign_config(engine_name: str, target_spec,
                              config: CampaignConfig) -> None:
-    """Every cross-knob rejection, raised before any state is created.
+    """Every rejection of a campaign setup, raised before any state exists.
 
-    Wraps :func:`validate_session_support` and adds the channel/net
-    checks; called by :func:`make_engine` and by the fleet before it
-    initializes shard workspaces.
+    Called by :func:`make_engine`, by the fleet before it initializes
+    shard workspaces (failing later would leave a half-built fleet
+    behind) and by resume, which reports a failure as a corrupt
+    manifest.
     """
-    validate_session_support(engine_name, target_spec, config)
+    if engine_name not in ("peach", "peach-star"):
+        raise ValueError(f"unknown engine {engine_name!r}; "
+                         "choices: peach, peach-star")
+    if not config.budget_hours > 0:
+        raise ValueError(f"budget_hours {config.budget_hours!r} is not > 0")
+    if config.max_executions < 0:
+        raise ValueError(f"max_executions {config.max_executions} < 0")
+    for name in ("record_every", "checkpoint_every"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} {getattr(config, name)} < 1")
+    for name in ("channel_faults", "pin_prob"):
+        if not 0.0 <= getattr(config, name) <= 1.0:
+            raise ValueError(
+                f"{name} {getattr(config, name)!r} is outside [0, 1]")
     if config.channel_burst < 0:
         raise ValueError(f"channel burst {config.channel_burst} < 0")
     if config.channel_burst > 0 and config.channel_faults <= 0.0:
         raise ValueError(
             "--channel-faults-burst needs --channel-faults > 0 "
             "(the burst is one of the faulting channel's fault kinds)")
+    if config.sessions or config.learn_states:
+        if engine_name != "peach-star":
+            raise ValueError("session mode needs the peach-star engine "
+                             f"(got {engine_name!r})")
+        if config.sessions and config.learn_states:
+            raise ValueError(
+                "--sessions (hand-written state model) and --learn-states "
+                "(learned automaton) are mutually exclusive; pick one")
+        # the learner needs no hand-written state model
+        if config.sessions and target_spec.make_state_model is None:
+            raise ValueError(
+                f"target {target_spec.name!r} ships no state model; "
+                "session mode is unavailable for it (state learning via "
+                "--learn-states works on every target)")
     if config.net is not None:
         config.net.validate()
         if config.net.concurrency > 1 and not (config.sessions or
@@ -223,12 +302,10 @@ def make_engine(engine_name: str, target_spec, seed: int,
     """
     config = config if config is not None else CampaignConfig()
     validate_campaign_config(engine_name, target_spec, config)
+    from repro.protocols import PROTOCOLS_PATH_PREFIX  # late: layering
     rng = random.Random(seed)
-    collector = make_line_collector(
-        ("repro/protocols",),
-        coverage_map=make_coverage_map(),
-        hang_budget=config.hang_budget,
-        backend=config.coverage_backend)
+    collector = make_line_collector((PROTOCOLS_PATH_PREFIX,),
+                                    coverage_map=make_coverage_map())
     channel = None
     if config.channel_faults > 0.0:
         # the extra seed draw happens only on faulted campaigns, so
@@ -250,6 +327,7 @@ def make_engine(engine_name: str, target_spec, seed: int,
                         channel=channel)
     clock = SimulatedClock(target_spec.cost_model)
     pit = target_spec.make_pit()
+    policy = default_campaign_policy()
     differential = config.differential
     if differential is None:
         differential = config.channel_faults > 0.0 or \
@@ -272,34 +350,23 @@ def make_engine(engine_name: str, target_spec, seed: int,
             state_model = target_spec.make_state_model()
         concurrency = config.net.concurrency \
             if config.net is not None else 1
-        engine = SessionFuzzer(pit, target, rng, clock,
-                               policy=config.policy,
+        engine = SessionFuzzer(pit, target, rng, clock, policy=policy,
                                state_model=state_model,
-                               max_trace_steps=config.max_trace_steps,
                                concurrency=concurrency,
-                               semantic_batch=config.semantic_batch,
-                               semantic_ratio=config.semantic_ratio,
                                pin_prob=config.pin_prob,
-                               crack_enabled=config.crack_enabled,
                                semantic_enabled=config.semantic_enabled,
                                oracle=oracle,
                                steer_divergence=config.steer_divergence)
     elif engine_name == "peach":
-        engine = GenerationFuzzer(pit, target, rng, clock,
-                                  policy=config.policy, oracle=oracle,
+        engine = GenerationFuzzer(pit, target, rng, clock, policy=policy,
+                                  oracle=oracle,
                                   steer_divergence=config.steer_divergence)
-    elif engine_name == "peach-star":
-        engine = PeachStar(pit, target, rng, clock, policy=config.policy,
-                           semantic_batch=config.semantic_batch,
-                           semantic_ratio=config.semantic_ratio,
+    else:
+        engine = PeachStar(pit, target, rng, clock, policy=policy,
                            pin_prob=config.pin_prob,
-                           crack_enabled=config.crack_enabled,
                            semantic_enabled=config.semantic_enabled,
                            oracle=oracle,
                            steer_divergence=config.steer_divergence)
-    else:
-        raise ValueError(f"unknown engine {engine_name!r}; "
-                         "choices: peach, peach-star")
     # the virgin map matches the collector's map implementation, so
     # merge/would_be_new take the vectorized fast path end to end
     engine.seed_pool = SeedPool(make_global_coverage())
@@ -508,7 +575,13 @@ def rebuild_workspace_engine(workspace: CampaignWorkspace):
     manifest = workspace.load_manifest()
     config = config_from_dict(manifest["config"])
     config.workspace = workspace.root
-    target_spec = get_target(manifest["target"])
+    try:
+        target_spec = get_target(manifest["target"])
+        validate_campaign_config(manifest["engine"], target_spec, config)
+    except (KeyError, ValueError) as exc:
+        # args[0]: str() of a KeyError would quote its message
+        raise WorkspaceError(f"manifest of {workspace.root} cannot be "
+                             f"resumed: {exc.args[0]}") from None
     engine = make_engine(manifest["engine"], target_spec,
                          manifest["seed"], config)
     if workspace.has_state:

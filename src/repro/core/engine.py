@@ -381,9 +381,6 @@ class PeachStar(GenerationFuzzer):
 
     Additional parameters
     ---------------------
-    semantic_batch:
-        Cap on seeds produced per semantic-generation invocation (the
-        bound on Alg. 3's cartesian product).
     crack_enabled / semantic_enabled:
         Ablation switches: cracking without semantic generation measures
         pure corpus-building cost; disabling both turns Peach* into an
@@ -393,14 +390,18 @@ class PeachStar(GenerationFuzzer):
     engine_name = "peach-star"
     uses_feedback = True
 
+    #: cap on seeds produced per semantic-generation invocation (the
+    #: bound on Alg. 3's cartesian product)
+    SEMANTIC_BATCH = 16
+    #: fraction of iterations drawn from the pending semantic queue
+    #: (the remainder keeps exploring with the inherent strategy)
+    SEMANTIC_RATIO = 0.5
+
     def __init__(self, pit: Pit, target: Target, rng: random.Random,
                  clock: Optional[SimulatedClock] = None,
                  policy: Optional[GenerationPolicy] = None,
-                 semantic_batch: int = 16,
-                 max_donors_per_position: int = 6,
                  crack_enabled: bool = True,
                  semantic_enabled: bool = True,
-                 semantic_ratio: float = 0.5,
                  pin_prob: float = 0.5,
                  oracle=None, steer_divergence: bool = False):
         super().__init__(pit, target, rng, clock, policy, oracle=oracle,
@@ -408,14 +409,10 @@ class PeachStar(GenerationFuzzer):
         self.corpus = PuzzleCorpus(rng=random.Random(rng.getrandbits(32)))
         self.cracker = FileCracker(pit, self.corpus)
         self.generator = SemanticGenerator(
-            self.corpus, rng, policy, batch_limit=semantic_batch,
-            max_donors_per_position=max_donors_per_position,
+            self.corpus, rng, policy, batch_limit=self.SEMANTIC_BATCH,
             pin_prob=pin_prob)
         self.crack_enabled = crack_enabled
         self.semantic_enabled = semantic_enabled
-        #: fraction of iterations drawn from the pending semantic queue
-        #: (the remainder keeps exploring with the inherent strategy)
-        self.semantic_ratio = semantic_ratio
         #: decided-but-unbuilt spliced seeds: (recipe, model name), built
         #: only when popped
         self._pending: Deque[Tuple[SpliceRecipe, str]] = deque()
@@ -423,14 +420,14 @@ class PeachStar(GenerationFuzzer):
     # -- packet production ---------------------------------------------------
 
     def _produce(self) -> Tuple[InsTree, bytes, DataModel, bool]:
-        if self._pending and self.rng.random() < self.semantic_ratio:
+        if self._pending and self.rng.random() < self.SEMANTIC_RATIO:
             recipe, model_name = self._pending.popleft()
             model = self.pit.model(model_name)
             tree, packet = self.generator.build(model, recipe)
             return tree, packet, model, True
         model = choose_model(self.pit, self.rng)
         if self.semantic_enabled and not self.corpus.is_empty and \
-                self.rng.random() < self.semantic_ratio:
+                self.rng.random() < self.SEMANTIC_RATIO:
             recipes = self.generator.construct(model)
             if recipes:
                 # the paper's cost model charges the whole batch here,

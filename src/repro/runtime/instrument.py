@@ -30,14 +30,6 @@ context, not the stale first-touch journal tail — at zero cost on the
 hot path; collectors without a scope filter fall back to the journal
 tail.
 
-Collectors separate the per-execution map reset
-(:meth:`Collector.begin_execution`) from arming the instrumentation
-(:meth:`Collector.open_window`/:meth:`Collector.close_window`), so a
-harness can rebind ``Collector.map`` (``Target.run_into`` records each
-execution of a batch into a map from the engine's pool) or re-arm
-without paying the other half.  ``begin()``/``end()`` compose both,
-preserving the one-execution context-manager contract.
-
 Both line collectors key their block-id cache by *code object* and then
 by line number, so the hot callback does two dict probes on interned
 objects instead of allocating a ``(filename, lineno)`` tuple per traced
@@ -98,6 +90,11 @@ class HangBudgetExceeded(Exception):
     """Raised inside a traced execution that exceeded its block budget."""
 
 
+#: blocks one execution may run before it is flagged as a hang — the
+#: budget of every collector, so campaigns and triage re-executions agree
+HANG_BUDGET = 120_000
+
+
 #: how many trailing journal entries identify a crash context
 CRASH_CONTEXT_DEPTH = 16
 
@@ -143,39 +140,25 @@ def capture_crash_context(collector: Optional["Collector"],
 class Collector:
     """Common interface: a context manager scoped to one execution.
 
-    ``begin()``/``end()`` bracket one execution.  They decompose into
-    :meth:`begin_execution` (reset the map/counters for the next run)
-    and :meth:`open_window`/:meth:`close_window` (arm/disarm the
-    instrumentation mechanism), so a harness can drive either half
-    independently (map swaps, window-only toggles).
+    ``begin()`` resets the map and counters and arms the
+    instrumentation mechanism; ``end()`` disarms it.
     """
 
     #: which instrumentation mechanism feeds the map (for stats/reports)
     backend_name = "none"
 
     def __init__(self, coverage_map: Optional[CoverageMap] = None,
-                 hang_budget: int = 200_000):
+                 hang_budget: int = HANG_BUDGET):
         self.map = coverage_map if coverage_map is not None else CoverageMap()
         self.hang_budget = hang_budget
         self.blocks_executed = 0
 
-    def begin_execution(self) -> None:
-        """Reset per-execution state; the window state is untouched."""
+    def begin(self) -> None:
         self.map.fast_reset()
         self.blocks_executed = 0
 
-    def open_window(self) -> None:
-        """Arm the instrumentation mechanism (no-op by default)."""
-
-    def close_window(self) -> None:
-        """Disarm the instrumentation mechanism (no-op by default)."""
-
-    def begin(self) -> None:
-        self.begin_execution()
-        self.open_window()
-
     def end(self) -> None:
-        self.close_window()
+        """Disarm the instrumentation mechanism (no-op by default)."""
 
     def __enter__(self):
         self.begin()
@@ -192,7 +175,7 @@ class ExplicitCollector(Collector):
     backend_name = "explicit"
 
     def __init__(self, coverage_map: Optional[CoverageMap] = None,
-                 hang_budget: int = 200_000):
+                 hang_budget: int = HANG_BUDGET):
         super().__init__(coverage_map, hang_budget)
         self._label_ids: Dict[str, int] = {}
 
@@ -213,7 +196,7 @@ class _LineCollector(Collector):
 
     def __init__(self, module_prefixes: Iterable[str],
                  coverage_map: Optional[CoverageMap] = None,
-                 hang_budget: int = 200_000):
+                 hang_budget: int = HANG_BUDGET):
         super().__init__(coverage_map, hang_budget)
         self.module_prefixes = tuple(module_prefixes)
         #: code object -> {lineno -> block id}; code objects are cached by
@@ -236,8 +219,8 @@ class _LineCollector(Collector):
     # scheme is pinned cross-backend by fnv1a32(f"{filename}:{lineno}")
     # and the backend-equivalence test in tests/runtime/test_backends.py.
 
-    def begin_execution(self) -> None:
-        super().begin_execution()
+    def begin(self) -> None:
+        super().begin()
         # rebind in case the map object was swapped between executions
         # (the equivalence tests inject the dense reference this way,
         # and Target.run_into rebinds the engine's pooled maps)
@@ -259,15 +242,16 @@ class TracingCollector(_LineCollector):
 
     def __init__(self, module_prefixes: Iterable[str],
                  coverage_map: Optional[CoverageMap] = None,
-                 hang_budget: int = 200_000):
+                 hang_budget: int = HANG_BUDGET):
         super().__init__(module_prefixes, coverage_map, hang_budget)
         self._saved_trace = None
 
-    def open_window(self) -> None:
+    def begin(self) -> None:
+        super().begin()
         self._saved_trace = sys.gettrace()
         sys.settrace(self._global_trace)
 
-    def close_window(self) -> None:
+    def end(self) -> None:
         sys.settrace(self._saved_trace)
         self._saved_trace = None
 
@@ -339,7 +323,7 @@ class MonitoringCollector(_LineCollector):
 
     def __init__(self, module_prefixes: Iterable[str],
                  coverage_map: Optional[CoverageMap] = None,
-                 hang_budget: int = 200_000,
+                 hang_budget: int = HANG_BUDGET,
                  tool_id: Optional[int] = None):
         if _MONITORING is None:
             raise RuntimeError(
@@ -351,7 +335,8 @@ class MonitoringCollector(_LineCollector):
                          else _MONITORING.COVERAGE_ID)
         self._active = False
 
-    def open_window(self) -> None:
+    def begin(self) -> None:
+        super().begin()
         mon = _MONITORING
         cls = MonitoringCollector
         if self._tool_id not in cls._armed_tools:
@@ -374,7 +359,7 @@ class MonitoringCollector(_LineCollector):
         mon.set_events(self._tool_id, mon.events.LINE)
         self._active = True
 
-    def close_window(self) -> None:
+    def end(self) -> None:
         if not self._active:
             return
         # keep the tool id + callback registered; just stop delivery so
@@ -422,7 +407,7 @@ class MonitoringCollector(_LineCollector):
 
 def make_line_collector(module_prefixes: Iterable[str], *,
                         coverage_map: Optional[CoverageMap] = None,
-                        hang_budget: int = 200_000,
+                        hang_budget: int = HANG_BUDGET,
                         backend: str = "auto") -> _LineCollector:
     """Build the fastest line-granularity collector for this interpreter.
 

@@ -55,12 +55,6 @@ class SessionFuzzer(PeachStar):
     ---------------------
     state_model:
         The protocol's session state machine.
-    max_trace_steps:
-        Length bound for fresh random walks (mutated traces may grow to
-        twice this before splice/extend results are clipped).
-    fresh_trace_prob:
-        Probability of proposing a fresh walk instead of mutating a
-        valuable trace (always 1.0 while the trace pool is empty).
     concurrency:
         ``--concurrency N``: a trace is N interleaved wire sessions —
         the transport deals step *i* to connection ``i % N`` against a
@@ -85,12 +79,17 @@ class SessionFuzzer(PeachStar):
     _OP_SPLICE = 0.65
     _OP_EXTEND = 0.85
 
+    #: length bound for fresh random walks (mutated traces may grow to
+    #: twice this before splice/extend results are clipped)
+    MAX_TRACE_STEPS = 6
+    #: probability of proposing a fresh walk instead of mutating a
+    #: valuable trace (always 1.0 while the trace pool is empty)
+    FRESH_TRACE_PROB = 0.35
+
     def __init__(self, pit: Pit, target: Target, rng: random.Random,
                  clock: Optional[SimulatedClock] = None,
                  policy: Optional[GenerationPolicy] = None,
                  state_model: Optional[StateModel] = None,
-                 max_trace_steps: int = 6,
-                 fresh_trace_prob: float = 0.35,
                  concurrency: int = 1,
                  **peachstar_kwargs):
         super().__init__(pit, target, rng, clock, policy,
@@ -99,8 +98,6 @@ class SessionFuzzer(PeachStar):
             raise ValueError("SessionFuzzer needs a state model")
         state_model.validate_against(pit)
         self.state_model = state_model
-        self.max_trace_steps = max(1, max_trace_steps)
-        self.fresh_trace_prob = fresh_trace_prob
         self.concurrency = max(1, concurrency)
         self.session_model_name = trace_model_name(state_model.name)
 
@@ -201,7 +198,7 @@ class SessionFuzzer(PeachStar):
         if probe is not None:
             return probe
         pool = self.seed_pool.seeds
-        if not pool or self.rng.random() < self.fresh_trace_prob:
+        if not pool or self.rng.random() < self.FRESH_TRACE_PROB:
             return self._fresh_walk()
         base = self._steps_of(self.rng.choice(pool))
         if not base:
@@ -228,7 +225,7 @@ class SessionFuzzer(PeachStar):
         probe = getattr(self.state_model, "probe_transitions", None)
         if probe is None:
             return None
-        transitions = probe(self.max_trace_steps)
+        transitions = probe(self.MAX_TRACE_STEPS)
         if not transitions:
             return None
         steps = []
@@ -256,7 +253,7 @@ class SessionFuzzer(PeachStar):
         is ever built).
         """
         if self.semantic_enabled and not self.corpus.is_empty and \
-                self.rng.random() < self.semantic_ratio:
+                self.rng.random() < self.SEMANTIC_RATIO:
             recipes = self.generator.construct(model)
             if recipes:
                 self.clock.charge_semantic_generation(len(recipes))
@@ -294,7 +291,7 @@ class SessionFuzzer(PeachStar):
 
     def _single_walk(self) -> List[TraceStep]:
         steps = self._walk(self.state_model.initial,
-                           self.rng.randint(1, self.max_trace_steps))
+                           self.rng.randint(1, self.MAX_TRACE_STEPS))
         if not steps:
             # dead-end initial state: degrade to a one-packet trace
             model = choose_model(self.pit, self.rng)
@@ -332,7 +329,7 @@ class SessionFuzzer(PeachStar):
     # -- mutation ops ----------------------------------------------------
 
     def _clip(self, steps: List[TraceStep]) -> List[TraceStep]:
-        return steps[:2 * self.max_trace_steps]
+        return steps[:2 * self.MAX_TRACE_STEPS]
 
     def _mutate_one_step(self, base: List[TraceStep]) -> List[TraceStep]:
         """Crack-and-mutate one step; the prefix is replayed honestly."""
@@ -362,7 +359,7 @@ class SessionFuzzer(PeachStar):
     def _extend(self, base: List[TraceStep]) -> List[TraceStep]:
         state = base[-1].state or self.state_model.initial
         extra = self._walk(state,
-                           self.rng.randint(1, self.max_trace_steps))
+                           self.rng.randint(1, self.MAX_TRACE_STEPS))
         return self._clip(base + extra)
 
     def _truncate(self, base: List[TraceStep]) -> List[TraceStep]:

@@ -43,11 +43,8 @@ class TraceChecker:
     engine's accounting.
     """
 
-    def __init__(self, target_spec, hang_budget: int = 120_000,
-                 backend: str = "auto"):
-        collector = make_line_collector((PROTOCOLS_PATH_PREFIX,),
-                                        hang_budget=hang_budget,
-                                        backend=backend)
+    def __init__(self, target_spec):
+        collector = make_line_collector((PROTOCOLS_PATH_PREFIX,))
         self.target = Target(target_spec.make_server, collector)
         self.pit = target_spec.make_pit()
         self.executions = 0

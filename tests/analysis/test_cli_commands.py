@@ -1,5 +1,10 @@
 """CLI tests for the heavier sub-commands (tiny budgets)."""
 
+import json
+import os
+
+import pytest
+
 from repro.cli import build_parser, main
 
 
@@ -14,16 +19,40 @@ class TestParser:
             assert build_parser().parse_args(command).command == command[0]
 
     def test_engine_choices_enforced(self):
-        import pytest
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fuzz", "iec104", "--engine", "afl"])
 
     def test_retired_knobs_are_unrecognised(self, capsys):
-        import pytest
-        for knob in (["--batch", "4"], ["--coverage-impl", "sparse"]):
+        for knob in (["--batch", "4"], ["--coverage-impl", "sparse"],
+                     ["--backend", "settrace"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["fuzz", "iec104", *knob])
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestResumeCommand:
+    @pytest.mark.parametrize("edit,key", [
+        (lambda m: m["config"].update(record_every=0), "record_every"),
+        (lambda m: m["config"].update(budget_hours="abc"), "budget_hours"),
+        (lambda m: m["config"].update(channel_burst=-1), "channel burst"),
+        (lambda m: m["config"].update(future_knob=7), "future_knob"),
+        (lambda m: m.update(target="nosuch"), "nosuch"),
+    ], ids=["record_every-0", "budget_hours-str", "channel_burst-negative",
+            "unknown-key", "unknown-target"])
+    def test_corrupt_manifest_exits_2(self, tmp_path, capsys, edit, key):
+        ws_dir = str(tmp_path / "ws")
+        assert main(["fuzz", "iec104", "--engine", "peach",
+                     "--max-execs", "20", "--workspace", ws_dir]) == 0
+        path = os.path.join(ws_dir, "config.json")
+        with open(path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        edit(manifest)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        capsys.readouterr()
+        assert main(["resume", ws_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
 
 
 class TestCompareCommand:

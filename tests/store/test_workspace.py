@@ -21,6 +21,35 @@ from repro.protocols import get_target
 from repro.store import CampaignWorkspace, WorkspaceError
 
 
+#: the CampaignConfig fields a manifest holds
+KEPT_KNOBS = (
+    "budget_hours", "max_executions", "record_every", "pin_prob",
+    "semantic_enabled", "sessions", "learn_states", "channel_faults",
+    "channel_burst", "differential", "steer_divergence", "net",
+    "workspace", "checkpoint_every",
+)
+
+#: the retired keys as older manifests wrote them, at the defaults every
+#: campaign ran with
+RETIRED_KNOB_DEFAULTS = {
+    "policy": {"default_prob": 0.15, "legal_value_prob": 0.10,
+               "edge_case_prob": 0.15, "history_prob": 0.0,
+               "token_fuzz_prob": 0.0, "max_string_len": 32,
+               "max_blob_len": 96, "history_limit": 64},
+    "semantic_batch": 16,
+    "semantic_ratio": 0.5,
+    "hang_budget": 120000,
+    "max_trace_steps": 6,
+    "crack_enabled": True,
+    "coverage_backend": "auto",
+}
+
+
+def _set_config(**values):
+    """A manifest edit that overwrites config keys."""
+    return lambda manifest: manifest["config"].update(values)
+
+
 def _config(**overrides):
     base = dict(budget_hours=24.0, max_executions=400, record_every=10,
                 checkpoint_every=50)
@@ -68,9 +97,19 @@ class TestWorkspaceLifecycle:
             resume_campaign(str(tmp_path / "nope"))
 
     def test_config_dict_roundtrip(self):
-        config = _config(workspace="/some/dir", semantic_ratio=0.25)
+        config = _config(workspace="/some/dir", pin_prob=0.25)
         clone = config_from_dict(config_to_dict(config))
         assert clone == config
+
+    def test_manifest_holds_exactly_the_kept_knobs(self, tmp_path):
+        ws_dir = str(tmp_path / "ws")
+        run_campaign("peach", get_target("iec104"), seed=1,
+                     config=_config(workspace=ws_dir, max_executions=20))
+        manifest = CampaignWorkspace(ws_dir).load_manifest()
+        assert sorted(manifest["config"]) == sorted(KEPT_KNOBS)
+        assert sorted(field.name for field in
+                      dataclasses.fields(CampaignConfig)) == \
+            sorted(KEPT_KNOBS)
 
     def test_corpus_files_carry_coverage_metadata(self, tmp_path):
         ws_dir = str(tmp_path / "ws")
@@ -153,25 +192,85 @@ class TestKillAndResumeDeterminism:
         resumed = resume_campaign(ws_dir)
         assert _signature(resumed) == _signature(full)
 
+    @pytest.mark.parametrize("retired", [
+        dict(batch_size=1, coverage_impl="sparse"),
+        dict(RETIRED_KNOB_DEFAULTS, batch_size=16, coverage_impl="auto"),
+        dict(coverage_backend="monitoring"),
+    ], ids=["batch-and-impl", "all-retired-keys", "any-backend"])
     def test_manifest_with_retired_knobs_resumes_bit_identical(
-            self, tmp_path):
-        """Manifests written before the batch-size and coverage-impl
-        knobs were removed carry both keys; resume ignores them (any
-        batch size and either map impl give the same campaign)."""
+            self, tmp_path, retired):
+        """Older manifests carry knobs this version no longer has; at
+        the values every campaign ran with (any value, for the
+        campaign-neutral batch size, map impl and coverage backend)
+        resume accepts them and finishes the same campaign."""
         spec = get_target("libmodbus")
         full = run_campaign("peach-star", spec, seed=7, config=_config())
         ws_dir = str(tmp_path / "ws")
         assert run_campaign("peach-star", spec, seed=7,
                             config=_config(workspace=ws_dir),
                             stop_after_executions=77) is None
-        config_path = os.path.join(ws_dir, "config.json")
-        with open(config_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        manifest["config"].update(batch_size=1, coverage_impl="sparse")
-        with open(config_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle)
+        _rewrite_manifest(ws_dir, lambda manifest:
+                          manifest["config"].update(retired))
         resumed = resume_campaign(ws_dir)
         assert _signature(resumed) == _signature(full)
+
+
+class TestHostileManifest:
+    """A manifest this version cannot resume into the campaign it
+    describes fails loudly, naming the offending key."""
+
+    @pytest.mark.parametrize("edit,message", [
+        (_set_config(policy=dict(RETIRED_KNOB_DEFAULTS["policy"],
+                                 default_prob=0.35)), r"'policy' is \{"),
+        (_set_config(semantic_batch=8), r"'semantic_batch' is 8,"),
+        (_set_config(semantic_ratio=0.25), r"'semantic_ratio' is 0\.25,"),
+        (_set_config(hang_budget=200000), r"'hang_budget' is 200000,"),
+        (_set_config(max_trace_steps=4), r"'max_trace_steps' is 4,"),
+        (_set_config(crack_enabled=False), r"'crack_enabled' is False,"),
+        (_set_config(crack_enabled=1), r"'crack_enabled' is 1,"),
+        (_set_config(semantic_batch=16.0), r"'semantic_batch' is 16\.0,"),
+        (_set_config(future_knob=7), r"unknown key 'future_knob' \(value 7"),
+        (_set_config(budget_hours="abc"),
+         r"'budget_hours' is 'abc', not of type float"),
+        (_set_config(record_every=10.0),
+         r"'record_every' is 10\.0, not of type int"),
+        (_set_config(pin_prob=True), r"'pin_prob' is True, not of type float"),
+        (_set_config(sessions=1), r"'sessions' is 1, not of type bool"),
+        (_set_config(differential="yes"),
+         r"'differential' is 'yes', not of type bool"),
+        (_set_config(net={"url": "loopback", "bogus": 1}),
+         r"key 'net' has unknown key 'bogus'"),
+        (_set_config(net={"concurrency": "2"}),
+         r"'concurrency' is '2', not of type int"),
+        (_set_config(net=5), r"key 'net' is 5, not a JSON object"),
+        (_set_config(record_every=0), r"record_every 0 < 1"),
+        (_set_config(checkpoint_every=0), r"checkpoint_every 0 < 1"),
+        (_set_config(budget_hours=0), r"budget_hours 0 is not > 0"),
+        (_set_config(max_executions=-1), r"max_executions -1 < 0"),
+        (_set_config(channel_burst=-1), r"channel burst -1 < 0"),
+        (_set_config(channel_faults=1.5), r"channel_faults 1\.5 is outside"),
+        (_set_config(pin_prob=-0.1), r"pin_prob -0\.1 is outside"),
+        (lambda manifest: manifest.update(target="nosuch"),
+         r"unknown target 'nosuch'"),
+        (lambda manifest: manifest.update(engine="afl"),
+         r"unknown engine 'afl'"),
+    ], ids=["policy", "semantic_batch", "semantic_ratio", "hang_budget",
+            "max_trace_steps", "crack_enabled", "crack_enabled-int",
+            "semantic_batch-float", "unknown-key", "budget_hours-str",
+            "record_every-float", "pin_prob-bool", "sessions-int",
+            "differential-str", "net-unknown-key", "net-str-int",
+            "net-not-object", "record_every-0", "checkpoint_every-0",
+            "budget_hours-0", "max_executions-negative",
+            "channel_burst-negative", "channel_faults-above-1",
+            "pin_prob-negative", "unknown-target", "unknown-engine"])
+    def test_hostile_manifest_fails_loudly(self, tmp_path, edit, message):
+        ws_dir = str(tmp_path / "ws")
+        assert run_campaign("peach-star", get_target("libmodbus"), seed=7,
+                            config=_config(workspace=ws_dir),
+                            stop_after_executions=30) is None
+        _rewrite_manifest(ws_dir, edit)
+        with pytest.raises(WorkspaceError, match=message):
+            resume_campaign(ws_dir)
 
 
 class TestPendingRecipes:
@@ -260,6 +359,15 @@ class TestPendingRecipes:
         with pytest.raises(WorkspaceError,
                            match=r"format 1 is not supported \(expected 2\)"):
             resume_campaign(ws_dir)
+
+
+def _rewrite_manifest(ws_dir, edit):
+    path = os.path.join(ws_dir, "config.json")
+    with open(path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    edit(manifest)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
 
 
 def _read_state(ws_dir):
