@@ -9,8 +9,9 @@
 #   make test-matrix — the cross-protocol conformance matrix plus the
 #                      channel-fault/differential-oracle, live-network
 #                      (socket/serve), sparse-vs-vector coverage parity,
-#                      batch-size identity and workspace manifest/
-#                      checkpoint compatibility suites
+#                      batch-size identity, workspace manifest/
+#                      checkpoint compatibility and collector reset/arm
+#                      contract (settrace and monitoring) suites
 #   make fleet-demo  — a small synced 4-shard fleet in /tmp, rendered
 #                      with the per-shard/merged summary table
 #   make sessions-demo — the stateful session-fuzzing walkthrough
@@ -37,6 +38,7 @@ bench:
 test-matrix:
 	$(PY) -m pytest tests/protocols/test_conformance.py tests/channel \
 		tests/net tests/runtime/test_vector_parity.py \
+		tests/runtime/test_instrument.py tests/runtime/test_backends.py \
 		tests/core/test_batching.py tests/store/test_workspace.py \
 		$(PYTEST_ARGS)
 

@@ -37,6 +37,7 @@ from repro.core import (
 )
 from repro.core.cracker import FileCracker
 from repro.model.fields import ParseError
+from repro.net.target import NetTargetError
 from repro.protocols import all_targets, get_target
 from repro.store import CampaignWorkspace, WorkspaceError, is_fleet_workspace
 from repro.triage import triage_reports
@@ -209,7 +210,7 @@ def cmd_fuzz(args) -> int:
     try:
         result = run_campaign(args.engine, spec, seed=args.seed,
                               config=_config(args))
-    except (WorkspaceError, ValueError) as exc:
+    except (WorkspaceError, NetTargetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_campaign_summary(result, args.verbose)
@@ -227,7 +228,7 @@ def cmd_fleet(args) -> int:
                           workspace_dir=args.workspace, seed=args.seed,
                           sync_every=args.sync_every, config=_config(args),
                           max_workers=args.jobs)
-    except (WorkspaceError, ValueError) as exc:
+    except (WorkspaceError, NetTargetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_fleet_table(fleet))
@@ -253,7 +254,7 @@ def cmd_resume(args) -> int:
                     print(report.render())
             return 0
         result = resume_campaign(args.workspace)
-    except WorkspaceError as exc:
+    except (WorkspaceError, NetTargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_campaign_summary(result, args.verbose)

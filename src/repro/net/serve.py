@@ -22,9 +22,11 @@ Two dialects per port:
   hang simply never answers.
 
 The app object is the asyncio plumbing only — dispatch is synchronous
-in-process execution, so a loopback client wrapping its event-loop turns
-in the instrumentation collector observes coverage identical to the
-in-process path.
+in-process execution through the same armed dispatch as the in-process
+``Target`` (:func:`~repro.runtime.target.dispatch_armed`): the collector
+is armed around ``handle_packet`` alone, so a loopback campaign observes
+coverage identical to the in-process path while the event loop and the
+framing run uninstrumented.
 """
 
 from __future__ import annotations
@@ -37,10 +39,8 @@ from repro.net.framing import (
     MSG_ACK, MSG_CRASH, MSG_DATA, MSG_HANG, MSG_NONE, MSG_RESET,
     MSG_RESPONSE, encode_envelope, framer_for, read_envelope,
 )
-from repro.runtime.instrument import (
-    HangBudgetExceeded, capture_crash_context,
-)
-from repro.sanitizer.errors import MemoryFault
+from repro.runtime.instrument import capture_crash_context
+from repro.runtime.target import dispatch_armed
 from repro.sanitizer.heap import SimHeap
 from repro.sanitizer.report import report_from_fault
 
@@ -67,11 +67,12 @@ class ServeApp:
     spec:
         The :class:`~repro.protocols.TargetSpec` to serve.
     collector:
-        Optional instrumentation collector consulted for crash
-        call-site context.  The loopback harness passes the *same*
-        collector the client wraps executions in, so remote crash
-        reports carry the exact call sites the in-process path would;
-        a standalone ``peachstar serve`` runs without one.
+        Optional instrumentation collector, armed around each dispatch
+        and consulted for crash call-site context.  The loopback harness
+        passes the *same* collector its client resets per execution, so
+        coverage, block counts and remote crash call sites are exactly
+        what the in-process path records; a standalone ``peachstar
+        serve`` runs without one.
     shared_state:
         All connections share one server instance and one heap.
     framing:
@@ -96,9 +97,9 @@ class ServeApp:
                   ) -> Tuple[bytes, bytes]:
         """Run one frame; (envelope kind, payload) of the outcome."""
         self.executions += 1
-        try:
-            response = session.server.handle_packet(session.heap, frame)
-        except MemoryFault as fault:
+        response, fault, hang = dispatch_armed(
+            self.collector, session.server, session.heap, frame)
+        if fault is not None:
             report = report_from_fault(
                 fault, frame,
                 call_sites=capture_crash_context(self.collector, fault))
@@ -109,7 +110,7 @@ class ServeApp:
                 "call_sites": list(report.call_sites),
             }).encode("utf-8")
             return MSG_CRASH, payload
-        except HangBudgetExceeded:
+        if hang:
             return MSG_HANG, b""
         if response is None:
             return MSG_NONE, b""

@@ -6,18 +6,25 @@ the campaign driver and the workspace look (``run``/``run_trace``/
 happens over sockets on a private event loop:
 
 * against a **loopback** served target (:func:`make_loopback_target`)
-  the client and the asyncio server share one process and one event
-  loop, so wrapping each event-loop turn in the instrumentation
-  collector observes coverage, blocks and crash call-sites identical to
-  the in-process path — that is the pinned parity claim;
+  the client and the asyncio server share one process, one event loop
+  and one instrumentation collector: the client resets it per
+  execution and the served app arms it around each dispatch only, so
+  coverage, blocks and crash call-sites are identical to the
+  in-process path (the pinned parity claim) while the event loop, the
+  framing and this module run uninstrumented;
 * against an **external** endpoint (``tcp://host:port``) the target is
   a black box: no coverage feedback, per-protocol raw framing if asked,
   wall-clock timeouts and reconnect-on-drop as scenario axes, and a
   dropped connection surfacing as a synthesized ``connection-dropped``
   crash — the way a real server crash looks from outside.
 
-The PR 8 channel seam composes unchanged: the channel decides *which*
+The channel seam composes unchanged: the channel decides *which*
 frames to put on the wire, the socket decides *how* they travel.
+
+A single-packet execution is one event-loop pass.  With envelope
+framing the session RESET and frame 0's DATA go out in one write; the
+ACK and frame 0's reply are then read in order, and any further frames
+(a faulting channel duplicates and fragments) take one round trip each.
 
 Concurrency dealing: with ``concurrency=N`` (shared-state serving) a
 trace's step *i* is delivered on connection ``i % N`` — N interleaved
@@ -34,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.net.config import NetConfig, parse_tcp_url
 from repro.net.framing import (
     MSG_ACK, MSG_CRASH, MSG_DATA, MSG_HANG, MSG_NONE, MSG_RESET,
-    MSG_RESPONSE, encode_envelope, framer_for, read_envelope,
+    MSG_RESPONSE, EnvelopeError, encode_envelope, framer_for, read_envelope,
 )
 from repro.net.serve import bound_address, start_serving
 from repro.runtime.coverage import CoverageMap
@@ -46,7 +53,8 @@ DROP_SITE = "net:session"
 
 
 class NetTargetError(Exception):
-    """The endpoint could not be reached (connect/reconnect exhausted)."""
+    """The endpoint could not be reached (connect/reconnect exhausted)
+    or does not speak the peachstar envelope."""
 
 
 class _Connection:
@@ -164,23 +172,17 @@ class SocketTarget:
             frames = self.channel.transmit(0, packet)
             frames.extend(self.channel.flush())
             delivered = list(frames)
-        lane = self._lanes[0]
-        # the session reset happens outside the collector window, like
-        # Target.run's server.reset()/fresh-heap preamble
-        self._sync(self._begin_session(lane))
-        blocks = 0
-        if self.collector is not None:
-            with self.collector:
-                crash, hang, response = self._sync(
-                    self._deliver_frames(lane, frames, model_name))
-            blocks = self.collector.blocks_executed
-            coverage = self.collector.map
-        else:
-            crash, hang, response = self._sync(
-                self._deliver_frames(lane, frames, model_name))
-            coverage = None
-        return ExecResult(coverage=coverage, crash=crash, hang=hang,
-                          response=response, blocks_executed=blocks,
+        collector = self.collector
+        if collector is not None:
+            collector.begin()
+        crash, hang, response = self._sync(
+            self._run_session(self._lanes[0], frames, model_name))
+        if collector is None:
+            return ExecResult(coverage=None, crash=crash, hang=hang,
+                              response=response, delivered=delivered)
+        return ExecResult(coverage=collector.map, crash=crash, hang=hang,
+                          response=response,
+                          blocks_executed=collector.blocks_executed,
                           delivered=delivered)
 
     def run_trace(self, steps: Sequence[Tuple[bytes, Optional[str]]],
@@ -189,7 +191,8 @@ class SocketTarget:
         if self.channel is not None:
             self.channel.reset()
         self._sync(self._begin_trace())
-        accumulated = CoverageMap() if self.collector is not None else None
+        collector = self.collector
+        accumulated = CoverageMap() if collector is not None else None
         result = TraceResult(coverage=accumulated, crash=None, hang=False,
                              response=None)
         for index, (packet, model_name) in enumerate(steps):
@@ -204,15 +207,13 @@ class SocketTarget:
                     frames.extend(self.channel.flush())
                 result.delivered.append(list(frames))
             lane = self._lanes[index % len(self._lanes)]
-            if self.collector is not None:
-                with self.collector:
-                    crash, hang, response = self._sync(
-                        self._deliver_frames(lane, frames, model_name))
-                result.blocks_executed += self.collector.blocks_executed
-                accumulated.absorb(self.collector.map)
-            else:
-                crash, hang, response = self._sync(
-                    self._deliver_frames(lane, frames, model_name))
+            if collector is not None:
+                collector.begin()
+            crash, hang, response = self._sync(
+                self._deliver_frames(lane, frames, model_name))
+            if collector is not None:
+                result.blocks_executed += collector.blocks_executed
+                accumulated.absorb(collector.map)
             result.steps_executed = index + 1
             result.responses.append(response)
             result.response = response
@@ -263,8 +264,27 @@ class SocketTarget:
             raise NetTargetError("SocketTarget is closed")
         return self._loop.run_until_complete(coro)
 
-    async def _begin_session(self, lane: _Connection) -> None:
-        """Re-arm one lane for a fresh single-packet execution."""
+    async def _run_session(self, lane: _Connection,
+                           frames: Sequence[bytes],
+                           model_name: Optional[str]):
+        """Reset *lane*'s session and deliver *frames* in one pass.
+
+        With envelope framing frame 0 rides in the reset's write; an
+        execution whose frames the channel all dropped still resets.
+        """
+        pipelined = self.framing != "raw" and bool(frames)
+        head = encode_envelope(MSG_DATA, frames[0]) if pipelined else b""
+        await self._begin_session(lane, head)
+        return await self._deliver_frames(lane, frames, model_name,
+                                          head_sent=pipelined)
+
+    async def _begin_session(self, lane: _Connection,
+                             head: bytes = b"") -> None:
+        """Re-arm one lane for a fresh session.
+
+        *head* (envelope framing only) is written right behind the
+        RESET; its reply is left unread behind the ACK.
+        """
         if self.framing == "raw":
             # a raw endpoint has no reset verb: cycle the connection,
             # which is a fresh session for any per-connection server
@@ -272,17 +292,22 @@ class SocketTarget:
             await lane.ensure()
         else:
             await lane.ensure()
-            await self._envelope_reset(lane)
+            await self._envelope_reset(lane, head)
 
     async def _begin_trace(self) -> None:
         """Open every lane and reset the remote session(s) once."""
         for lane in self._lanes:
             await self._begin_session(lane)
 
-    async def _envelope_reset(self, lane: _Connection) -> None:
-        lane.writer.write(encode_envelope(MSG_RESET))
-        await lane.writer.drain()
-        message = await self._read_reply(lane)
+    async def _envelope_reset(self, lane: _Connection,
+                              head: bytes = b"") -> None:
+        try:
+            lane.writer.write(encode_envelope(MSG_RESET) + head)
+            await lane.writer.drain()
+        except (ConnectionError, OSError):
+            message = None
+        else:
+            message = await self._read_reply(lane)
         if message is None or message[0] != MSG_ACK:
             await lane.close()
             raise NetTargetError(
@@ -291,23 +316,38 @@ class SocketTarget:
 
     async def _read_reply(self, lane: _Connection):
         reading = read_envelope(lane.reader)
-        if self.timeout_ms is None:
-            return await reading
         try:
+            if self.timeout_ms is None:
+                return await reading
             return await asyncio.wait_for(reading, self.timeout_ms / 1000.0)
         except asyncio.TimeoutError:
             return "timeout"
+        except EnvelopeError as exc:
+            # the stream cannot be resynchronized past a bad header
+            await lane.close()
+            raise NetTargetError(
+                f"endpoint at {self.address} sent a malformed envelope "
+                f"({exc})") from exc
 
     async def _deliver_frames(self, lane: _Connection,
                               frames: Sequence[bytes],
-                              model_name: Optional[str]):
-        """Mirror of ``Target._dispatch_frames`` over the wire."""
+                              model_name: Optional[str],
+                              head_sent: bool = False):
+        """Mirror of ``Target._dispatch_frames`` over the wire.
+
+        *head_sent*: frame 0 already went out with the session reset,
+        so only its reply is read.
+        """
         crash = None
         hang = False
         response = None
-        for frame in frames:
-            crash, hang, response = await self._deliver_one(
-                lane, frame, model_name)
+        for index, frame in enumerate(frames):
+            if head_sent and index == 0:
+                crash, hang, response = await self._envelope_outcome(
+                    lane, frame, model_name)
+            else:
+                crash, hang, response = await self._deliver_one(
+                    lane, frame, model_name)
             if crash is not None or hang:
                 break
         return crash, hang, response
@@ -326,6 +366,11 @@ class SocketTarget:
             await lane.writer.drain()
         except (ConnectionError, OSError):
             return self._dropped(lane, frame, model_name)
+        return await self._envelope_outcome(lane, frame, model_name)
+
+    async def _envelope_outcome(self, lane: _Connection, frame: bytes,
+                                model_name: Optional[str]):
+        """Read and decode the reply to *frame*'s DATA envelope."""
         message = await self._read_reply(lane)
         if message == "timeout":
             # the reply may still arrive later and desync the stream:

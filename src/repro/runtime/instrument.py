@@ -138,10 +138,15 @@ def capture_crash_context(collector: Optional["Collector"],
 
 
 class Collector:
-    """Common interface: a context manager scoped to one execution.
+    """Common interface: reset per execution, armed around target code.
 
-    ``begin()`` resets the map and counters and arms the
-    instrumentation mechanism; ``end()`` disarms it.
+    ``begin()`` starts a new execution: it resets the map and the block
+    counter and arms nothing.  The context manager arms the
+    instrumentation mechanism on entry and disarms it on exit; the
+    harness enters it around each ``server.handle_packet`` call only
+    (:func:`repro.runtime.target.dispatch_armed`), so an execution that
+    delivers several frames arms once per frame while its map and hang
+    budget keep counting until the next ``begin()``.
     """
 
     #: which instrumentation mechanism feeds the map (for stats/reports)
@@ -157,15 +162,10 @@ class Collector:
         self.map.fast_reset()
         self.blocks_executed = 0
 
-    def end(self) -> None:
-        """Disarm the instrumentation mechanism (no-op by default)."""
-
     def __enter__(self):
-        self.begin()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self.end()
         return False
 
 
@@ -246,14 +246,15 @@ class TracingCollector(_LineCollector):
         super().__init__(module_prefixes, coverage_map, hang_budget)
         self._saved_trace = None
 
-    def begin(self) -> None:
-        super().begin()
+    def __enter__(self):
         self._saved_trace = sys.gettrace()
         sys.settrace(self._global_trace)
+        return self
 
-    def end(self) -> None:
+    def __exit__(self, exc_type, exc, tb):
         sys.settrace(self._saved_trace)
         self._saved_trace = None
+        return False
 
     # -- trace callbacks -----------------------------------------------------
 
@@ -292,16 +293,17 @@ class MonitoringCollector(_LineCollector):
     interpreter level after their first event, so steady-state overhead
     is paid only inside the target modules.
 
-    The tool id and the LINE callback stay registered across executions
-    — ``begin``/``end`` merely toggle event delivery for the already-
-    registered tool instead of paying the use_tool_id/register_callback/
-    free_tool_id churn on every run.  (Delivery *is* switched off
-    between executions: in-scope code that runs outside a collection
-    window — wire transformers during generation, codecs during
-    cracking — must neither record nor pay callback overhead, and it
-    can never be DISABLEd.)  DISABLE state survives the toggle, which
-    is the cross-execution perf win.  :meth:`release` fully unwinds the
-    registration when another tool needs the id.
+    The tool id and the LINE callback are registered on first use and
+    stay registered across executions — arming (entering the context
+    manager) is ``set_events(LINE)`` and disarming is ``set_events(0)``
+    for the already-registered tool, instead of paying the
+    use_tool_id/register_callback/free_tool_id churn on every dispatch.
+    (Delivery *is* switched off outside the armed window: in-scope code
+    that runs there — wire transformers during generation, codecs
+    during cracking — must neither record nor pay callback overhead,
+    and it can never be DISABLEd.)  DISABLE state survives the toggle,
+    which is the cross-execution perf win.  :meth:`release` fully
+    unwinds the registration when another tool needs the id.
     """
 
     backend_name = "monitoring"
@@ -315,8 +317,8 @@ class MonitoringCollector(_LineCollector):
     _disabled_scope: Optional[Tuple[str, ...]] = None
 
     #: tool ids claimed by this process, with the LINE callback
-    #: registered; populated lazily on the first begin() per id
-    _armed_tools: set = set()
+    #: registered; populated lazily on the first arm per id
+    _claimed_tools: set = set()
     #: the collector whose bound callback is currently registered per
     #: tool id (re-registration only happens when the collector changes)
     _callback_owner: Dict[int, "MonitoringCollector"] = {}
@@ -333,13 +335,11 @@ class MonitoringCollector(_LineCollector):
         super().__init__(module_prefixes, coverage_map, hang_budget)
         self._tool_id = (tool_id if tool_id is not None
                          else _MONITORING.COVERAGE_ID)
-        self._active = False
 
-    def begin(self) -> None:
-        super().begin()
+    def __enter__(self):
         mon = _MONITORING
         cls = MonitoringCollector
-        if self._tool_id not in cls._armed_tools:
+        if self._tool_id not in cls._claimed_tools:
             try:
                 mon.use_tool_id(self._tool_id, "repro-coverage")
             except ValueError as exc:
@@ -347,7 +347,7 @@ class MonitoringCollector(_LineCollector):
                     f"sys.monitoring tool id {self._tool_id} is held by "
                     f"{mon.get_tool(self._tool_id)!r}; force the settrace "
                     "backend (REPRO_COVERAGE_BACKEND=settrace)") from exc
-            cls._armed_tools.add(self._tool_id)
+            cls._claimed_tools.add(self._tool_id)
         if cls._disabled_scope != self.module_prefixes:
             if cls._disabled_scope is not None:
                 mon.restart_events()
@@ -357,15 +357,13 @@ class MonitoringCollector(_LineCollector):
                                   self._on_line)
             cls._callback_owner[self._tool_id] = self
         mon.set_events(self._tool_id, mon.events.LINE)
-        self._active = True
+        return self
 
-    def end(self) -> None:
-        if not self._active:
-            return
+    def __exit__(self, exc_type, exc, tb):
         # keep the tool id + callback registered; just stop delivery so
-        # nothing fires (or records) between executions
+        # nothing fires (or records) outside the armed window
         _MONITORING.set_events(self._tool_id, 0)
-        self._active = False
+        return False
 
     @classmethod
     def release(cls) -> None:
@@ -377,14 +375,14 @@ class MonitoringCollector(_LineCollector):
         """
         if _MONITORING is None:
             return
-        for tool_id in sorted(cls._armed_tools):
+        for tool_id in sorted(cls._claimed_tools):
             _MONITORING.set_events(tool_id, 0)
             _MONITORING.register_callback(tool_id,
                                           _MONITORING.events.LINE, None)
             _MONITORING.free_tool_id(tool_id)
-        if cls._armed_tools and cls._disabled_scope is not None:
+        if cls._claimed_tools and cls._disabled_scope is not None:
             _MONITORING.restart_events()
-        cls._armed_tools.clear()
+        cls._claimed_tools.clear()
         cls._callback_owner.clear()
         cls._disabled_scope = None
 

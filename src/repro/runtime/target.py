@@ -6,6 +6,12 @@ edge-coverage feedback.  Servers are in-process objects with a
 ``handle_packet(heap, data) -> bytes | None`` method; each execution gets
 a fresh :class:`~repro.sanitizer.heap.SimHeap` so crashes are a
 deterministic function of the packet.
+
+Coverage is charged only at the target's own code: the collector is
+reset once per execution (``begin()``) and armed around each
+``handle_packet`` call alone (:func:`dispatch_armed`, which the served
+loopback app uses too), so neither the harness nor an event loop runs
+instrumented.
 """
 
 from __future__ import annotations
@@ -89,6 +95,27 @@ class ProtocolServer:
         """Clear per-connection state between executions (default: none)."""
 
 
+def dispatch_armed(collector: Optional[Collector], server: ProtocolServer,
+                   heap: SimHeap, frame: bytes
+                   ) -> Tuple[Optional[bytes], Optional[MemoryFault], bool]:
+    """One ``server.handle_packet`` call with *collector* armed around it.
+
+    Returns ``(response, fault, hang)``: the server's reply, the
+    :class:`MemoryFault` it raised, or ``hang=True`` when the collector's
+    block budget ran out.  The collector is disarmed on every way out;
+    resetting it for a new execution (``begin()``) is the caller's job.
+    """
+    try:
+        if collector is None:
+            return server.handle_packet(heap, frame), None, False
+        with collector:
+            return server.handle_packet(heap, frame), None, False
+    except MemoryFault as fault:
+        return None, fault, False
+    except HangBudgetExceeded:
+        return None, None, True
+
+
 class Target:
     """Binds a server factory to an instrumentation collector.
 
@@ -159,8 +186,8 @@ class Target:
 
     def _run(self, packet: bytes, model_name: Optional[str],
              coverage_map: Optional[CoverageMap]) -> ExecResult:
-        """One execution: fresh heap, server reset outside the window,
-        the channel's frames delivered in order."""
+        """One execution: fresh heap and server reset, then the
+        channel's frames delivered in order, each dispatch armed."""
         self.executions += 1
         heap = SimHeap()
         self.server.reset()
@@ -179,9 +206,9 @@ class Target:
             return ExecResult(coverage=None, crash=crash, hang=hang,
                               response=response, delivered=delivered)
         collector.map = coverage_map
-        with collector:
-            crash, hang, response = self._dispatch_frames(
-                heap, frames, model_name)
+        collector.begin()
+        crash, hang, response = self._dispatch_frames(
+            heap, frames, model_name)
         return ExecResult(coverage=coverage_map, crash=crash, hang=hang,
                           response=response,
                           blocks_executed=collector.blocks_executed,
@@ -211,7 +238,8 @@ class Target:
         if self.channel is not None:
             self.channel.reset()
         heap = SimHeap()
-        accumulated = CoverageMap() if self.collector is not None else None
+        collector = self.collector
+        accumulated = CoverageMap() if collector is not None else None
         result = TraceResult(coverage=accumulated, crash=None, hang=False,
                              response=None)
         for index, (packet, model_name) in enumerate(steps):
@@ -227,15 +255,13 @@ class Target:
                     # lands before the session closes
                     frames.extend(self.channel.flush())
                 result.delivered.append(list(frames))
-            if self.collector is not None:
-                with self.collector:
-                    crash, hang, response = self._dispatch_frames(
-                        heap, frames, model_name)
-                result.blocks_executed += self.collector.blocks_executed
-                accumulated.absorb(self.collector.map)
-            else:
-                crash, hang, response = self._dispatch_frames(
-                    heap, frames, model_name)
+            if collector is not None:
+                collector.begin()
+            crash, hang, response = self._dispatch_frames(
+                heap, frames, model_name)
+            if collector is not None:
+                result.blocks_executed += collector.blocks_executed
+                accumulated.absorb(collector.map)
             result.steps_executed = index + 1
             result.responses.append(response)
             result.response = response
@@ -269,13 +295,11 @@ class Target:
 
     def _dispatch(self, heap: SimHeap, packet: bytes,
                   model_name: Optional[str]):
-        try:
-            response = self.server.handle_packet(heap, packet)
-            return None, False, response
-        except MemoryFault as fault:
-            report = report_from_fault(
-                fault, packet, model_name, self.executions,
-                call_sites=capture_crash_context(self.collector, fault))
-            return report, False, None
-        except HangBudgetExceeded:
-            return None, True, None
+        response, fault, hang = dispatch_armed(
+            self.collector, self.server, heap, packet)
+        if fault is None:
+            return None, hang, response
+        report = report_from_fault(
+            fault, packet, model_name, self.executions,
+            call_sites=capture_crash_context(self.collector, fault))
+        return report, False, None

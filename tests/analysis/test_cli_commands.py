@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 
 import pytest
 
@@ -53,6 +54,19 @@ class TestResumeCommand:
         assert main(["resume", ws_dir]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+
+
+class TestNetEndpointErrors:
+    def test_unreachable_endpoint_exits_2(self, capsys):
+        # bind a port, then close it: nothing listens there any more
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        assert main(["fuzz", "iec104",
+                     "--target-url", f"tcp://127.0.0.1:{port}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot connect" in err
 
 
 class TestCompareCommand:

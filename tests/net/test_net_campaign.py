@@ -22,6 +22,13 @@ from repro.runtime.coverage import GlobalCoverage
 from repro.runtime.instrument import TracingCollector
 
 TARGET_NAMES = [spec.name for spec in all_targets()]
+#: every protocol clean, and at 0.25 channel faults (the benchmark's
+#: socket workload: duplicated and fragmented frames go through the
+#: pipelined reset-plus-first-frame exchange)
+PARITY_ROWS = (
+    [pytest.param(name, 0.0, id=name) for name in TARGET_NAMES]
+    + [pytest.param(name, 0.25, id=f"{name}-faults")
+       for name in TARGET_NAMES])
 
 
 def _config(**overrides):
@@ -41,15 +48,18 @@ def _signature(result):
 
 
 class TestLoopbackParity:
-    @pytest.mark.parametrize("name", TARGET_NAMES)
-    def test_socket_campaign_matches_in_process(self, name):
+    @pytest.mark.parametrize("name,faults", PARITY_ROWS)
+    def test_socket_campaign_matches_in_process(self, name, faults):
         spec = get_target(name)
         in_process = run_campaign("peach-star", spec, seed=7,
-                                  config=_config())
-        over_socket = run_campaign("peach-star", spec, seed=7,
-                                   config=_config(net=NetConfig()))
+                                  config=_config(channel_faults=faults))
+        over_socket = run_campaign(
+            "peach-star", spec, seed=7,
+            config=_config(net=NetConfig(), channel_faults=faults))
         assert _signature(over_socket) == _signature(in_process), \
             f"{name}: socket loopback campaign diverged from in-process"
+        if faults:
+            assert over_socket.stats["channel_faults"] > 0
 
     def test_parity_holds_for_sessions_with_channel_faults(self):
         spec = get_target("iec104")

@@ -11,12 +11,17 @@ One row per protocol family and transport axis:
   with ``net_timeouts`` counting either way;
 * **reconnect** — an endpoint that drops mid-session synthesizes a
   ``connection-dropped`` crash and the reconnect budget re-opens the
-  lane, counted in ``net_reconnects``.
+  lane, counted in ``net_reconnects``;
+* **uninstrumented loop** — no event-loop turn of a loopback run or
+  trace runs with line instrumentation on: only the served dispatch is
+  armed.
 
 Everything binds port 0: the matrix never collides with a busy port.
 """
 
 import asyncio
+import struct
+import sys
 
 import pytest
 
@@ -25,13 +30,18 @@ from repro.net import (
     make_loopback_target, make_socket_target,
 )
 from repro.net.framing import (
-    MSG_ACK, MSG_DATA, MSG_RESET, encode_envelope, read_envelope,
+    MAX_ENVELOPE, MSG_ACK, MSG_DATA, MSG_RESET, MSG_RESPONSE,
+    encode_envelope, read_envelope,
 )
 from repro.protocols import all_targets, get_target
-from repro.runtime.instrument import TracingCollector
+from repro.runtime.instrument import (
+    MonitoringCollector, TracingCollector, make_line_collector,
+    monitoring_available,
+)
 from repro.runtime.target import Target
 
 TARGET_NAMES = [spec.name for spec in all_targets()]
+BACKENDS = ["settrace"] + (["monitoring"] if monitoring_available() else [])
 
 
 def _collector():
@@ -91,6 +101,21 @@ async def _ack_then_drop(reader, writer):
             await writer.drain()
         elif kind == MSG_DATA:
             break  # drop mid-session, like a crashed server
+    writer.close()
+
+
+async def _oversized_reply(reader, writer):
+    """Ack the reset, then announce a reply longer than the envelope
+    bound allows."""
+    while True:
+        message = await read_envelope(reader)
+        if message is None:
+            break
+        if message[0] == MSG_RESET:
+            writer.write(encode_envelope(MSG_ACK))
+        else:
+            writer.write(MSG_RESPONSE + struct.pack(">I", MAX_ENVELOPE + 1))
+        await writer.drain()
     writer.close()
 
 
@@ -226,6 +251,17 @@ class TestReconnectRow:
         finally:
             target.close()
 
+    def test_malformed_envelope_is_a_net_target_error(self):
+        endpoint = _Endpoint(_oversized_reply)
+        target = endpoint.target(framing="peachstar", timeout_ms=500.0,
+                                 reconnect=0)
+        try:
+            with pytest.raises(NetTargetError):
+                target.run(b"data")
+            assert not target._lanes[0].open
+        finally:
+            target.close()
+
     def test_unreachable_endpoint_exhausts_the_budget(self):
         # bind a port, then close it: nothing listens there any more
         endpoint = _Endpoint(_black_hole)
@@ -276,6 +312,50 @@ class TestTraceOverSocket:
             assert target.app.connections == 3
         finally:
             target.close()
+
+
+# -- instrumentation window ---------------------------------------------------
+
+def _armed(collector):
+    """Whether *collector*'s line instrumentation is switched on."""
+    if isinstance(collector, MonitoringCollector):
+        return sys.monitoring.get_events(collector._tool_id) != 0
+    return sys.gettrace() == collector._global_trace
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestEventLoopUninstrumented:
+    def teardown_method(self):
+        MonitoringCollector.release()
+
+    def test_no_loop_turn_runs_armed(self, backend):
+        spec = get_target("iec104")
+        collector = make_line_collector(("repro/protocols",),
+                                        backend=backend)
+        target = make_loopback_target(spec, collector=collector,
+                                      net=NetConfig())
+        loop = target._loop
+        run_once = loop._run_once
+        turns = []
+
+        def watched_run_once():
+            turns.append(_armed(collector))
+            run_once()
+            turns.append(_armed(collector))
+
+        loop._run_once = watched_run_once
+        steps = [(wire, model_name)
+                 for model_name, wire in default_wires(spec)]
+        try:
+            blocks = sum(target.run(wire, model_name).blocks_executed
+                         for wire, model_name in steps)
+            trace = target.run_trace(steps)
+        finally:
+            del loop._run_once
+            target.close()
+        assert turns and not any(turns)
+        # the served dispatches did run armed
+        assert blocks > 0 and trace.blocks_executed > 0
 
 
 class TestMakeSocketTarget:

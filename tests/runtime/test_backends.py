@@ -7,6 +7,7 @@ The behavioural tests run on both backends where available and require
 identical coverage maps.
 """
 
+import os
 import sys
 
 import pytest
@@ -18,17 +19,23 @@ from repro.runtime.instrument import (
     MonitoringCollector, TracingCollector, _monitoring_usable,
     make_line_collector, monitoring_available, resolve_backend,
 )
+from repro.runtime.target import dispatch_armed
 from repro.sanitizer import SimHeap
+from repro.sanitizer.errors import SimSegv
 
 HAS_MONITORING = monitoring_available()
 #: auto also requires the coverage tool id to be free (e.g. not taken by
 #: coverage.py running under COVERAGE_CORE=sysmon)
 AUTO_MONITORING = _monitoring_usable()
 PREFIXES = ("repro/protocols",)
+BACKENDS = ["settrace"] + (["monitoring"] if HAS_MONITORING else [])
 
 
 class TestResolveBackend:
-    def test_auto_prefers_monitoring_when_available(self):
+    def test_auto_prefers_monitoring_when_available(self, monkeypatch):
+        # CI forces a backend through the environment; auto's own
+        # preference shows only without that override
+        monkeypatch.delenv("REPRO_COVERAGE_BACKEND", raising=False)
         expected = "monitoring" if AUTO_MONITORING else "settrace"
         assert resolve_backend("auto") == expected
 
@@ -50,7 +57,8 @@ class TestResolveBackend:
 
 
 class TestFactory:
-    def test_auto_builds_best_available(self):
+    def test_auto_builds_best_available(self, monkeypatch):
+        monkeypatch.delenv("REPRO_COVERAGE_BACKEND", raising=False)
         collector = make_line_collector(PREFIXES)
         if AUTO_MONITORING:
             assert isinstance(collector, MonitoringCollector)
@@ -75,6 +83,7 @@ class TestFactory:
 
 def _run_modbus(collector, packet):
     server = ModbusServer()
+    collector.begin()
     with collector:
         server.handle_packet(SimHeap(), packet)
 
@@ -197,3 +206,76 @@ class TestMonitoringCollector:
                                         backend="monitoring")
         _run_modbus(collector, build_read_request(3, 0, 2))
         assert collector.map.edge_count() == 0
+
+
+def _armed(collector):
+    """Whether *collector*'s line instrumentation is switched on."""
+    if isinstance(collector, MonitoringCollector):
+        return sys.monitoring.get_events(collector._tool_id) != 0
+    return sys.gettrace() == collector._global_trace
+
+
+def _spin(rounds):
+    """In-scope work for collectors scoped to this test module."""
+    total = 0
+    for step in range(rounds):
+        total += step
+    return total
+
+
+class _ScriptedServer:
+    """Faults on ``b"segv"``; spins far past any small hang budget on
+    ``b"spin"``."""
+
+    def handle_packet(self, heap, data):
+        if data == b"segv":
+            raise SimSegv("scripted:segv")
+        return b"%d" % _spin(1_000_000 if data == b"spin" else 3)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestArmContract:
+    """``begin()`` starts an execution and arms nothing; only the armed
+    dispatch switches instrumentation on, and every way out of it
+    switches it off again."""
+
+    def teardown_method(self):
+        MonitoringCollector.release()
+
+    def _collector(self, backend, hang_budget=120_000):
+        return make_line_collector((os.path.basename(__file__),),
+                                   backend=backend, hang_budget=hang_budget)
+
+    def test_begin_alone_arms_nothing(self, backend):
+        collector = self._collector(backend)
+        collector.begin()
+        with collector:
+            _spin(3)
+        assert collector.blocks_executed > 0
+        collector.begin()
+        assert not _armed(collector)
+        _spin(3)
+        assert collector.blocks_executed == 0
+        assert collector.map.edge_count() == 0
+
+    def test_disarmed_after_a_memory_fault(self, backend):
+        collector = self._collector(backend)
+        before = sys.gettrace()
+        collector.begin()
+        response, fault, hang = dispatch_armed(
+            collector, _ScriptedServer(), SimHeap(), b"segv")
+        assert isinstance(fault, SimSegv)
+        assert response is None and not hang
+        assert collector.blocks_executed > 0
+        assert not _armed(collector)
+        assert sys.gettrace() is before
+
+    def test_disarmed_after_a_hang(self, backend):
+        collector = self._collector(backend, hang_budget=50)
+        before = sys.gettrace()
+        collector.begin()
+        response, fault, hang = dispatch_armed(
+            collector, _ScriptedServer(), SimHeap(), b"spin")
+        assert hang and response is None and fault is None
+        assert not _armed(collector)
+        assert sys.gettrace() is before

@@ -36,8 +36,10 @@ class TestExplicitCollector:
 
     def test_begin_resets_between_executions(self):
         collector = ExplicitCollector()
+        collector.begin()
         with collector:
             collector.hit("a")
+        collector.begin()
         with collector:
             collector.hit("b")
         assert collector.map.edge_count() == 1
@@ -46,6 +48,7 @@ class TestExplicitCollector:
 class TestTracingCollector:
     def _run_modbus(self, collector, packet):
         server = ModbusServer()
+        collector.begin()
         with collector:
             server.handle_packet(SimHeap(), packet)
 
