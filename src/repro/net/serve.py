@@ -103,6 +103,7 @@ class ServeApp:
             report = report_from_fault(
                 fault, frame,
                 call_sites=capture_crash_context(self.collector, fault))
+            del fault  # see Target._dispatch: a live fault pins frames
             payload = json.dumps({
                 "kind": report.kind,
                 "site": report.site,

@@ -280,7 +280,7 @@ class SocketTarget:
 
     async def _begin_session(self, lane: _Connection,
                              head: bytes = b"") -> None:
-        """Re-arm one lane for a fresh session.
+        """Start a fresh remote session on one lane.
 
         *head* (envelope framing only) is written right behind the
         RESET; its reply is left unread behind the ACK.

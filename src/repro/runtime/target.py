@@ -104,6 +104,8 @@ def dispatch_armed(collector: Optional[Collector], server: ProtocolServer,
     :class:`MemoryFault` it raised, or ``hang=True`` when the collector's
     block budget ran out.  The collector is disarmed on every way out;
     resetting it for a new execution (``begin()``) is the caller's job.
+    A caller must drop *fault* before it returns (see
+    :meth:`Target._dispatch`).
     """
     try:
         if collector is None:
@@ -302,4 +304,9 @@ class Target:
         report = report_from_fault(
             fault, packet, model_name, self.executions,
             call_sites=capture_crash_context(self.collector, fault))
+        # drop the fault before returning: its traceback holds
+        # dispatch_armed's finished frame, whose f_back is this frame, so
+        # a `fault` local alive at return would pin this frame, its
+        # callers and their locals (heaps, maps) in a cycle until GC
+        del fault
         return report, False, None

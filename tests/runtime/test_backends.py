@@ -7,6 +7,7 @@ The behavioural tests run on both backends where available and require
 identical coverage maps.
 """
 
+import gc
 import os
 import sys
 
@@ -19,7 +20,8 @@ from repro.runtime.instrument import (
     MonitoringCollector, TracingCollector, _monitoring_usable,
     make_line_collector, monitoring_available, resolve_backend,
 )
-from repro.runtime.target import dispatch_armed
+from repro.net.serve import ServeApp
+from repro.runtime.target import Target, dispatch_armed
 from repro.sanitizer import SimHeap
 from repro.sanitizer.errors import SimSegv
 
@@ -232,6 +234,15 @@ class _ScriptedServer:
             raise SimSegv("scripted:segv")
         return b"%d" % _spin(1_000_000 if data == b"spin" else 3)
 
+    def reset(self):
+        pass
+
+
+class _ScriptedSpec:
+    name = "scripted"
+    framing = "apci"
+    make_server = _ScriptedServer
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestArmContract:
@@ -242,9 +253,9 @@ class TestArmContract:
     def teardown_method(self):
         MonitoringCollector.release()
 
-    def _collector(self, backend, hang_budget=120_000):
+    def _collector(self, backend, **kwargs):
         return make_line_collector((os.path.basename(__file__),),
-                                   backend=backend, hang_budget=hang_budget)
+                                   backend=backend, **kwargs)
 
     def test_begin_alone_arms_nothing(self, backend):
         collector = self._collector(backend)
@@ -279,3 +290,20 @@ class TestArmContract:
         assert hang and response is None and fault is None
         assert not _armed(collector)
         assert sys.gettrace() is before
+
+    def test_a_fault_leaves_no_reference_cycle(self, backend):
+        """The fault handed back by the armed dispatch dies with the
+        execution: its traceback must not pin the harness frames (and
+        their heaps and maps) in a cycle that waits for the GC."""
+        collector = self._collector(backend)
+        target = Target(_ScriptedServer, collector)
+        app = ServeApp(_ScriptedSpec, collector=collector)
+        session = app._session()
+        gc.collect()
+        gc.disable()
+        try:
+            assert target.run(b"segv").crashed
+            assert app._dispatch(session, b"segv")[0] == b"c"
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
