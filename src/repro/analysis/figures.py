@@ -57,6 +57,8 @@ def run_fig4_panel(target_spec, *, repetitions: int = 3,
     Both engines' repetitions are scheduled as one batch; ``jobs`` > 1
     runs them on that many worker processes with identical results.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions {repetitions} < 1")
     if config is None:
         config = CampaignConfig(budget_hours=budget_hours)
     else:

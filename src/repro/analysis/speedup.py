@@ -67,6 +67,8 @@ def run_headline(targets: Optional[List[TargetSpec]] = None, *,
     ``jobs=None`` uses :func:`~repro.core.campaign.default_worker_count`.
     Results are identical to the serial sweep — only wall-clock changes.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions {repetitions} < 1")
     if targets is None:
         targets = list(all_targets())
     cfg = replace(config if config is not None else CampaignConfig(),

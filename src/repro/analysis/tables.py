@@ -68,6 +68,8 @@ def run_table1_row(target_name: str, *, repetitions: int = 2,
     ``jobs`` > 1 runs the repetitions on worker processes (identical
     results, lower wall-clock).
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions {repetitions} < 1")
     spec = get_target(target_name)
     if config is None:
         config = CampaignConfig(budget_hours=budget_hours)

@@ -305,9 +305,13 @@ def cmd_triage(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = get_target(args.target)
-    panel = run_fig4_panel(spec, repetitions=args.repetitions,
-                           budget_hours=args.hours, base_seed=args.seed,
-                           config=_config(args), jobs=args.jobs)
+    try:
+        panel = run_fig4_panel(spec, repetitions=args.repetitions,
+                               budget_hours=args.hours, base_seed=args.seed,
+                               config=_config(args), jobs=args.jobs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(render_panel_report(panel))
     return 0
 
@@ -342,10 +346,14 @@ def cmd_crack(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    rows = [run_table1_row(name, repetitions=args.repetitions,
-                           budget_hours=args.hours, base_seed=args.seed,
-                           config=_config(args), jobs=args.jobs)
-            for name in BUGGY_TARGETS]
+    try:
+        rows = [run_table1_row(name, repetitions=args.repetitions,
+                               budget_hours=args.hours, base_seed=args.seed,
+                               config=_config(args), jobs=args.jobs)
+                for name in BUGGY_TARGETS]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(render_table1(rows))
     return 0
 

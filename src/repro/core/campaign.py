@@ -400,13 +400,11 @@ def _drive_campaign(engine_name: str, target_spec, seed: int,
             series, crash_times, stop_after_executions,
             pause_after_executions)
     finally:
-        # uniform teardown across target kinds: a SocketTarget closes
-        # its connections/served loopback/event loop, the in-process
-        # Target no-ops.  Runs on completion, kill and pause alike —
-        # every re-entry path rebuilds the engine from the workspace.
-        close = getattr(engine.target, "close", None)
-        if close is not None:
-            close()
+        # a SocketTarget closes its connections, served loopback and
+        # event loop; the in-process Target no-ops.  Runs on completion,
+        # kill and pause alike — every re-entry path rebuilds the engine
+        # from the workspace.
+        engine.target.close()
 
 
 def _drive_campaign_loop(engine_name: str, target_spec, seed: int,

@@ -232,14 +232,15 @@ class GenerationFuzzer:
 
         It needs an engine that produces single packets (session engines
         produce whole traces), a target that records into a caller's
-        map (the in-process :class:`Target`; the live-network
-        ``SocketTarget`` does not) and a collector producing coverage.
+        map (``supports_batch``: the in-process :class:`Target` does,
+        the live-network ``SocketTarget`` does not) and a collector
+        producing coverage.
         Channels and oracles run inside the shared iteration body, so
         they batch like plain campaigns.
         """
         target = self.target
         return (self.supports_batching
-                and getattr(target, "supports_batch", False)
+                and target.supports_batch
                 and target.collector is not None)
 
     def _batch_map_pool(self):
@@ -339,7 +340,7 @@ class GenerationFuzzer:
         faults forever; syncing here runs on every iteration whenever a
         faulting channel is attached, oracle or not.
         """
-        channel = getattr(self.target, "channel", None)
+        channel = self.target.channel
         if channel is not None:
             self.stats.channel_faults = getattr(
                 channel, "faults_injected", 0)

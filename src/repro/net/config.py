@@ -60,6 +60,13 @@ class NetConfig:
                              f"choices: {FRAMING_CHOICES}")
         if self.concurrency < 1:
             raise ValueError(f"concurrency {self.concurrency} < 1")
+        for name in ("timeout_ms", "connect_timeout_ms"):
+            # `not > 0` also refuses NaN
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} {getattr(self, name)!r} is not > 0")
+        if self.reconnect < 0:
+            raise ValueError(f"reconnect {self.reconnect} < 0")
         if self.url != "loopback" and not self.url.startswith(TCP_SCHEME):
             raise ValueError(
                 f"unsupported net url {self.url!r}; use 'loopback' or "

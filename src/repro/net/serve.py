@@ -3,11 +3,11 @@
 The labrad device-server idiom — many concurrent sessions multiplexed
 over one event loop, one server process — applied to the six protocol
 targets.  Each accepted connection is one *session*: it gets a private
-:class:`~repro.runtime.target.ProtocolServer` instance and simulated
-heap (so sessions are isolated, like per-connection state in a real
+:class:`~repro.runtime.target.Session` (server instance and simulated
+heap, so sessions are isolated, like per-connection state in a real
 daemon), or — in **shared-state** mode — every connection races one
-server instance and one heap, which is what makes two interleaved
-sessions a genuinely new scenario class.
+session, which is what makes two interleaved sessions a genuinely new
+scenario class.
 
 Two dialects per port:
 
@@ -21,12 +21,13 @@ Two dialects per port:
   the connection, the way a crashed real server drops its clients; a
   hang simply never answers.
 
-The app object is the asyncio plumbing only — dispatch is synchronous
-in-process execution through the same armed dispatch as the in-process
-``Target`` (:func:`~repro.runtime.target.dispatch_armed`): the collector
-is armed around ``handle_packet`` alone, so a loopback campaign observes
-coverage identical to the in-process path while the event loop and the
-framing run uninstrumented.
+The app object is the asyncio plumbing and the envelope encoding only.
+A frame runs through the in-process harness's own
+:class:`~repro.runtime.target.Session` and
+:func:`~repro.runtime.target.dispatch_armed`: the collector is armed
+around ``handle_packet`` alone, so a loopback campaign observes
+coverage and crash reports identical to the in-process path while the
+event loop and the framing run uninstrumented.
 """
 
 from __future__ import annotations
@@ -39,24 +40,7 @@ from repro.net.framing import (
     MSG_ACK, MSG_CRASH, MSG_DATA, MSG_HANG, MSG_NONE, MSG_RESET,
     MSG_RESPONSE, encode_envelope, framer_for, read_envelope,
 )
-from repro.runtime.instrument import capture_crash_context
-from repro.runtime.target import dispatch_armed
-from repro.sanitizer.heap import SimHeap
-from repro.sanitizer.report import report_from_fault
-
-
-class _Session:
-    """One session's server + heap (private, or the shared pair)."""
-
-    __slots__ = ("server", "heap")
-
-    def __init__(self, make_server):
-        self.server = make_server()
-        self.heap = SimHeap()
-
-    def reset(self) -> None:
-        self.server.reset()
-        self.heap = SimHeap()
+from repro.runtime.target import Session, dispatch_armed
 
 
 class ServeApp:
@@ -88,27 +72,22 @@ class ServeApp:
         self.framing = framing
         self.connections = 0
         self.executions = 0
-        self._shared: Optional[_Session] = \
-            _Session(spec.make_server) if shared_state else None
+        self._shared: Optional[Session] = \
+            Session(spec.make_server) if shared_state else None
 
     # -- dispatch ---------------------------------------------------------
 
-    def _dispatch(self, session: _Session, frame: bytes
+    def _dispatch(self, session: Session, frame: bytes
                   ) -> Tuple[bytes, bytes]:
         """Run one frame; (envelope kind, payload) of the outcome."""
         self.executions += 1
-        response, fault, hang = dispatch_armed(
-            self.collector, session.server, session.heap, frame)
-        if fault is not None:
-            report = report_from_fault(
-                fault, frame,
-                call_sites=capture_crash_context(self.collector, fault))
-            del fault  # see Target._dispatch: a live fault pins frames
+        crash, hang, response = dispatch_armed(self.collector, session, frame)
+        if crash is not None:
             payload = json.dumps({
-                "kind": report.kind,
-                "site": report.site,
-                "detail": report.detail,
-                "call_sites": list(report.call_sites),
+                "kind": crash.kind,
+                "site": crash.site,
+                "detail": crash.detail,
+                "call_sites": list(crash.call_sites),
             }).encode("utf-8")
             return MSG_CRASH, payload
         if hang:
@@ -134,10 +113,10 @@ class ServeApp:
             except (ConnectionError, OSError):
                 pass
 
-    def _session(self) -> _Session:
+    def _session(self) -> Session:
         if self._shared is not None:
             return self._shared
-        return _Session(self.spec.make_server)
+        return Session(self.spec.make_server)
 
     async def _envelope_session(self, reader, writer) -> None:
         session = self._session()

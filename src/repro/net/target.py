@@ -1,9 +1,9 @@
-"""SocketTarget: the ``Target``/``run_trace`` contract over real TCP.
+"""SocketTarget: the :class:`~repro.runtime.target.Target` harness over TCP.
 
-Duck-types :class:`repro.runtime.target.Target` everywhere the engines,
-the campaign driver and the workspace look (``run``/``run_trace``/
-``executions``/``collector``/``channel``/``close``), but delivery
-happens over sockets on a private event loop:
+A subclass of the in-process ``Target`` that changes only how a step's
+frames reach the server: the trace loop, the channel step and the
+result shapes are inherited, and delivery happens over sockets on a
+private event loop:
 
 * against a **loopback** served target (:func:`make_loopback_target`)
   the client and the asyncio server share one process, one event loop
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.net.config import NetConfig, parse_tcp_url
 from repro.net.framing import (
@@ -44,8 +44,7 @@ from repro.net.framing import (
     MSG_RESPONSE, EnvelopeError, encode_envelope, framer_for, read_envelope,
 )
 from repro.net.serve import bound_address, start_serving
-from repro.runtime.coverage import CoverageMap
-from repro.runtime.target import ExecResult, TraceResult
+from repro.runtime.target import ExecResult, Target
 from repro.sanitizer.report import CrashReport
 
 #: dedup site of the synthesized crash for a dropped connection
@@ -110,13 +109,17 @@ class _Connection:
         self.reader = self.writer = None
 
 
-class SocketTarget:
-    """Drive a live TCP endpoint through the Target contract.
+class SocketTarget(Target):
+    """Drive a live TCP endpoint through the :class:`Target` harness.
 
     Build via :func:`make_loopback_target` / :func:`make_net_target` /
     :func:`make_socket_target` rather than directly — they own the
     event-loop and serve-app lifecycle.
     """
+
+    #: results carry the collector's own map, never a caller's, so the
+    #: engine runs one iteration per batch and never calls ``run_into``
+    supports_batch = False
 
     def __init__(self, address: Tuple[str, int], *,
                  loop: asyncio.AbstractEventLoop,
@@ -128,6 +131,7 @@ class SocketTarget:
                  reconnect: int = 1,
                  concurrency: int = 1,
                  app=None, server=None):
+        # no Target.__init__: the session lives behind the socket
         self.address = address
         self.collector = collector
         self.channel = channel
@@ -164,70 +168,24 @@ class SocketTarget:
             model_name: Optional[str] = None) -> ExecResult:
         """Execute one packet against a fresh remote session."""
         self.executions += 1
-        if self.channel is None:
-            frames: Sequence[bytes] = (packet,)
-            delivered = None
-        else:
-            self.channel.reset()
-            frames = self.channel.transmit(0, packet)
-            frames.extend(self.channel.flush())
-            delivered = list(frames)
+        frames = self._channel_frames(0, packet, True)
         collector = self.collector
         if collector is not None:
             collector.begin()
-        crash, hang, response = self._sync(
-            self._run_session(self._lanes[0], frames, model_name))
-        if collector is None:
-            return ExecResult(coverage=None, crash=crash, hang=hang,
-                              response=response, delivered=delivered)
-        return ExecResult(coverage=collector.map, crash=crash, hang=hang,
-                          response=response,
-                          blocks_executed=collector.blocks_executed,
-                          delivered=delivered)
+        return self._exec_result(
+            None if collector is None else collector.map, frames,
+            self._sync(self._run_session(self._lanes[0], frames,
+                                         model_name)))
 
-    def run_trace(self, steps: Sequence[Tuple[bytes, Optional[str]]],
-                  binder=None) -> TraceResult:
-        """Execute a trace; step *i* travels on lane ``i % concurrency``."""
-        if self.channel is not None:
-            self.channel.reset()
-        self._sync(self._begin_trace())
-        collector = self.collector
-        accumulated = CoverageMap() if collector is not None else None
-        result = TraceResult(coverage=accumulated, crash=None, hang=False,
-                             response=None)
-        for index, (packet, model_name) in enumerate(steps):
-            self.executions += 1
-            wire = packet if binder is None else binder.prepare(index, packet)
-            result.sent.append(wire)
-            if self.channel is None:
-                frames: Sequence[bytes] = (wire,)
-            else:
-                frames = self.channel.transmit(index, wire)
-                if index == len(steps) - 1:
-                    frames.extend(self.channel.flush())
-                result.delivered.append(list(frames))
-            lane = self._lanes[index % len(self._lanes)]
-            if collector is not None:
-                collector.begin()
-            crash, hang, response = self._sync(
-                self._deliver_frames(lane, frames, model_name))
-            if collector is not None:
-                result.blocks_executed += collector.blocks_executed
-                accumulated.absorb(collector.map)
-            result.steps_executed = index + 1
-            result.responses.append(response)
-            result.response = response
-            if crash is not None:
-                result.crash = crash
-                result.crash_step = index
-                break
-            if hang:
-                result.hang = True
-                result.crash_step = index
-                break
-            if binder is not None:
-                binder.observe(index, response)
-        return result
+    def _begin_trace(self) -> None:
+        """Open every lane and reset its remote session once."""
+        self._sync(self._reset_lanes())
+
+    def _deliver(self, index: int, frames: Sequence[bytes],
+                 model_name: Optional[str]):
+        """Step *index* travels on lane ``index % concurrency``."""
+        lane = self._lanes[index % len(self._lanes)]
+        return self._sync(self._deliver_frames(lane, frames, model_name))
 
     def close(self) -> None:
         """Tear down lanes, the owned loopback server, and the loop."""
@@ -294,8 +252,7 @@ class SocketTarget:
             await lane.ensure()
             await self._envelope_reset(lane, head)
 
-    async def _begin_trace(self) -> None:
-        """Open every lane and reset the remote session(s) once."""
+    async def _reset_lanes(self) -> None:
         for lane in self._lanes:
             await self._begin_session(lane)
 
@@ -333,7 +290,7 @@ class SocketTarget:
                               frames: Sequence[bytes],
                               model_name: Optional[str],
                               head_sent: bool = False):
-        """Mirror of ``Target._dispatch_frames`` over the wire.
+        """``Target._deliver`` over the wire, on *lane*.
 
         *head_sent*: frame 0 already went out with the session reset,
         so only its reply is read.
@@ -497,23 +454,14 @@ def make_socket_target(url: str, *, target_name: Optional[str] = None,
 
     ``url`` is ``tcp://host:port`` or ``"loopback"`` (serve
     *target_name* in-process on an ephemeral port and replay through
-    it); *target_name* selects the served app for loopback replay and
-    the protocol's stream framer for ``raw`` framing.
+    it).  *target_name* is required either way: it picks the served app
+    for loopback replay and the protocol's stream framer for ``raw``
+    framing.
     """
-    spec = None
-    framer_name = "apci"
-    if target_name is not None:
-        from repro.protocols import get_target
-        spec = get_target(target_name)
-        framer_name = spec.framing
-    if url == "loopback":
-        if spec is None:
-            raise ValueError("loopback replay needs a target name")
-        return make_loopback_target(
-            spec, net=NetConfig(framing=framing, timeout_ms=timeout_ms,
-                                reconnect=reconnect))
-    loop = asyncio.new_event_loop()
-    return SocketTarget(
-        parse_tcp_url(url), loop=loop, framing=framing,
-        framer_name=framer_name, timeout_ms=timeout_ms,
-        reconnect=reconnect)
+    if target_name is None:
+        raise ValueError("socket replay needs a target name")
+    from repro.protocols import get_target
+    return make_net_target(
+        get_target(target_name), None, None,
+        NetConfig(url=url, framing=framing, timeout_ms=timeout_ms,
+                  reconnect=reconnect))

@@ -9,9 +9,15 @@ deterministic function of the packet.
 
 Coverage is charged only at the target's own code: the collector is
 reset once per execution (``begin()``) and armed around each
-``handle_packet`` call alone (:func:`dispatch_armed`, which the served
-loopback app uses too), so neither the harness nor an event loop runs
-instrumented.
+``handle_packet`` call alone (:func:`dispatch_armed`), so neither the
+harness nor an event loop runs instrumented.
+
+One harness serves every transport.  :class:`Target` owns the trace
+loop, the channel step and the result shapes;
+:class:`repro.net.target.SocketTarget` subclasses it and changes only
+how a step's frames reach the server, and the served app behind a
+socket dispatches through the same :class:`Session` and
+:func:`dispatch_armed`.
 """
 
 from __future__ import annotations
@@ -95,31 +101,62 @@ class ProtocolServer:
         """Clear per-connection state between executions (default: none)."""
 
 
-def dispatch_armed(collector: Optional[Collector], server: ProtocolServer,
-                   heap: SimHeap, frame: bytes
-                   ) -> Tuple[Optional[bytes], Optional[MemoryFault], bool]:
-    """One ``server.handle_packet`` call with *collector* armed around it.
+class Session:
+    """One session's server and heap: what the steps of a trace share.
 
-    Returns ``(response, fault, hang)``: the server's reply, the
-    :class:`MemoryFault` it raised, or ``hang=True`` when the collector's
-    block budget ran out.  The collector is disarmed on every way out;
-    resetting it for a new execution (``begin()``) is the caller's job.
-    A caller must drop *fault* before it returns (see
-    :meth:`Target._dispatch`).
+    The in-process :class:`Target` owns one; the served app
+    (:class:`repro.net.serve.ServeApp`) holds one per connection, or a
+    single shared one that every connection races.
+    """
+
+    __slots__ = ("server", "heap")
+
+    def __init__(self, make_server: Callable[[], ProtocolServer]):
+        self.server = make_server()
+        self.heap = SimHeap()
+
+    def reset(self) -> None:
+        """A fresh session: server state cleared, a new heap."""
+        self.server.reset()
+        self.heap = SimHeap()
+
+
+def dispatch_armed(collector: Optional[Collector], session: Session,
+                   frame: bytes, model_name: Optional[str] = None,
+                   execution_index: int = 0
+                   ) -> Tuple[Optional[CrashReport], bool, Optional[bytes]]:
+    """One ``handle_packet`` call with *collector* armed around it.
+
+    Returns ``(crash, hang, response)``: the :class:`CrashReport` of a
+    :class:`MemoryFault` the server raised (with its call-site context),
+    ``hang=True`` when the collector's block budget ran out, or the
+    server's reply.  The report is built while the fault is handled, so
+    the fault (whose traceback holds the harness frames) dies with this
+    call.  The collector is disarmed on every way out; resetting it for
+    a new execution (``begin()``) is the caller's job.
     """
     try:
         if collector is None:
-            return server.handle_packet(heap, frame), None, False
+            return None, False, session.server.handle_packet(
+                session.heap, frame)
         with collector:
-            return server.handle_packet(heap, frame), None, False
+            return None, False, session.server.handle_packet(
+                session.heap, frame)
     except MemoryFault as fault:
-        return None, fault, False
+        return report_from_fault(
+            fault, frame, model_name, execution_index,
+            call_sites=capture_crash_context(collector, fault)), False, None
     except HangBudgetExceeded:
-        return None, None, True
+        return None, True, None
 
 
 class Target:
     """Binds a server factory to an instrumentation collector.
+
+    The one execution harness: :class:`repro.net.target.SocketTarget`
+    subclasses it and overrides only how a step's frames reach the
+    server (:meth:`_begin_trace` and :meth:`_deliver`), plus its own
+    single-packet :meth:`run`.
 
     Parameters
     ----------
@@ -142,15 +179,15 @@ class Target:
     """
 
     #: the in-process target records into a caller's map
-    #: (:meth:`run_into`), so the engine may batch iterations; the
-    #: live-network SocketTarget duck-type does not and the engine runs
-    #: one iteration per batch there
+    #: (:meth:`run_into`), so the engine may batch iterations;
+    #: SocketTarget sets this False and the engine runs one iteration
+    #: per batch there
     supports_batch = True
 
     def __init__(self, server_factory: Callable[[], ProtocolServer],
                  collector: Optional[Collector] = None,
                  channel=None):
-        self.server = server_factory()
+        self.session = Session(server_factory)
         self.collector = collector
         self.channel = channel
         self.executions = 0
@@ -158,11 +195,9 @@ class Target:
     def close(self) -> None:
         """Release transport resources (none in-process).
 
-        Part of the target contract so the campaign driver can tear
-        every target kind down uniformly — the live-network
-        :class:`repro.net.target.SocketTarget` (which duck-types this
-        class) closes its connections, served loopback server and event
-        loop here.
+        The campaign driver closes every target when a campaign ends;
+        SocketTarget closes its connections, its served loopback server
+        and its event loop here.
         """
 
     def run(self, packet: bytes, model_name: Optional[str] = None) -> ExecResult:
@@ -188,39 +223,23 @@ class Target:
 
     def _run(self, packet: bytes, model_name: Optional[str],
              coverage_map: Optional[CoverageMap]) -> ExecResult:
-        """One execution: fresh heap and server reset, then the
-        channel's frames delivered in order, each dispatch armed."""
+        """One execution: a fresh session, then the channel's frames
+        delivered in order, each dispatch armed."""
         self.executions += 1
-        heap = SimHeap()
-        self.server.reset()
-        if self.channel is None:
-            frames: Sequence[bytes] = (packet,)
-            delivered = None
-        else:
-            self.channel.reset()
-            frames = self.channel.transmit(0, packet)
-            frames.extend(self.channel.flush())
-            delivered = list(frames)
+        self.session.reset()
+        frames = self._channel_frames(0, packet, True)
         collector = self.collector
-        if collector is None:
-            crash, hang, response = self._dispatch_frames(
-                heap, frames, model_name)
-            return ExecResult(coverage=None, crash=crash, hang=hang,
-                              response=response, delivered=delivered)
-        collector.map = coverage_map
-        collector.begin()
-        crash, hang, response = self._dispatch_frames(
-            heap, frames, model_name)
-        return ExecResult(coverage=coverage_map, crash=crash, hang=hang,
-                          response=response,
-                          blocks_executed=collector.blocks_executed,
-                          delivered=delivered)
+        if collector is not None:
+            collector.map = coverage_map
+            collector.begin()
+        return self._exec_result(coverage_map, frames,
+                                 self._deliver(0, frames, model_name))
 
     def run_trace(self, steps: Sequence[Tuple[bytes, Optional[str]]],
                   binder=None) -> TraceResult:
         """Execute a whole multi-packet trace against one live session.
 
-        The server is reset **once**, at the trace boundary; every step
+        The session is reset **once**, at the trace boundary; every step
         then runs against the same server instance *and the same
         simulated heap*, so cross-packet state (sequence numbers,
         select-before-operate latches, lingering allocations) carries
@@ -236,31 +255,22 @@ class Target:
         ``observe(index, response)`` captures session variables from
         the reply.
         """
-        self.server.reset()
-        if self.channel is not None:
-            self.channel.reset()
-        heap = SimHeap()
+        self._begin_trace()
         collector = self.collector
         accumulated = CoverageMap() if collector is not None else None
         result = TraceResult(coverage=accumulated, crash=None, hang=False,
                              response=None)
+        last = len(steps) - 1
         for index, (packet, model_name) in enumerate(steps):
             self.executions += 1
             wire = packet if binder is None else binder.prepare(index, packet)
             result.sent.append(wire)
-            if self.channel is None:
-                frames: Sequence[bytes] = (wire,)
-            else:
-                frames = self.channel.transmit(index, wire)
-                if index == len(steps) - 1:
-                    # last step: a frame still held by a reorder fault
-                    # lands before the session closes
-                    frames.extend(self.channel.flush())
+            frames = self._channel_frames(index, wire, index == last)
+            if self.channel is not None:
                 result.delivered.append(list(frames))
             if collector is not None:
                 collector.begin()
-            crash, hang, response = self._dispatch_frames(
-                heap, frames, model_name)
+            crash, hang, response = self._deliver(index, frames, model_name)
             if collector is not None:
                 result.blocks_executed += collector.blocks_executed
                 accumulated.absorb(collector.map)
@@ -279,34 +289,60 @@ class Target:
                 binder.observe(index, response)
         return result
 
-    def _dispatch_frames(self, heap: SimHeap, frames: Sequence[bytes],
-                         model_name: Optional[str]):
-        """Deliver each frame in order; a crash or hang stops delivery.
+    # -- transport hooks (SocketTarget overrides both) -------------------
 
-        An empty *frames* (the channel dropped the packet) is a no-op
-        execution: no dispatch, no response.
+    def _begin_trace(self) -> None:
+        """Start the session a trace's steps share."""
+        self.session.reset()
+
+    def _deliver(self, index: int, frames: Sequence[bytes],
+                 model_name: Optional[str]):
+        """Deliver step *index*'s frames in order; ``(crash, hang,
+        response)`` of the last one dispatched.
+
+        A crash or hang stops delivery.  An empty *frames* (the channel
+        dropped the packet) is a no-op execution: no dispatch, no
+        response.
         """
         crash = None
         hang = False
         response = None
         for frame in frames:
-            crash, hang, response = self._dispatch(heap, frame, model_name)
+            crash, hang, response = dispatch_armed(
+                self.collector, self.session, frame, model_name,
+                self.executions)
             if crash is not None or hang:
                 break
         return crash, hang, response
 
-    def _dispatch(self, heap: SimHeap, packet: bytes,
-                  model_name: Optional[str]):
-        response, fault, hang = dispatch_armed(
-            self.collector, self.server, heap, packet)
-        if fault is None:
-            return None, hang, response
-        report = report_from_fault(
-            fault, packet, model_name, self.executions,
-            call_sites=capture_crash_context(self.collector, fault))
-        # drop the fault before returning: its traceback holds
-        # dispatch_armed's finished frame, whose f_back is this frame, so
-        # a `fault` local alive at return would pin this frame, its
-        # callers and their locals (heaps, maps) in a cycle until GC
-        del fault
-        return report, False, None
+    # -- shared helpers ---------------------------------------------------
+
+    def _channel_frames(self, index: int, wire: bytes,
+                        last: bool) -> Sequence[bytes]:
+        """The frames step *index* hands the server.
+
+        Without a channel that is *wire* itself.  A channel is reset at
+        the run/trace boundary (step 0), and on the *last* step a frame
+        still held by a reorder fault lands before the session closes.
+        """
+        channel = self.channel
+        if channel is None:
+            return (wire,)
+        if index == 0:
+            channel.reset()
+        frames = channel.transmit(index, wire)
+        if last:
+            frames.extend(channel.flush())
+        return frames
+
+    def _exec_result(self, coverage_map: Optional[CoverageMap],
+                     frames: Sequence[bytes], outcome) -> ExecResult:
+        """Wrap a single-packet ``(crash, hang, response)`` outcome."""
+        crash, hang, response = outcome
+        collector = self.collector
+        return ExecResult(
+            coverage=None if collector is None else coverage_map,
+            crash=crash, hang=hang, response=response,
+            blocks_executed=0 if collector is None
+            else collector.blocks_executed,
+            delivered=None if self.channel is None else list(frames))

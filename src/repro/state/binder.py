@@ -142,7 +142,7 @@ class LaneBinder:
     """Per-lane session variables for a concurrency-N trace.
 
     With ``--concurrency N`` step *i* of a trace travels on connection
-    ``i % N`` (see :meth:`repro.net.target.SocketTarget.run_trace`), so
+    ``i % N`` (see :meth:`repro.net.target.SocketTarget._deliver`), so
     the steps of one wire session are the index residue class — and
     their session variables must not leak across lanes: connection A's
     captured sequence number is meaningless to connection B.  LaneBinder

@@ -460,7 +460,7 @@ class CampaignWorkspace:
             # learned-state campaigns: the automaton is mutable engine
             # state (walks depend on it), so it checkpoints with the RNG
             state["learner"] = state_model.snapshot()
-        channel = getattr(engine.target, "channel", None)
+        channel = engine.target.channel
         if channel is not None:
             # faulted campaigns: the channel RNG draws per frame, so its
             # state must rewind with the engine RNG (stateless channels
@@ -562,7 +562,7 @@ class CampaignWorkspace:
 
         # -- channel RNG -------------------------------------------------------
         if "channel" in state:
-            channel = getattr(engine.target, "channel", None)
+            channel = engine.target.channel
             if channel is None or not hasattr(channel, "restore"):
                 raise WorkspaceError(
                     "workspace checkpoints a faulting channel but the "

@@ -200,8 +200,9 @@ def triage_reports(target_spec, reports: Iterable[CrashReport], *,
     processes; ``None`` = ``REPRO_JOBS``/cores-1, ``1`` = in-process),
     and (when *out_dir* is given) exports a standalone reproducer script
     plus raw packet — or encoded trace, for session crashes — per
-    bucket.  *net_url* makes server-crash reproducers replay over a
-    socket against a served ``tcp://`` endpoint.
+    bucket.  *net_url* is the default endpoint server-crash reproducers
+    replay against (``None`` = in-process; each script's argv can
+    override it).
     """
     buckets = bucket_crashes(reports)
     minimizations: List[Optional[MinimizationResult]] = [None] * len(buckets)

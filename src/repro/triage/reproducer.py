@@ -18,57 +18,18 @@ _SCRIPT_TEMPLATE = '''\
 #!/usr/bin/env python3
 """Reproducer: {kind} at {site} (target {target}).
 
-Replays the provoking packet against the in-process target under the
-simulated-heap sanitizer.  Exit status 0 = crash reproduced with the
-expected signature, 1 = it did not (bug fixed or environment drift).
+Replays the provoking {payload_kind} under the simulated-heap sanitizer
+against NET_URL: None replays in-process, "loopback" serves the target
+on an ephemeral port and replays through a real TCP socket, and
+tcp://host:port replays against a running `peachstar serve {target}`.
+A trace replays as one live session, its response-derived bindings
+(sequence numbers, transaction ids) re-derived live as the session
+fuzzer ran it.  An endpoint on the command line overrides NET_URL:
 
-Generated by `peachstar triage`; needs the repro package importable
-(e.g. PYTHONPATH=src when run from the repository root).
-"""
+    {slug}.py tcp://other-host:2404
 
-import sys
-
-from repro.protocols import get_target
-from repro.runtime.target import Target
-
-TARGET = {target!r}
-EXPECTED_KIND = {kind!r}
-EXPECTED_SITE = {site!r}
-PACKET = bytes.fromhex(
-    {packet_hex}
-)
-
-
-def main() -> int:
-    spec = get_target(TARGET)
-    result = Target(spec.make_server, None).run(PACKET)
-    if result.crash is None:
-        print("packet no longer crashes", TARGET)
-        return 1
-    print(result.crash.render())
-    if result.crash.dedup_key != (EXPECTED_KIND, EXPECTED_SITE):
-        print("\\ncrash signature changed (expected "
-              f"{{EXPECTED_KIND}} at {{EXPECTED_SITE}})")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
-'''
-
-
-_SESSION_SCRIPT_TEMPLATE = '''\
-#!/usr/bin/env python3
-"""Session reproducer: {kind} at {site} (target {target}).
-
-Replays a whole multi-packet trace against the in-process target — one
-live session, server reset only at the start — under the simulated-heap
-sanitizer.  Response-derived bindings (sequence numbers, transaction
-ids) are re-derived live while the prefix replays, exactly as the
-session fuzzer ran it.  Exit status 0 = the trace still crashes with
-the expected signature, 1 = it does not (bug fixed or environment
-drift).
+Exit status 0 = crash reproduced with the expected signature, 1 = it
+did not (bug fixed, endpoint drift, or a non-peachstar endpoint).
 
 Generated by `peachstar triage`; needs the repro package importable
 (e.g. PYTHONPATH=src when run from the repository root).
@@ -81,24 +42,41 @@ from repro.runtime.target import Target
 from repro.state import TraceBinder, decode_trace
 
 TARGET = {target!r}
+NET_URL = {net_url!r}
 EXPECTED_KIND = {kind!r}
 EXPECTED_SITE = {site!r}
-TRACE = bytes.fromhex(
-    {trace_hex}
+IS_TRACE = {is_trace!r}
+PAYLOAD = bytes.fromhex(
+    {packet_hex}
 )
 
 
 def main() -> int:
     spec = get_target(TARGET)
-    steps = decode_trace(TRACE)
-    binder = TraceBinder(spec.make_pit(), steps)
-    result = Target(spec.make_server, None).run_trace(
-        [(step.packet, step.model_name) for step in steps], binder)
+    url = sys.argv[1] if len(sys.argv) > 1 else NET_URL
+    if url is None:
+        target = Target(spec.make_server, None)
+        where = TARGET
+    else:
+        from repro.net.target import make_socket_target
+        target = make_socket_target(url, target_name=TARGET)
+        where = f"{{TARGET}} at {{url}}"
+    try:
+        if IS_TRACE:
+            steps = decode_trace(PAYLOAD)
+            result = target.run_trace(
+                [(step.packet, step.model_name) for step in steps],
+                TraceBinder(spec.make_pit(), steps))
+        else:
+            result = target.run(PAYLOAD)
+    finally:
+        target.close()
     if result.crash is None:
-        print(f"trace ({{len(steps)}} steps) no longer crashes", TARGET)
+        print(f"{payload_kind} no longer crashes {{where}}")
         return 1
-    print(f"crashed at step {{result.crash_step + 1}}/{{len(steps)}} "
-          f"({{steps[result.crash_step].model_name}})")
+    if IS_TRACE:
+        print(f"crashed at step {{result.crash_step + 1}}/{{len(steps)}} "
+              f"({{steps[result.crash_step].model_name}})")
     print(result.crash.render())
     if result.crash.dedup_key != (EXPECTED_KIND, EXPECTED_SITE):
         print("\\ncrash signature changed (expected "
@@ -155,67 +133,6 @@ if __name__ == "__main__":
 '''
 
 
-_NET_SCRIPT_TEMPLATE = '''\
-#!/usr/bin/env python3
-"""Network reproducer: {kind} at {site} (target {target}).
-
-Replays the provoking packet (or trace) over a real TCP socket against
-a served endpoint — start one with `peachstar serve {target}` — and
-checks the remotely-reported crash signature.  The endpoint defaults to
-{net_url} and can be overridden on the command line:
-
-    {slug}.py tcp://other-host:2404
-
-Exit status 0 = crash reproduced with the expected signature, 1 = it
-did not (bug fixed, endpoint drift, or a non-peachstar endpoint).
-
-Generated by `peachstar triage --net-url`; needs the repro package
-importable (e.g. PYTHONPATH=src when run from the repository root).
-"""
-
-import sys
-
-from repro.net.target import make_socket_target
-
-TARGET = {target!r}
-NET_URL = {net_url!r}
-EXPECTED_KIND = {kind!r}
-EXPECTED_SITE = {site!r}
-IS_TRACE = {is_trace!r}
-PAYLOAD = bytes.fromhex(
-    {packet_hex}
-)
-
-
-def main() -> int:
-    url = sys.argv[1] if len(sys.argv) > 1 else NET_URL
-    target = make_socket_target(url, target_name=TARGET)
-    try:
-        if IS_TRACE:
-            from repro.state import decode_trace
-            steps = decode_trace(PAYLOAD)
-            result = target.run_trace(
-                [(step.packet, step.model_name) for step in steps])
-        else:
-            result = target.run(PAYLOAD)
-    finally:
-        target.close()
-    if result.crash is None:
-        print(f"packet no longer crashes {{TARGET}} at {{url}}")
-        return 1
-    print(result.crash.render())
-    if result.crash.dedup_key != (EXPECTED_KIND, EXPECTED_SITE):
-        print("\\ncrash signature changed (expected "
-              f"{{EXPECTED_KIND}} at {{EXPECTED_SITE}})")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
-'''
-
-
 def _hex_literal(packet: bytes, indent: str = "    ") -> str:
     """The packet as wrapped hex-string source lines."""
     text = packet.hex()
@@ -229,26 +146,12 @@ def reproducer_script(target_name: str, report: CrashReport,
                       slug: str = "reproducer") -> str:
     """Render the standalone reproducer script for one crash.
 
-    Session crashes (``report.trace`` set) get the trace-replaying
-    variant; *packet* then holds the (minimized) encoded trace.
     Divergence findings get the oracle-replaying variant — no server
-    runs at all.  With *net_url* set, server crashes get the socket
-    variant instead: the script replays against a served ``tcp://``
-    endpoint (overridable on its argv) rather than in-process.
+    runs at all.  Every server crash gets one script: session crashes
+    (``report.trace`` set) replay the trace, and *packet* then holds
+    the (minimized) encoded trace.  *net_url* sets the script's default
+    endpoint (``None`` = in-process); its argv can override it.
     """
-    if net_url is not None and getattr(report, "oracle", None) is None:
-        is_trace = bool(report.is_session)
-        payload = packet if packet is not None else \
-            (report.trace if is_trace else report.packet)
-        return _NET_SCRIPT_TEMPLATE.format(
-            target=target_name,
-            net_url=net_url,
-            kind=report.kind,
-            site=report.site,
-            is_trace=is_trace,
-            slug=slug,
-            packet_hex=_hex_literal(payload),
-        )
     if getattr(report, "oracle", None) is not None:
         packet = packet if packet is not None else report.packet
         return _DIVERGENCE_SCRIPT_TEMPLATE.format(
@@ -258,19 +161,17 @@ def reproducer_script(target_name: str, report: CrashReport,
             model=report.model_name,
             packet_hex=_hex_literal(packet),
         )
-    if report.is_session:
-        trace = packet if packet is not None else report.trace
-        return _SESSION_SCRIPT_TEMPLATE.format(
-            target=target_name,
-            kind=report.kind,
-            site=report.site,
-            trace_hex=_hex_literal(trace),
-        )
-    packet = packet if packet is not None else report.packet
+    is_trace = bool(report.is_session)
+    if packet is None:
+        packet = report.trace if is_trace else report.packet
     return _SCRIPT_TEMPLATE.format(
         target=target_name,
+        net_url=net_url,
         kind=report.kind,
         site=report.site,
+        is_trace=is_trace,
+        payload_kind="trace" if is_trace else "packet",
+        slug=slug,
         packet_hex=_hex_literal(packet),
     )
 
@@ -282,8 +183,8 @@ def export_reproducer(out_dir: str, slug: str, target_name: str,
                       ) -> Tuple[str, str]:
     """Write ``<slug>.bin`` and ``<slug>.py``; returns their paths.
 
-    *net_url* switches server-crash scripts to the socket-replay
-    variant (``peachstar triage --net-url tcp://host:port``).
+    *net_url* is the default endpoint of server-crash scripts
+    (``peachstar triage --net-url tcp://host:port``).
     """
     packet = packet if packet is not None else report.packet
     os.makedirs(out_dir, exist_ok=True)

@@ -6,7 +6,9 @@ import socket
 
 import pytest
 
+from repro.analysis import run_fig4_panel, run_headline, run_table1_row
 from repro.cli import build_parser, main
+from repro.protocols import get_target
 
 
 class TestParser:
@@ -67,6 +69,35 @@ class TestNetEndpointErrors:
                      "--target-url", f"tcp://127.0.0.1:{port}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cannot connect" in err
+
+    def test_out_of_range_timeout_exits_2(self, capsys):
+        assert main(["fuzz", "iec104", "--target-url", "loopback",
+                     "--net-framing", "raw", "--timeout-ms", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "timeout_ms" in err
+
+
+class TestSweepArgumentErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["compare", "libmodbus", "--hours", "0"], "budget_hours"),
+        (["table1", "--hours", "-1"], "budget_hours"),
+        (["compare", "libmodbus", "--repetitions", "0"], "repetitions 0"),
+        (["table1", "--repetitions", "0"], "repetitions 0"),
+    ], ids=["compare-hours-0", "table1-hours-negative",
+            "compare-repetitions-0", "table1-repetitions-0"])
+    def test_bad_sweep_argument_exits_2(self, capsys, argv, message):
+        assert main([*argv, "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("run", [
+        lambda: run_fig4_panel(get_target("iec104"), repetitions=0),
+        lambda: run_table1_row("libmodbus", repetitions=0),
+        lambda: run_headline(repetitions=0),
+    ], ids=["fig4", "table1", "headline"])
+    def test_sweeps_refuse_zero_repetitions(self, run):
+        with pytest.raises(ValueError, match="repetitions 0 < 1"):
+            run()
 
 
 class TestCompareCommand:

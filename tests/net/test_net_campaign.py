@@ -61,16 +61,19 @@ class TestLoopbackParity:
         if faults:
             assert over_socket.stats["channel_faults"] > 0
 
-    def test_parity_holds_for_sessions_with_channel_faults(self):
-        spec = get_target("iec104")
+    @pytest.mark.parametrize("name,faults", PARITY_ROWS)
+    def test_parity_holds_for_sessions_with_channel_faults(self, name,
+                                                           faults):
+        spec = get_target(name)
         base = dict(max_executions=200, checkpoint_every=50,
-                    sessions=True, channel_faults=0.25)
+                    sessions=True, channel_faults=faults)
         in_process = run_campaign("peach-star", spec, seed=11,
                                   config=_config(**base))
         over_socket = run_campaign("peach-star", spec, seed=11,
                                    config=_config(net=NetConfig(), **base))
         assert _signature(over_socket) == _signature(in_process)
-        assert over_socket.stats["channel_faults"] > 0
+        if faults:
+            assert over_socket.stats["channel_faults"] > 0
 
 
 class TestSocketKillResume:

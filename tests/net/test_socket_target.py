@@ -14,13 +14,17 @@ One row per protocol family and transport axis:
   lane, counted in ``net_reconnects``;
 * **uninstrumented loop** — no event-loop turn of a loopback run or
   trace runs with line instrumentation on: only the served dispatch is
-  armed.
+  armed;
+* **reproducers** — exported single-packet and session crash scripts
+  replay over a loopback socket, and in-process, to the same crash.
 
 Everything binds port 0: the matrix never collides with a busy port.
 """
 
 import asyncio
+import os
 import struct
+import subprocess
 import sys
 
 import pytest
@@ -39,6 +43,8 @@ from repro.runtime.instrument import (
     monitoring_available,
 )
 from repro.runtime.target import Target
+from repro.state import TraceBinder, TraceStep, encode_trace
+from repro.triage.reproducer import export_reproducer
 
 TARGET_NAMES = [spec.name for spec in all_targets()]
 BACKENDS = ["settrace"] + (["monitoring"] if monitoring_available() else [])
@@ -377,3 +383,70 @@ class TestMakeSocketTarget:
     def test_loopback_replay_needs_a_target_name(self):
         with pytest.raises(ValueError):
             make_socket_target("loopback")
+
+
+# -- exported reproducers -----------------------------------------------------
+
+SRC_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..",
+                                        "src"))
+
+
+def _modbus_crash_trace():
+    """[valid read, valid read, seeded-UAF write]: crashes at step 3."""
+    pit = get_target("libmodbus").make_pit()
+    good = pit.model("modbus.read_holding_registers").build_bytes()
+    crash = bytearray(
+        pit.model("modbus.write_multiple_registers").build_bytes())
+    crash[12] = 0x04  # byte_count inconsistent with quantity: seeded UAF
+    return [
+        TraceStep("modbus.read_holding_registers", good),
+        TraceStep("modbus.read_holding_registers", good),
+        TraceStep("modbus.write_multiple_registers", bytes(crash)),
+    ]
+
+
+def _replay(script_path):
+    env = dict(os.environ, PYTHONPATH=SRC_ROOT)
+    proc = subprocess.run([sys.executable, script_path],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "SUMMARY: AddressSanitizer:" in proc.stdout
+    return proc.stdout
+
+
+def _crashed_at_line(stdout):
+    return next(line for line in stdout.splitlines()
+                if line.startswith("crashed at step"))
+
+
+class TestSocketReproducers:
+    """Exported server-crash scripts replay over the socket transport."""
+
+    def test_single_packet_crash_replays_over_loopback(self, tmp_path):
+        spec = get_target("libmodbus")
+        packet = _modbus_crash_trace()[-1].packet
+        report = Target(spec.make_server, None).run(packet).crash
+        assert report is not None
+        _, script = export_reproducer(str(tmp_path), "packet", spec.name,
+                                      report, net_url="loopback")
+        assert "heap-use-after-free" in _replay(script)
+
+    def test_session_crash_replays_the_same_over_loopback(self, tmp_path):
+        spec = get_target("libmodbus")
+        steps = _modbus_crash_trace()
+        result = Target(spec.make_server, None).run_trace(
+            [(step.packet, step.model_name) for step in steps],
+            TraceBinder(spec.make_pit(), steps))
+        report = result.crash
+        report.trace = encode_trace(steps)
+        report.crash_step = result.crash_step
+        _, over_socket = export_reproducer(
+            str(tmp_path / "net"), "trace", spec.name, report,
+            report.trace, net_url="loopback")
+        _, in_process = export_reproducer(
+            str(tmp_path / "local"), "trace", spec.name, report,
+            report.trace)
+        socket_line = _crashed_at_line(_replay(over_socket))
+        assert socket_line == "crashed at step 3/3 " \
+                              "(modbus.write_multiple_registers)"
+        assert _crashed_at_line(_replay(in_process)) == socket_line

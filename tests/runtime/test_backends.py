@@ -21,7 +21,7 @@ from repro.runtime.instrument import (
     make_line_collector, monitoring_available, resolve_backend,
 )
 from repro.net.serve import ServeApp
-from repro.runtime.target import Target, dispatch_armed
+from repro.runtime.target import Session, Target, dispatch_armed
 from repro.sanitizer import SimHeap
 from repro.sanitizer.errors import SimSegv
 
@@ -273,9 +273,9 @@ class TestArmContract:
         collector = self._collector(backend)
         before = sys.gettrace()
         collector.begin()
-        response, fault, hang = dispatch_armed(
-            collector, _ScriptedServer(), SimHeap(), b"segv")
-        assert isinstance(fault, SimSegv)
+        crash, hang, response = dispatch_armed(
+            collector, Session(_ScriptedServer), b"segv")
+        assert crash.dedup_key == (SimSegv.kind, "scripted:segv")
         assert response is None and not hang
         assert collector.blocks_executed > 0
         assert not _armed(collector)
@@ -285,9 +285,9 @@ class TestArmContract:
         collector = self._collector(backend, hang_budget=50)
         before = sys.gettrace()
         collector.begin()
-        response, fault, hang = dispatch_armed(
-            collector, _ScriptedServer(), SimHeap(), b"spin")
-        assert hang and response is None and fault is None
+        crash, hang, response = dispatch_armed(
+            collector, Session(_ScriptedServer), b"spin")
+        assert hang and response is None and crash is None
         assert not _armed(collector)
         assert sys.gettrace() is before
 
