@@ -13,10 +13,8 @@ from repro.channel.faults import (
 )
 from repro.channel.oracle import (
     DifferentialOracle,
-    DivergenceChecker,
     DivergenceReport,
     make_oracle,
-    minimize_divergence,
 )
 
 __all__ = [
@@ -25,8 +23,6 @@ __all__ = [
     "DirectChannel",
     "FaultingChannel",
     "DifferentialOracle",
-    "DivergenceChecker",
     "DivergenceReport",
     "make_oracle",
-    "minimize_divergence",
 ]

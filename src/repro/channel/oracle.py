@@ -23,9 +23,10 @@ module turns such disagreement into a first-class finding:
 ``dedup_key``/``bucket_key``/...), so deduplication
 (:class:`~repro.sanitizer.report.CrashDatabase`), workspace
 persistence, triage bucketing and the severity table all compose
-unchanged.  Minimization is oracle-based — re-*parsing*, not
-re-executing — so :func:`minimize_divergence` reuses the field-aware/
-ddmin reducers with a pure-bytes predicate.
+unchanged.  Triage minimizes a divergence as a one-step trace through
+the same loop as every crash
+(:func:`repro.triage.minimize.minimize_crash`); its checker re-*parses*
+candidates through this oracle instead of re-executing them.
 
 Oracles are pure functions of the delivered bytes: no server, no heap,
 no RNG — which is what lets divergence findings resume bit-identically
@@ -229,84 +230,3 @@ def make_oracle(target_spec, pit=None) -> DifferentialOracle:
         cross = (("iec104", iec104_codec.frame_kind),
                  ("lib60870", lib60870_codec.frame_kind))
     return DifferentialOracle(pit, cross_stack=cross)
-
-
-# ---------------------------------------------------------------------------
-# minimization (oracle re-evaluation, no sanitizer executions)
-# ---------------------------------------------------------------------------
-
-class DivergenceChecker:
-    """Re-evaluates candidate frames through the oracle.
-
-    The divergence analog of
-    :class:`~repro.triage.minimize.CrashChecker`: ``executions`` counts
-    oracle re-evaluations so triage budget accounting stays uniform
-    across finding classes.
-    """
-
-    def __init__(self, target_spec, oracle: Optional[DifferentialOracle] = None):
-        self.oracle = oracle if oracle is not None \
-            else make_oracle(target_spec)
-        self.pit = self.oracle.pit
-        self.executions = 0
-        self._keys: Dict[Tuple[Optional[str], bytes], frozenset] = {}
-
-    def divergence_keys(self, frame: bytes,
-                        model_name: Optional[str]) -> frozenset:
-        """The dedup keys the frame diverges on (may be empty)."""
-        cache_key = (model_name, frame)
-        cached = self._keys.get(cache_key)
-        if cached is not None:
-            return cached
-        self.executions += 1
-        keys = frozenset(report.dedup_key for report in
-                         self.oracle.examine(frame, model_name, 0))
-        self._keys[cache_key] = keys
-        return keys
-
-
-def minimize_divergence(target_spec, report: DivergenceReport, *,
-                        max_executions: int = 3000,
-                        checker: Optional[DivergenceChecker] = None
-                        ) -> "MinimizationResult":
-    """Minimize a diverging frame while preserving its dedup key.
-
-    Same reducer pair as crash minimization (field-aware shrink, then
-    byte-level ddmin, iterated to a fixpoint), but the predicate is a
-    pure oracle re-evaluation — no server, no sanitizer.
-    """
-    from repro.triage.minimize import (
-        MinimizationResult, ddmin_bytes, shrink_fields,
-    )
-
-    if checker is None:
-        checker = DivergenceChecker(target_spec)
-    key = report.dedup_key
-    started = checker.executions
-    if key not in checker.divergence_keys(report.packet,
-                                          report.model_name):
-        return MinimizationResult(
-            original=report.packet, minimized=report.packet,
-            dedup_key=key, confirmed=False,
-            executions=checker.executions - started)
-
-    def reproduces(candidate: bytes) -> bool:
-        return key in checker.divergence_keys(candidate,
-                                              report.model_name)
-
-    budget = [max_executions]
-    best = report.packet
-    while budget[0] > 0:
-        shrunk = shrink_fields(checker.pit, best, reproduces, budget)
-        shrunk = ddmin_bytes(shrunk, reproduces, budget)
-        if len(shrunk) >= len(best):
-            break
-        best = shrunk
-    final = next(
-        (again for again in checker.oracle.examine(
-            best, report.model_name, report.execution_index)
-         if again.dedup_key == key), None)
-    return MinimizationResult(
-        original=report.packet, minimized=best, dedup_key=key,
-        confirmed=True, executions=checker.executions - started,
-        report=final)

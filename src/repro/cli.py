@@ -37,6 +37,7 @@ from repro.core import (
 )
 from repro.core.cracker import FileCracker
 from repro.model.fields import ParseError
+from repro.net.config import NetConfig
 from repro.net.target import NetTargetError
 from repro.protocols import all_targets, get_target
 from repro.store import CampaignWorkspace, WorkspaceError, is_fleet_workspace
@@ -128,7 +129,6 @@ def _net_config(args):
     concurrency = getattr(args, "concurrency", 1)
     if url is None and concurrency <= 1:
         return None
-    from repro.net.config import NetConfig
     return NetConfig(url=url if url is not None else "loopback",
                      framing=getattr(args, "net_framing", "peachstar"),
                      timeout_ms=getattr(args, "timeout_ms", 1000.0),
@@ -263,6 +263,9 @@ def cmd_resume(args) -> int:
 
 def cmd_triage(args) -> int:
     try:
+        if args.net_url is not None:
+            # before any campaign runs: the exported scripts replay there
+            NetConfig(url=args.net_url).validate()
         if args.workspace:
             workspace = CampaignWorkspace(args.workspace)
             manifest = workspace.load_manifest()
@@ -293,8 +296,7 @@ def cmd_triage(args) -> int:
     report = triage_reports(
         spec, crashes, minimize=not args.no_minimize,
         max_executions_per_crash=args.max_triage_execs, out_dir=out_dir,
-        jobs=args.jobs,
-        net_url=getattr(args, "net_url", None))
+        jobs=args.jobs, net_url=args.net_url)
     print(render_triage_table(report))
     if args.verbose:
         for crash in report.crashes:

@@ -16,8 +16,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import (
-    Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin,
-    get_type_hints,
+    Callable, Dict, List, Optional, Sequence, Tuple, Union, get_args,
+    get_origin, get_type_hints,
 )
 
 from repro.core.engine import GenerationFuzzer, PeachStar
@@ -653,6 +653,34 @@ def default_worker_count() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
+def fan_out(worker: Callable, tasks: Sequence, *,
+            max_workers: Optional[int] = None) -> list:
+    """``[worker(task) for task in tasks]``, fanned out across processes.
+
+    Results come back in task order, so the output is identical to the
+    serial loop whenever the tasks are independent — parallelism only
+    changes wall-clock time.  *worker* and the tasks must pickle.  Runs
+    in-process when only one worker is requested (``None`` =
+    :func:`default_worker_count`), there is only one task, or the
+    platform refuses to give us a process pool.
+    """
+    tasks = list(tasks)
+    if max_workers is None:
+        max_workers = default_worker_count()
+    if len(tasks) <= 1 or max_workers <= 1:
+        return [worker(task) for task in tasks]
+    try:
+        pool = ProcessPoolExecutor(max_workers=min(max_workers, len(tasks)))
+    except OSError:
+        # sandboxed/exotic platforms that refuse a pool: degrade to
+        # serial, same results.  Failures *inside* a running pool are
+        # deliberately not swallowed — re-running the whole batch would
+        # silently double the work.
+        return [worker(task) for task in tasks]
+    with pool:
+        return list(pool.map(worker, tasks))
+
+
 def _campaign_worker(task: CampaignTask) -> CampaignResult:
     """Process-pool entry point: resolve the target and run one campaign."""
     from repro.protocols import get_target
@@ -665,27 +693,10 @@ def run_campaign_batch(tasks: Sequence[CampaignTask], *,
                        ) -> List[CampaignResult]:
     """Run many campaigns, fanning out across processes.
 
-    Results come back in task order, and each campaign is seeded
-    independently, so the output is identical to running the tasks
-    serially — parallelism only changes wall-clock time.  Falls back to
-    in-process execution when only one worker is requested, there is only
-    one task, or the platform refuses to give us a process pool.
+    Each campaign is seeded independently, so the results are identical
+    to running the tasks serially (see :func:`fan_out`).
     """
-    tasks = list(tasks)
-    if max_workers is None:
-        max_workers = default_worker_count()
-    if len(tasks) <= 1 or max_workers <= 1:
-        return [_campaign_worker(task) for task in tasks]
-    try:
-        pool = ProcessPoolExecutor(max_workers=min(max_workers, len(tasks)))
-    except OSError:
-        # sandboxed/exotic platforms that refuse a pool: degrade to
-        # serial, same results.  Failures *inside* a running pool are
-        # deliberately not swallowed — re-running the whole batch would
-        # silently double the work.
-        return [_campaign_worker(task) for task in tasks]
-    with pool:
-        return list(pool.map(_campaign_worker, tasks))
+    return fan_out(_campaign_worker, tasks, max_workers=max_workers)
 
 
 def run_repetitions_parallel(engine_name: str, target_spec, *,

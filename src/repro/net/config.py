@@ -67,10 +67,12 @@ class NetConfig:
                     f"{name} {getattr(self, name)!r} is not > 0")
         if self.reconnect < 0:
             raise ValueError(f"reconnect {self.reconnect} < 0")
-        if self.url != "loopback" and not self.url.startswith(TCP_SCHEME):
-            raise ValueError(
-                f"unsupported net url {self.url!r}; use 'loopback' or "
-                f"'{TCP_SCHEME}host:port'")
+        if self.url != "loopback":
+            if not self.url.startswith(TCP_SCHEME):
+                raise ValueError(
+                    f"unsupported net url {self.url!r}; use 'loopback' or "
+                    f"'{TCP_SCHEME}host:port'")
+            parse_tcp_url(self.url)
 
     @property
     def is_loopback(self) -> bool:
@@ -90,6 +92,9 @@ def parse_tcp_url(url: str) -> Tuple[str, int]:
     if not host or not port:
         raise ValueError(f"malformed tcp:// url: {url!r}")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError:
         raise ValueError(f"malformed port in {url!r}") from None
+    if not 0 < number < 65536:
+        raise ValueError(f"port {number} out of range in {url!r}")
+    return host, number

@@ -20,8 +20,9 @@ fuzzing, AFLNet-style:
 * :class:`SessionFuzzer` — the sequence-aware engine: the corpus stores
   traces, mutation cracks one step (or splices/extends/truncates the
   sequence) while replaying the honest prefix;
-* :func:`minimize_trace` — session-level triage: drop whole steps first,
-  then shrink the crashing step with the existing field-aware/ddmin
+* session crashes minimize through triage's one loop
+  (:func:`repro.triage.minimize.minimize_crash`): drop whole steps
+  first, then shrink the crashing step with the field-aware/ddmin
   machinery.
 """
 
@@ -36,21 +37,9 @@ from repro.state.trace import (
     is_trace_blob, trace_model_name,
 )
 
-
-def __getattr__(name):
-    # Lazy: repro.state.triage imports repro.protocols, and the protocol
-    # packages import repro.state.model for their state models — eagerly
-    # importing triage here would close that cycle during protocols init.
-    if name in ("TraceChecker", "minimize_trace"):
-        from repro.state import triage
-        return getattr(triage, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "LearnedStateModel", "ResponseClassifier", "SessionFuzzer", "State",
     "StateModel", "StateModelError", "TRACE_MODEL_PREFIX", "TraceBinder",
-    "TraceChecker", "TraceStep", "Transition", "apply_pins",
-    "binding_hints", "decode_trace", "encode_trace", "is_trace_blob",
-    "minimize_trace", "trace_model_name",
+    "TraceStep", "Transition", "apply_pins", "binding_hints",
+    "decode_trace", "encode_trace", "is_trace_blob", "trace_model_name",
 ]

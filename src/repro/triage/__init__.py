@@ -1,18 +1,21 @@
 """Crash triage: minimization, bucketing, severity, reproducer export.
 
 The paper's workflow ends at ASan-style deduplication of the provoking
-packet (Listing 2); this subsystem turns each unique crash into an
+packet (Listing 2); this subsystem turns each unique finding into an
 actionable artifact:
 
-* :mod:`repro.triage.minimize` — byte-level ddmin combined with
-  field-aware shrinking over the cracked InsTree, re-executed under the
-  sanitizer until the smallest packet with the same ``(kind, site)``
-  remains;
+* :mod:`repro.triage.minimize` — one checker and one reduction loop for
+  every finding: a packet crash or a divergence is a one-step trace, a
+  session crash is its decoded trace.  Whole steps are dropped, then
+  the reproducing step shrinks by field-aware shrinking over the
+  cracked InsTree plus byte-level ddmin, each candidate re-run (under
+  the sanitizer, or through the differential oracle for divergences)
+  until the smallest input with the same ``(kind, site)`` remains;
 * :mod:`repro.triage.bucket` — bucketing beyond ``(kind, site)`` via the
   call-site-sequence hash captured by the instrumentation layer, plus
   severity classification from the fault kind;
 * :mod:`repro.triage.reproducer` — standalone reproducer scripts and raw
-  packet files per unique crash;
+  packet files per unique finding;
 * :mod:`repro.triage.pipeline` — ties the three together for campaign
   results and persisted workspaces (``peachstar triage``).
 """

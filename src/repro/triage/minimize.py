@@ -1,31 +1,43 @@
-"""Test-case minimization: smallest packet, same crash.
+"""Test-case minimization: smallest input, same finding.
 
 The campaign stores whatever oversized mutant happened to trigger each
-fault; the analyst wants the minimal reproducer.  Two reducers compose:
+finding; the analyst wants the minimal reproducer.  Every finding class
+reduces through one checker and one loop, because every finding is a
+trace: a packet crash or a divergence is a one-step trace, a session
+crash is its decoded trace.  :func:`minimize_crash` works outside-in,
+round after round, until a round makes no progress or the execution
+budget is spent:
 
-* :func:`shrink_fields` — *field-aware* shrinking.  When the crashing
-  packet parses under one of the pit's data models (strictly, or
-  leniently — illegal field values are often exactly why a mutant
-  crashes), whole sub-trees are candidates: optional Repeat elements
-  are dropped and variable-length leaves truncated *on the InsTree*,
-  and the candidate packet is re-built through ``DataModel.build`` so
-  the existing Relation/Fixup machinery recomputes sizes, counts and
-  checksums.  This is what byte-level reduction cannot do: remove a
-  chunk and keep the framing honest in the same step.
-* :func:`ddmin_bytes` — classic Zeller/Hildebrandt delta debugging on
-  the raw bytes, for packets (the common case) that are *not* legal
-  under any model precisely because malformedness is what crashes the
-  target.
+1. **step drop** — greedily remove whole steps while the trace still
+   reproduces (a session crash often needs only part of its prefix; a
+   one-step trace has nothing to drop);
+2. **step shrink** — reduce the reproducing step's packet with two
+   reducers in turn:
 
-Every candidate is re-executed under the sanitizer via
-:class:`CrashChecker` and accepted only when it still triggers the same
-``(kind, site)`` dedup key.
+   * :func:`shrink_fields` — *field-aware* shrinking.  When the packet
+     parses under one of the pit's data models (strictly, or leniently
+     — illegal field values are often exactly why a mutant crashes),
+     whole sub-trees are candidates: optional Repeat elements are
+     dropped and variable-length leaves truncated *on the InsTree*, and
+     the candidate packet is re-built through ``DataModel.build`` so
+     the existing Relation/Fixup machinery recomputes sizes, counts and
+     checksums.  This is what byte-level reduction cannot do: remove a
+     chunk and keep the framing honest in the same step.
+   * :func:`ddmin_bytes` — classic Zeller/Hildebrandt delta debugging
+     on the raw bytes, for packets (the common case) that are *not*
+     legal under any model precisely because malformedness is what
+     crashes the target.
+
+Every candidate trace runs through :class:`CrashChecker` and is accepted
+only when it still raises the finding's ``(kind, site)`` dedup key: a
+server crash re-executes under the sanitizer, a divergence re-parses
+through the differential oracle (no server runs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.fixup_engine import TreeEchoProvider
 from repro.model.fields import ModelError, ParseError, Repeat
@@ -33,40 +45,84 @@ from repro.protocols import PROTOCOLS_PATH_PREFIX
 from repro.runtime.instrument import make_line_collector
 from repro.runtime.target import Target
 from repro.sanitizer.report import CrashReport
+from repro.state.binder import TraceBinder
+from repro.state.trace import TraceStep, decode_trace, encode_trace
 
 
 class CrashChecker:
-    """Re-executes candidate packets under the sanitizer.
+    """Re-runs candidate traces of one finding; accepts its dedup key.
 
-    Each check runs against a fresh heap (and a reset server) with a
-    hang-budget collector attached, so a shrink candidate that loops
-    forever is classified as "does not reproduce" instead of wedging
-    the triage run.  The collector has the campaign's hang budget, and
-    the backends are parity-pinned, so a campaign's crash keys reproduce
-    whichever backend triage runs under.
+    A server crash re-executes under the sanitizer: each candidate trace
+    replays as one live session against a freshly reset server (the
+    :class:`~repro.state.binder.TraceBinder` re-derives its bindings, so
+    dropping a prefix step never leaves stale framing behind), with a
+    hang-budget collector attached, so a candidate that loops forever is
+    classified as "does not reproduce" instead of wedging the triage
+    run.  The collector has the campaign's hang budget, and the backends
+    are parity-pinned, so a campaign's crash keys reproduce whichever
+    backend triage runs under.  A divergence re-parses its one frame
+    through the differential oracle — no server, no sanitizer.
+
+    ``executions`` counts server steps, or oracle evaluations.  Outcomes
+    are cached per encoded trace, so a candidate checked before costs
+    nothing.
     """
 
-    def __init__(self, target_spec):
-        collector = make_line_collector((PROTOCOLS_PATH_PREFIX,))
-        self.target = Target(target_spec.make_server, collector)
+    def __init__(self, target_spec, finding: CrashReport):
+        self.pit = target_spec.make_pit()
+        self.key = finding.dedup_key
         self.executions = 0
-        self._cache: Dict[bytes, Optional[tuple]] = {}
+        self._execution_index = finding.execution_index
+        self._crash_steps: Dict[bytes, Optional[int]] = {}
+        self._oracle = None
+        self._target = None
+        if getattr(finding, "oracle", None) is not None:
+            # late: `import repro` does not load the channel package
+            from repro.channel.oracle import make_oracle
+            self._oracle = make_oracle(target_spec, self.pit)
+        else:
+            self._target = Target(
+                target_spec.make_server,
+                make_line_collector((PROTOCOLS_PATH_PREFIX,)))
 
-    def crash_key(self, packet: bytes) -> Optional[tuple]:
-        """The ``(kind, site)`` the packet triggers, or None."""
-        cached = self._cache.get(packet)
-        if cached is not None or packet in self._cache:
-            return cached
-        result = self.target.run(packet)
-        self.executions += 1
-        key = result.crash.dedup_key if result.crash is not None else None
-        self._cache[packet] = key
-        return key
+    def crash_step(self, steps: List[TraceStep]) -> Optional[int]:
+        """The step at which *steps* raise the finding, or None."""
+        encoded = encode_trace(steps)
+        if encoded not in self._crash_steps:
+            self._crash_steps[encoded] = self._run(steps)[1]
+        return self._crash_steps[encoded]
 
-    def run(self, packet: bytes, model_name: Optional[str] = None):
-        """One full execution (used to rebuild the final crash report)."""
-        self.executions += 1
-        return self.target.run(packet, model_name)
+    def report(self, steps: List[TraceStep]) -> Optional[CrashReport]:
+        """The finding re-captured on *steps*.
+
+        A server crash re-executes (the cache keeps only crash steps).
+        The oracle is a pure function of the frame, so re-deriving its
+        report is not counted as another evaluation.
+        """
+        if self._oracle is not None:
+            return self._divergence(steps[0])
+        return self._run(steps)[0]
+
+    def _run(self, steps: List[TraceStep]
+             ) -> Tuple[Optional[CrashReport], Optional[int]]:
+        """One uncached run: ``(report, crash_step)``, or ``(None, None)``
+        when the finding does not reproduce."""
+        if self._oracle is not None:
+            self.executions += 1
+            report = self._divergence(steps[0])
+            return report, None if report is None else 0
+        result = self._target.run_trace(
+            [(step.packet, step.model_name) for step in steps],
+            TraceBinder(self.pit, steps))
+        self.executions += result.steps_executed
+        if result.crash is None or result.crash.dedup_key != self.key:
+            return None, None
+        return result.crash, result.crash_step
+
+    def _divergence(self, step: TraceStep) -> Optional[CrashReport]:
+        return next((found for found in self._oracle.examine(
+            step.packet, step.model_name, self._execution_index)
+            if found.dedup_key == self.key), None)
 
 
 def ddmin_bytes(packet: bytes, reproduces: Callable[[bytes], bool],
@@ -183,13 +239,13 @@ def shrink_fields(pit, packet: bytes, reproduces: Callable[[bytes], bool],
 
 @dataclass
 class MinimizationResult:
-    """Outcome of minimizing one crash input."""
+    """Outcome of minimizing one finding's input."""
 
     original: bytes
     minimized: bytes
     dedup_key: tuple
     confirmed: bool          # the original reproduced at all
-    executions: int          # sanitizer runs spent
+    executions: int          # server steps or oracle evaluations spent
     report: Optional[CrashReport] = None  # re-captured on the minimized input
 
     @property
@@ -203,41 +259,76 @@ class MinimizationResult:
         return 100.0 * (1.0 - len(self.minimized) / len(self.original))
 
 
+def _drop_steps(checker: CrashChecker, steps: List[TraceStep],
+                budget: List[int]) -> Tuple[List[TraceStep], bool]:
+    """Greedy whole-step removal to a fixpoint; returns (steps, improved)."""
+    improved = False
+    dropped = True
+    while dropped and len(steps) > 1:
+        dropped = False
+        for index in range(len(steps) - 1, -1, -1):
+            if budget[0] <= 0:
+                return steps, improved
+            candidate = steps[:index] + steps[index + 1:]
+            budget[0] -= 1
+            if checker.crash_step(candidate) is not None:
+                steps = candidate
+                improved = dropped = True
+                break
+    return steps, improved
+
+
 def minimize_crash(target_spec, report: CrashReport, *,
-                   max_executions: int = 3000,
-                   checker: Optional[CrashChecker] = None
-                   ) -> MinimizationResult:
-    """Minimize one crash input while preserving its dedup key.
+                   max_executions: int = 3000) -> MinimizationResult:
+    """Minimize one finding while preserving its dedup key.
 
-    Field-aware shrinking runs first (it removes whole semantic units and
-    keeps integrity fields honest), ddmin then grinds the remainder down
-    byte by byte; the pair is iterated until neither makes progress or
-    the execution budget is spent.
+    ``original``/``minimized`` of the result hold the finding's payload:
+    the packet, or for a session crash the trace in its canonical
+    encoded form (what the workspace persists and the reproducer script
+    replays).  *max_executions* bounds the number of candidate checks.
+    Each call builds its own :class:`CrashChecker`, so a finding's
+    result does not depend on which findings were minimized before it.
     """
-    if checker is None:
-        checker = CrashChecker(target_spec)
-    key = report.dedup_key
-    started = checker.executions
-    if checker.crash_key(report.packet) != key:
+    checker = CrashChecker(target_spec, report)
+    if report.is_session:
+        original, steps = report.trace, decode_trace(report.trace)
+    else:
+        original = report.packet
+        steps = [TraceStep(model_name=report.model_name, packet=original)]
+    if checker.crash_step(steps) is None:
         return MinimizationResult(
-            original=report.packet, minimized=report.packet,
-            dedup_key=key, confirmed=False,
-            executions=checker.executions - started)
+            original=original, minimized=original, dedup_key=checker.key,
+            confirmed=False, executions=checker.executions)
 
-    def reproduces(candidate: bytes) -> bool:
-        return checker.crash_key(candidate) == key
-
-    pit = target_spec.make_pit()
     budget = [max_executions]
-    best = report.packet
-    while budget[0] > 0:
-        shrunk = shrink_fields(pit, best, reproduces, budget)
+    improved = True
+    while improved and budget[0] > 0:
+        steps, improved = _drop_steps(checker, steps, budget)
+        crash_at = checker.crash_step(steps)
+        packet = steps[crash_at].packet
+
+        def with_packet(candidate: bytes) -> List[TraceStep]:
+            return steps[:crash_at] + \
+                [replace(steps[crash_at], packet=candidate)] + \
+                steps[crash_at + 1:]
+
+        def reproduces(candidate: bytes) -> bool:
+            return checker.crash_step(with_packet(candidate)) is not None
+
+        shrunk = shrink_fields(checker.pit, packet, reproduces, budget)
         shrunk = ddmin_bytes(shrunk, reproduces, budget)
-        if len(shrunk) >= len(best):
-            break
-        best = shrunk
-    final = checker.run(best, report.model_name)
+        if len(shrunk) < len(packet):
+            steps = with_packet(shrunk)
+            improved = True
+
+    final = checker.report(steps)
+    if not report.is_session:
+        minimized = steps[0].packet
+    else:
+        minimized = encode_trace(steps)
+        if final is not None:
+            final.trace = minimized
+            final.crash_step = checker.crash_step(steps)
     return MinimizationResult(
-        original=report.packet, minimized=best, dedup_key=key,
-        confirmed=True, executions=checker.executions - started,
-        report=final.crash)
+        original=original, minimized=minimized, dedup_key=checker.key,
+        confirmed=True, executions=checker.executions, report=final)

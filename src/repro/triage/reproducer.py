@@ -29,7 +29,8 @@ fuzzer ran it.  An endpoint on the command line overrides NET_URL:
     {slug}.py tcp://other-host:2404
 
 Exit status 0 = crash reproduced with the expected signature, 1 = it
-did not (bug fixed, endpoint drift, or a non-peachstar endpoint).
+did not (bug fixed or endpoint drift), 2 = no verdict: the endpoint is
+malformed, unreachable, or does not speak the peachstar envelope.
 
 Generated by `peachstar triage`; needs the repro package importable
 (e.g. PYTHONPATH=src when run from the repository root).
@@ -37,6 +38,7 @@ Generated by `peachstar triage`; needs the repro package importable
 
 import sys
 
+from repro.net.target import NetTargetError, make_socket_target
 from repro.protocols import get_target
 from repro.runtime.target import Target
 from repro.state import TraceBinder, decode_trace
@@ -51,6 +53,11 @@ PAYLOAD = bytes.fromhex(
 )
 
 
+def no_verdict(exc) -> int:
+    print(f"error: {{exc}}", file=sys.stderr)
+    return 2
+
+
 def main() -> int:
     spec = get_target(TARGET)
     url = sys.argv[1] if len(sys.argv) > 1 else NET_URL
@@ -58,8 +65,10 @@ def main() -> int:
         target = Target(spec.make_server, None)
         where = TARGET
     else:
-        from repro.net.target import make_socket_target
-        target = make_socket_target(url, target_name=TARGET)
+        try:
+            target = make_socket_target(url, target_name=TARGET)
+        except ValueError as exc:  # a malformed endpoint
+            return no_verdict(exc)
         where = f"{{TARGET}} at {{url}}"
     try:
         if IS_TRACE:
@@ -69,6 +78,8 @@ def main() -> int:
                 TraceBinder(spec.make_pit(), steps))
         else:
             result = target.run(PAYLOAD)
+    except NetTargetError as exc:  # an unreachable endpoint
+        return no_verdict(exc)
     finally:
         target.close()
     if result.crash is None:

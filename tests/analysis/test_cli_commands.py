@@ -70,6 +70,18 @@ class TestNetEndpointErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cannot connect" in err
 
+    @pytest.mark.parametrize("url", ["garbage", "tcp://nohost"])
+    def test_triage_malformed_net_url_exits_2(self, tmp_path, capsys, url):
+        """The endpoint the exported scripts replay against is checked
+        before any campaign runs, so no script is written."""
+        out_dir = tmp_path / "repro"
+        assert main(["triage", "libmodbus", "--seed", "7", "--net-url", url,
+                     "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and url in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_out_of_range_timeout_exits_2(self, capsys):
         assert main(["fuzz", "iec104", "--target-url", "loopback",
                      "--net-framing", "raw", "--timeout-ms", "0"]) == 2

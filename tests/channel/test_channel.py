@@ -23,8 +23,7 @@ import random
 import pytest
 
 from repro.channel import (
-    FAULT_KINDS, Channel, DirectChannel, DivergenceChecker, FaultingChannel,
-    make_oracle, minimize_divergence,
+    FAULT_KINDS, Channel, DirectChannel, FaultingChannel, make_oracle,
 )
 from repro.channel.oracle import KIND_CROSS_STACK, KIND_PARSE
 from repro.core import (
@@ -33,8 +32,9 @@ from repro.core import (
 from repro.protocols import get_target
 from repro.runtime.target import Target
 from repro.sanitizer.report import CrashDatabase
+from repro.state import TraceStep
 from repro.store.workspace import CampaignWorkspace
-from repro.triage import triage_reports
+from repro.triage import CrashChecker, minimize_crash, triage_reports
 
 
 class ScriptedRng:
@@ -339,12 +339,12 @@ class TestMinimizeDivergence:
                 report = findings[0]
                 break
         assert report is not None
-        result = minimize_divergence(_IEC104, report)
+        result = minimize_crash(_IEC104, report)
         assert result.confirmed
         assert len(result.minimized) <= len(result.original)
-        checker = DivergenceChecker(_IEC104)
-        assert report.dedup_key in checker.divergence_keys(
-            result.minimized, report.model_name)
+        checker = CrashChecker(_IEC104, report)
+        assert checker.crash_step(
+            [TraceStep(report.model_name, result.minimized)]) == 0
         assert result.report is not None
         assert result.report.dedup_key == report.dedup_key
 
@@ -354,7 +354,7 @@ class TestMinimizeDivergence:
             kind=KIND_PARSE, site="iec104.startdt:bogus",
             detail="", packet=_default_wire("iec104.startdt"),
             model_name="iec104.startdt", execution_index=0)
-        result = minimize_divergence(_IEC104, report)
+        result = minimize_crash(_IEC104, report)
         assert not result.confirmed
         assert result.minimized == report.packet
 

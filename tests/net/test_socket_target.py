@@ -23,6 +23,7 @@ Everything binds port 0: the matrix never collides with a busy port.
 
 import asyncio
 import os
+import socket
 import struct
 import subprocess
 import sys
@@ -450,3 +451,29 @@ class TestSocketReproducers:
         assert socket_line == "crashed at step 3/3 " \
                               "(modbus.write_multiple_registers)"
         assert _crashed_at_line(_replay(in_process)) == socket_line
+
+    @pytest.mark.parametrize("endpoint,message", [
+        ("closed", "cannot connect to 127.0.0.1:"),
+        ("tcp://nohost", "malformed tcp:// url: 'tcp://nohost'"),
+    ], ids=["closed-port", "malformed-url"])
+    def test_bad_endpoint_gives_no_verdict(self, tmp_path, endpoint,
+                                           message):
+        """A script that cannot reach its endpoint says so and exits 2,
+        which is not the exit 1 of a crash that no longer reproduces."""
+        if endpoint == "closed":
+            # bind a port, then close it: nothing listens there any more
+            probe = socket.socket()
+            probe.bind(("127.0.0.1", 0))
+            endpoint = f"tcp://127.0.0.1:{probe.getsockname()[1]}"
+            probe.close()
+        spec = get_target("libmodbus")
+        packet = _modbus_crash_trace()[-1].packet
+        report = Target(spec.make_server, None).run(packet).crash
+        _, script = export_reproducer(str(tmp_path), "packet", spec.name,
+                                      report)
+        proc = subprocess.run([sys.executable, script, endpoint],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC_ROOT))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr

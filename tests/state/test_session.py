@@ -23,16 +23,19 @@ from repro.core import (
     CampaignConfig, resume_campaign, resume_fleet, run_campaign, run_fleet,
 )
 from repro.core.campaign import make_engine
-from repro.protocols import TARGET_NAMES, all_targets, get_target
+from repro.protocols import (
+    PROTOCOLS_PATH_PREFIX, TARGET_NAMES, all_targets, get_target,
+)
+from repro.runtime.instrument import make_line_collector
 from repro.runtime.target import Target
+from repro.sanitizer.errors import SimSegv
 from repro.state import (
     StateModelError, TraceBinder, TraceStep, decode_trace, encode_trace,
     is_trace_blob, trace_model_name,
 )
 from repro.state.model import State, StateModel, Transition
-from repro.state.triage import TraceChecker, minimize_trace
 from repro.store import CampaignWorkspace
-from repro.triage import triage_reports
+from repro.triage import CrashChecker, minimize_crash, triage_reports
 
 #: since PR 5 every target ships a hand-written state model
 SESSION_TARGETS = TARGET_NAMES
@@ -431,11 +434,41 @@ class TestSessionFleet:
                 assert is_trace_blob(blob)
 
 
+class _ArmedServer:
+    """Faults on a frame holding ``b"fire"``, but only once an
+    ``b"arm"`` frame has armed the session: a crash that needs its
+    prefix."""
+
+    def __init__(self):
+        self.armed = False
+
+    def handle_packet(self, heap, data):
+        if data == b"arm":
+            self.armed = True
+        elif self.armed and b"fire" in data:
+            raise SimSegv("scripted:armed-fire")
+        return b"ok"
+
+    def reset(self):
+        self.armed = False
+
+
+class _ArmedSpec:
+    """A target whose one crash is state-gated.  It has no data models,
+    so ddmin alone shrinks the firing step."""
+
+    name = "armed"
+    make_server = _ArmedServer
+    make_pit = list
+
+
 class TestSessionTriage:
-    def _crash_report(self, steps):
-        spec = get_target("libmodbus")
-        checker = TraceChecker(spec)
-        result = checker.run(steps)
+    def _crash_report(self, steps, spec=None):
+        spec = spec or get_target("libmodbus")
+        result = Target(
+            spec.make_server, make_line_collector((PROTOCOLS_PATH_PREFIX,))
+        ).run_trace([(step.packet, step.model_name) for step in steps],
+                    TraceBinder(spec.make_pit(), steps))
         assert result.crashed
         report = result.crash
         report.trace = encode_trace(steps)
@@ -445,7 +478,7 @@ class TestSessionTriage:
     def test_minimize_drops_steps_then_shrinks_the_crasher(self):
         steps = _modbus_crash_trace()
         spec, report = self._crash_report(steps)
-        minimization = minimize_trace(spec, report)
+        minimization = minimize_crash(spec, report)
         assert minimization.confirmed
         assert minimization.reduced
         minimized = decode_trace(minimization.minimized)
@@ -457,18 +490,32 @@ class TestSessionTriage:
         assert minimization.report.trace == minimization.minimized
 
     def test_prefix_dependent_crash_keeps_its_prefix(self):
-        """A trace whose crash needs the stateful prefix must not lose
-        it: STOPDT must survive minimization when the crash only
-        happens while stopped."""
-        # libmodbus has no state-gated crash; emulate with the UAF in a
-        # longer trace where only the crashing step is essential, and
-        # assert minimization never returns a non-reproducing trace.
+        """Minimization never returns a trace that no longer reproduces.
+
+        The libmodbus UAF needs no prefix, so this row pins only that;
+        the armed row below pins a prefix step the crash needs."""
         steps = _modbus_crash_trace()
         spec, report = self._crash_report(steps)
-        minimization = minimize_trace(spec, report)
-        checker = TraceChecker(spec)
-        assert checker.crash_key(decode_trace(minimization.minimized)) == \
-            report.dedup_key
+        minimization = minimize_crash(spec, report)
+        checker = CrashChecker(spec, report)
+        assert checker.crash_step(
+            decode_trace(minimization.minimized)) is not None
+
+    def test_crash_that_needs_its_prefix_keeps_the_arming_step(self):
+        """Step dropping removes the noise around the arming step but
+        never the arming step itself, and the firing step shrinks."""
+        steps = [TraceStep("noise", b"hello"), TraceStep("arm", b"arm"),
+                 TraceStep("noise", b"world"),
+                 TraceStep("fire", b"..fire..")]
+        spec, report = self._crash_report(steps, _ArmedSpec)
+        assert report.crash_step == 3
+        minimization = minimize_crash(spec, report)
+        assert minimization.confirmed
+        minimized = decode_trace(minimization.minimized)
+        assert [step.packet for step in minimized] == [b"arm", b"fire"]
+        assert CrashChecker(spec, report).crash_step(minimized) == 1
+        assert minimization.report.dedup_key == report.dedup_key
+        assert minimization.report.crash_step == 1
 
     def test_triage_pipeline_routes_session_crashes(self, tmp_path):
         steps = _modbus_crash_trace()

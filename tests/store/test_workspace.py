@@ -245,6 +245,8 @@ class TestHostileManifest:
         (_set_config(net=5), r"key 'net' is 5, not a JSON object"),
         (_set_config(net={"timeout_ms": -5.0}),
          r"timeout_ms -5\.0 is not > 0"),
+        (_set_config(net={"url": "tcp://nohost"}),
+         r"malformed tcp:// url: 'tcp://nohost'"),
         (_set_config(record_every=0), r"record_every 0 < 1"),
         (_set_config(checkpoint_every=0), r"checkpoint_every 0 < 1"),
         (_set_config(budget_hours=0), r"budget_hours 0 is not > 0"),
@@ -261,7 +263,8 @@ class TestHostileManifest:
             "semantic_batch-float", "unknown-key", "budget_hours-str",
             "record_every-float", "pin_prob-bool", "sessions-int",
             "differential-str", "net-unknown-key", "net-str-int",
-            "net-not-object", "net-timeout-negative", "record_every-0",
+            "net-not-object", "net-timeout-negative", "net-url-no-port",
+            "record_every-0",
             "checkpoint_every-0", "budget_hours-0", "max_executions-negative",
             "channel_burst-negative", "channel_faults-above-1",
             "pin_prob-negative", "unknown-target", "unknown-engine"])

@@ -1,4 +1,4 @@
-"""Shared fixture: one real crashing campaign, harvested once."""
+"""Shared fixtures: real campaigns' findings, harvested once."""
 
 import pytest
 
@@ -14,3 +14,16 @@ def lib60870_crashes():
                           config=CampaignConfig(budget_hours=24.0))
     assert result.unique_crashes, "campaign should crash lib60870"
     return spec, result.unique_crashes
+
+
+@pytest.fixture(scope="session")
+def iec104_fault_findings():
+    """Crashes and divergences of an iec104 campaign under channel
+    faults (at seed 1 its findings are divergences: many of them, so a
+    checker shared across findings would show in the counts)."""
+    spec = get_target("iec104")
+    result = run_campaign("peach-star", spec, seed=1,
+                          config=CampaignConfig(budget_hours=24.0,
+                                                channel_faults=0.25))
+    assert len(result.unique_divergences) > 1
+    return spec, result.unique_crashes + result.unique_divergences

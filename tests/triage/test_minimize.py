@@ -3,6 +3,7 @@
 import pytest
 
 from repro.protocols import get_target
+from repro.state import TraceStep
 from repro.triage import CrashChecker, ddmin_bytes, minimize_crash
 from repro.triage.minimize import shrink_fields
 
@@ -72,13 +73,14 @@ class TestShrinkFields:
 class TestMinimizeCrash:
     def test_minimized_keeps_dedup_key_and_shrinks(self, lib60870_crashes):
         spec, crashes = lib60870_crashes
-        checker = CrashChecker(spec)
         reduced_any = False
         for report in crashes:
-            outcome = minimize_crash(spec, report, checker=checker)
+            outcome = minimize_crash(spec, report)
             assert outcome.confirmed
             assert len(outcome.minimized) <= len(outcome.original)
-            assert checker.crash_key(outcome.minimized) == report.dedup_key
+            checker = CrashChecker(spec, report)
+            assert checker.crash_step(
+                [TraceStep(report.model_name, outcome.minimized)]) == 0
             assert outcome.report is not None
             assert outcome.report.dedup_key == report.dedup_key
             reduced_any = reduced_any or outcome.reduced

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from repro.analysis import render_triage_table
 from repro.triage import reproducer_script, triage_reports
 
@@ -24,11 +26,14 @@ class TestTriagePipeline:
             with open(crash.packet_path, "rb") as handle:
                 assert handle.read() == crash.final_packet
 
-    def test_pooled_minimization_matches_serial(self, lib60870_crashes):
+    @pytest.mark.parametrize("findings", ["lib60870_crashes",
+                                          "iec104_fault_findings"])
+    def test_pooled_minimization_matches_serial(self, request, findings):
         """The process-pool fan-out (jobs>1) is a wall-clock knob only:
-        per-crash minimizations are independent, so pooled results are
-        bit-identical to the serial pass."""
-        spec, crashes = lib60870_crashes
+        every finding gets its own checker in both passes, so pooled
+        results and execution counts are bit-identical to the serial
+        pass."""
+        spec, crashes = request.getfixturevalue(findings)
         serial = triage_reports(spec, crashes, jobs=1)
         pooled = triage_reports(spec, crashes, jobs=2)
 
