@@ -9,8 +9,9 @@
 #   make test-matrix — the cross-protocol conformance matrix plus the
 #                      channel-fault/differential-oracle, live-network
 #                      (socket/serve), sparse-vs-vector coverage parity,
-#                      batch-size identity, workspace manifest/
-#                      checkpoint compatibility and collector reset/arm
+#                      batch-size identity, workspace and fleet store
+#                      (manifest/checkpoint compatibility, damaged
+#                      records, kill/resume) and collector reset/arm
 #                      contract (settrace and monitoring) suites
 #   make fleet-demo  — a small synced 4-shard fleet in /tmp, rendered
 #                      with the per-shard/merged summary table
@@ -40,7 +41,7 @@ test-matrix:
 		tests/net tests/runtime/test_vector_parity.py \
 		tests/runtime/test_instrument.py tests/runtime/test_backends.py \
 		tests/core/test_batching.py tests/store/test_workspace.py \
-		$(PYTEST_ARGS)
+		tests/store/test_fleet.py $(PYTEST_ARGS)
 
 fleet-demo:
 	rm -rf $(FLEET_DEMO_DIR)

@@ -31,7 +31,9 @@ import os
 
 import pytest
 
+from repro.analysis.speedup import run_headline
 from repro.core import CampaignConfig
+from repro.protocols import all_targets
 
 BENCH_HOURS = float(os.environ.get("REPRO_BENCH_HOURS", "24"))
 BENCH_REPS = int(os.environ.get("REPRO_BENCH_REPS", "2"))
@@ -66,6 +68,25 @@ def write_artifact(name: str, payload: dict) -> str:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
+
+
+_HEADLINE = {}
+
+
+def headline():
+    """The Peach-vs-Peach* headline sweep (base seed 500), run once per
+    session and shared by the speedup and final-path benchmarks.
+
+    It lives here because pytest imports each test file under its own
+    name: a test file importing another gets a second module copy, with
+    a second cache, and the sweep would run twice.
+    """
+    if "report" not in _HEADLINE:
+        _HEADLINE["report"] = run_headline(
+            list(all_targets()), repetitions=BENCH_REPS,
+            budget_hours=BENCH_HOURS, base_seed=500, config=bench_config(),
+            jobs=BENCH_JOBS)
+    return _HEADLINE["report"]
 
 
 @pytest.fixture

@@ -2,18 +2,17 @@
 
 Reports the per-project final path increase of Peach* over Peach and the
 cross-project average (the paper reports an average of +27.35%).  Shares
-campaign runs with the speedup benchmark via its module cache when both
-are executed in one session.
+the campaign runs of the speedup benchmark (``benchmarks.conftest.headline``)
+when both are executed in one session.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import CLAIMS_ENABLED, print_block
-from benchmarks.test_speedup import _headline
+from benchmarks.conftest import CLAIMS_ENABLED, headline, print_block
 
 
 def test_final_path_increase(benchmark):
-    report = benchmark.pedantic(_headline, rounds=1, iterations=1)
+    report = benchmark.pedantic(headline, rounds=1, iterations=1)
     rows = "\n".join(
         f"  {s.target_name:<13} {s.peach_final_paths:7.1f} -> "
         f"{s.star_final_paths:7.1f}  ({s.path_increase_pct:+6.2f}%)"

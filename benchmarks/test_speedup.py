@@ -8,25 +8,11 @@ ratio — the paper's "achieves the same code coverage at the speed of
 
 from __future__ import annotations
 
-from benchmarks.conftest import BENCH_HOURS, BENCH_JOBS, BENCH_REPS, \
-    bench_config, print_block
-from repro.analysis.speedup import run_headline
-from repro.protocols import all_targets
-
-_CACHE = {}
-
-
-def _headline():
-    if "report" not in _CACHE:
-        _CACHE["report"] = run_headline(
-            list(all_targets()), repetitions=BENCH_REPS,
-            budget_hours=BENCH_HOURS, base_seed=500, config=bench_config(),
-            jobs=BENCH_JOBS)
-    return _CACHE["report"]
+from benchmarks.conftest import headline, print_block
 
 
 def test_speedup_to_equal_coverage(benchmark):
-    report = benchmark.pedantic(_headline, rounds=1, iterations=1)
+    report = benchmark.pedantic(headline, rounds=1, iterations=1)
     print_block(
         "Speed to equal coverage (paper: 1.2X-25X, avg 5.7X)",
         report.render())

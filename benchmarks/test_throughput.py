@@ -35,12 +35,13 @@ HEADLINE_TARGET = "libmodbus"
 HEADLINE_SEED = 500
 #: fleet-vs-serial comparison: shards of the headline campaign.  Sync
 #: is deliberately sparse (AFL syncs far less often than it fuzzes):
-#: each round pays a pool spin-up plus the file-level exchange, so the
-#: cadence dominates fleet wall-clock at benchmark scale.
+#: each round pays a barrier, a shard restore and the file-level
+#: exchange (the fleet keeps one pool across rounds), so the cadence
+#: dominates fleet wall-clock at benchmark scale.
 FLEET_SHARDS = 3
 FLEET_SYNC_EVERY = 400
 #: floor gate on fleet_vs_serial.paths_per_sec_ratio: fleet overhead
-#: (pool spin-up, sync phases, shard checkpointing) may not drag the
+#: (one pool spin-up, sync phases, shard checkpointing) may not drag the
 #: fleet below this fraction of the serial path rate.  The committed
 #: artifact records ~0.6; the floor leaves headroom for the ratio's
 #: machine-to-machine variance.

@@ -274,8 +274,7 @@ def cmd_triage(args) -> int:
                 print(f"error: workspace belongs to {spec.name!r}, "
                       f"not {args.target!r}", file=sys.stderr)
                 return 2
-            crashes = (workspace.load_crash_reports()
-                       + workspace.load_divergence_reports())
+            crashes = workspace.load_crash_reports()
             out_dir = args.out or workspace.repro_dir
         else:
             if not args.target:

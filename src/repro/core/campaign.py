@@ -29,7 +29,9 @@ from repro.runtime.coverage import make_coverage_map, make_global_coverage
 from repro.runtime.instrument import HANG_BUDGET, make_line_collector
 from repro.runtime.target import Target
 from repro.sanitizer.report import CrashReport
-from repro.store.workspace import CampaignWorkspace, WorkspaceError
+from repro.store.workspace import (
+    CampaignWorkspace, WorkspaceError, bucketed_hits,
+)
 
 #: iterations per ``GenerationFuzzer.iterate_batch`` call in the driver
 #: loop; any value gives the same campaign (pinned in tests/core)
@@ -459,13 +461,13 @@ def _drive_campaign_loop(engine_name: str, target_spec, seed: int,
                                            outcome.hours)
             if workspace is not None:
                 for report in outcome.new_divergences:
-                    workspace.record_divergence(report, outcome.hours)
+                    workspace.record_crash(report, outcome.hours)
             if workspace is not None and outcome.valuable:
                 # outcome.result.coverage is the map that made the seed
                 # valuable — the collector map itself for single-packet
                 # runs, the step-accumulated trace map in session mode
                 workspace.record_seed(outcome.seed,
-                                      outcome.result.coverage)
+                                      bucketed_hits(outcome.result.coverage))
             if executions // config.record_every > record_bucket:
                 record_bucket = executions // config.record_every
                 series.append((outcome.hours, outcome.paths))
@@ -653,29 +655,41 @@ def default_worker_count() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
+def open_pool(tasks: int, max_workers: Optional[int]
+              ) -> Optional[ProcessPoolExecutor]:
+    """A process pool for *tasks* independent tasks, or ``None`` to run
+    them in-process.
+
+    ``None`` when only one worker is requested (*max_workers* ``None`` =
+    :func:`default_worker_count`), there is at most one task, or the
+    platform refuses to give us a process pool.
+    """
+    if max_workers is None:
+        max_workers = default_worker_count()
+    if tasks <= 1 or max_workers <= 1:
+        return None
+    try:
+        return ProcessPoolExecutor(max_workers=min(max_workers, tasks))
+    except OSError:
+        # sandboxed/exotic platforms that refuse a pool: degrade to
+        # serial, same results.  Failures *inside* a running pool are
+        # deliberately not swallowed — re-running the whole batch would
+        # silently double the work.
+        return None
+
+
 def fan_out(worker: Callable, tasks: Sequence, *,
             max_workers: Optional[int] = None) -> list:
     """``[worker(task) for task in tasks]``, fanned out across processes.
 
     Results come back in task order, so the output is identical to the
     serial loop whenever the tasks are independent — parallelism only
-    changes wall-clock time.  *worker* and the tasks must pickle.  Runs
-    in-process when only one worker is requested (``None`` =
-    :func:`default_worker_count`), there is only one task, or the
-    platform refuses to give us a process pool.
+    changes wall-clock time.  *worker* and the tasks must pickle; see
+    :func:`open_pool` for when the tasks run in-process.
     """
     tasks = list(tasks)
-    if max_workers is None:
-        max_workers = default_worker_count()
-    if len(tasks) <= 1 or max_workers <= 1:
-        return [worker(task) for task in tasks]
-    try:
-        pool = ProcessPoolExecutor(max_workers=min(max_workers, len(tasks)))
-    except OSError:
-        # sandboxed/exotic platforms that refuse a pool: degrade to
-        # serial, same results.  Failures *inside* a running pool are
-        # deliberately not swallowed — re-running the whole batch would
-        # silently double the work.
+    pool = open_pool(len(tasks), max_workers)
+    if pool is None:
         return [worker(task) for task in tasks]
     with pool:
         return list(pool.map(worker, tasks))

@@ -31,14 +31,12 @@ bit-identical to one that was never interrupted — the same guarantee
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.campaign import (
     CampaignConfig, CampaignResult, _drive_campaign, config_to_dict,
-    default_worker_count, rebuild_workspace_engine,
-    validate_campaign_config,
+    open_pool, rebuild_workspace_engine, validate_campaign_config,
 )
 from repro.core.seedpool import ValuableSeed
 from repro.core.stats import merge_crash_reports, merge_divergence_reports
@@ -106,8 +104,7 @@ def _absorb_imports(engine, workspace: CampaignWorkspace,
     """Adopt staged sibling seeds: coverage, seed pool, puzzle corpus."""
     pool = engine.seed_pool
     for meta in entries:
-        with open(meta["_bin"], "rb") as handle:
-            packet = handle.read()
+        packet = workspace.read_blob(meta)
         bucketed = meta["map"]
         pool.coverage.merge_bucketed(bucketed)
         seed = ValuableSeed(
@@ -121,8 +118,8 @@ def _absorb_imports(engine, workspace: CampaignWorkspace,
         )
         pool.seeds.append(seed)
         engine.stats.imported_seeds += 1
-        workspace.record_import(seed, bucketed, sync_round,
-                                meta["src_shard"], meta["src_exec"])
+        workspace.record_seed(
+            seed, bucketed, (sync_round, meta["src_shard"], meta["src_exec"]))
         # feedback engines crack the import into the puzzle corpus the
         # same way a local valuable seed is cracked (baseline: no-op)
         engine._on_valuable_seed(seed)
@@ -152,15 +149,6 @@ def _fleet_shard_worker(task: _ShardTask) -> Optional[CampaignResult]:
                            pause_after_executions=pause_at)
 
 
-def _map_shard_tasks(tasks: List[_ShardTask],
-                     pool: Optional[ProcessPoolExecutor]
-                     ) -> List[Optional[CampaignResult]]:
-    """Fan one round's shard tasks out (``pool`` None = in-process)."""
-    if pool is None or len(tasks) <= 1:
-        return [_fleet_shard_worker(task) for task in tasks]
-    return list(pool.map(_fleet_shard_worker, tasks))
-
-
 # ---------------------------------------------------------------------------
 # sync phase (parent side)
 # ---------------------------------------------------------------------------
@@ -186,19 +174,19 @@ class _ShardSyncState:
         #: locally-discovered (meta, map) pairs — the shard as exporter
         self.exports: List[tuple] = []
 
-    def refresh(self, fleet: FleetWorkspace, shard: int) -> None:
-        self.offset, lines = fleet.read_journal(shard, self.offset)
+    def refresh(self, workspace: CampaignWorkspace) -> None:
+        self.offset, lines = workspace.read_coverage_journal(self.offset)
         for line in lines:
             self.coverage.merge_bucketed(line["map"])
             if "sync_round" in line:
                 continue  # imports are not relayed: every shard scans
                 # every sibling directly, so forwarding only duplicates
-            meta = fleet.local_corpus_meta(shard, line["exec"])
+            meta = workspace.corpus_entry(line["exec"])
             if meta is not None:
                 self.exports.append((meta, line["map"]))
 
 
-def _sync_phase(fleet: FleetWorkspace, manifest: dict, sync_round: int,
+def _sync_phase(fleet: FleetWorkspace, sync_round: int,
                 states: Dict[int, _ShardSyncState]) -> None:
     """Stage cross-shard seeds for *sync_round* into every inbox.
 
@@ -210,24 +198,22 @@ def _sync_phase(fleet: FleetWorkspace, manifest: dict, sync_round: int,
     entries.  Redoing an interrupted phase rewrites the same files,
     which is what lets a killed fleet resume exactly.
     """
-    shards = manifest["shards"]
-    for shard in range(shards):
-        states[shard].refresh(fleet, shard)
-    for shard in range(shards):
-        workspace = fleet.shard_workspace(shard)
+    workspaces = fleet.shard_workspaces()
+    for shard, workspace in enumerate(workspaces):
+        states[shard].refresh(workspace)
+    for shard, workspace in enumerate(workspaces):
         if workspace.load_result() is not None:
             continue  # finished shards never fuzz again: no inbox
         coverage = states[shard].coverage
-        for src in range(shards):
+        for src, source in enumerate(workspaces):
             if src == shard:
                 continue
             for meta, bucketed in states[src].exports:
                 if not coverage.merge_bucketed(bucketed):
                     continue
-                with open(meta["_bin"], "rb") as handle:
-                    packet = handle.read()
                 workspace.write_inbox_entry(
-                    sync_round, src, meta["execution_index"], packet, {
+                    sync_round, src, meta["execution_index"],
+                    source.read_blob(meta), {
                         "src_shard": src,
                         "src_exec": meta["execution_index"],
                         "model_name": meta["model_name"],
@@ -241,22 +227,6 @@ def _sync_phase(fleet: FleetWorkspace, manifest: dict, sync_round: int,
 # the round loop (shared by run_fleet and resume_fleet)
 # ---------------------------------------------------------------------------
 
-def _make_pool(shards: int,
-               max_workers: Optional[int]
-               ) -> Optional[ProcessPoolExecutor]:
-    """One process pool for the whole fleet, or ``None`` for serial
-    (same fallback contract as
-    :func:`~repro.core.campaign.run_campaign_batch`)."""
-    if max_workers is None:
-        max_workers = default_worker_count()
-    if shards <= 1 or max_workers <= 1:
-        return None
-    try:
-        return ProcessPoolExecutor(max_workers=min(max_workers, shards))
-    except OSError:
-        return None  # platforms without process pools degrade to serial
-
-
 def _round_loop(fleet: FleetWorkspace, *,
                 max_workers: Optional[int],
                 stop_after_rounds: Optional[int],
@@ -267,7 +237,9 @@ def _round_loop(fleet: FleetWorkspace, *,
     sync_every = manifest["sync_every"]
     results: Dict[int, CampaignResult] = {}
     states = {shard: _ShardSyncState() for shard in range(shards)}
-    pool = _make_pool(shards, max_workers)
+    # one pool serves every round: workers are stateless
+    pool = open_pool(shards, max_workers)
+    run = map if pool is None else pool.map
     try:
         while True:
             current_round = fleet.synced_rounds + 1
@@ -281,7 +253,7 @@ def _round_loop(fleet: FleetWorkspace, *,
                  kill_shards_at_executions if killing else None,
                  fleet.synced_rounds)
                 for shard in pending]
-            outcomes = _map_shard_tasks(tasks, pool)
+            outcomes = list(run(_fleet_shard_worker, tasks))
             if killing:
                 return None  # simulated fleet-wide SIGKILL mid-round
             for shard, outcome in zip(pending, outcomes):
@@ -292,7 +264,7 @@ def _round_loop(fleet: FleetWorkspace, *,
             if stop_after_rounds is not None and \
                     current_round >= stop_after_rounds:
                 return None  # simulated kill at the round barrier
-            _sync_phase(fleet, manifest, current_round, states)
+            _sync_phase(fleet, current_round, states)
             fleet.record_sync_round(current_round)
     finally:
         if pool is not None:

@@ -13,6 +13,8 @@ Each shard is an ordinary :class:`~repro.store.workspace.CampaignWorkspace`
 — the same corpus/crash/journal/checkpoint files, the same restore
 semantics — plus an ``inbox/`` of cross-shard seeds staged by the fleet
 driver's sync phases (AFL-style sync dirs, pure file-level exchange).
+The fleet reads and writes shard files only through that shard's
+workspace, and its own files through the same record seam.
 
 ``sync_state.json`` is the fleet-level recovery point: the driver bumps
 it atomically only after a sync phase has staged every shard's inbox, so
@@ -25,10 +27,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.store.workspace import (
     STATE_FORMAT, CampaignWorkspace, WorkspaceError, _atomic_write,
+    _load_json, _write_json,
 )
 
 
@@ -76,20 +79,13 @@ class FleetWorkspace:
             "sync_every": sync_every,
             "config": config_dict,
         }
-        _atomic_write(self._manifest_path,
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _write_json(self._manifest_path, manifest)
 
     def load_manifest(self) -> dict:
         if not self.exists:
             raise WorkspaceError(f"{self.root} is not a fleet workspace "
                                  "(no fleet.json)")
-        with open(self._manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        if manifest.get("format") != STATE_FORMAT:
-            raise WorkspaceError(
-                f"fleet format {manifest.get('format')!r} is not "
-                f"supported (expected {STATE_FORMAT})")
-        return manifest
+        return _load_json(self._manifest_path, "fleet")
 
     # ------------------------------------------------------------------
     # shards
@@ -114,57 +110,8 @@ class FleetWorkspace:
         """Sync phases completed (inboxes fully staged for that round)."""
         if not os.path.exists(self._sync_state_path):
             return 0
-        with open(self._sync_state_path, encoding="utf-8") as handle:
-            return json.load(handle)["synced_rounds"]
+        return _load_json(self._sync_state_path)["synced_rounds"]
 
     def record_sync_round(self, sync_round: int) -> None:
         _atomic_write(self._sync_state_path,
                       json.dumps({"synced_rounds": sync_round}) + "\n")
-
-    # ------------------------------------------------------------------
-    # sync-phase readers (the parent-side selection inputs)
-    # ------------------------------------------------------------------
-
-    def read_journal(self, shard: int,
-                     offset: int) -> Tuple[int, List[dict]]:
-        """Complete coverage-journal lines appended since byte *offset*.
-
-        Returns ``(new_offset, lines)``.  Only whole lines (trailing
-        newline present) are consumed, and a record that does not
-        decode is skipped: a SIGKILL landing mid-append leaves a torn
-        tail, which the shard's next restore prunes and regenerates —
-        the parent must not trip over it meanwhile.  The driver calls
-        this only at round barriers, so between calls the journal is
-        append-only and the offset stays valid.
-        """
-        path = os.path.join(self.shard_dir(shard), "coverage.jsonl")
-        if not os.path.exists(path):
-            return offset, []
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            blob = handle.read()
-        end = blob.rfind(b"\n")
-        if end < 0:
-            return offset, []
-        lines = []
-        for raw in blob[:end].split(b"\n"):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                lines.append(json.loads(raw))
-            except ValueError:
-                continue
-        return offset + end + 1, lines
-
-    def local_corpus_meta(self, shard: int,
-                          exec_index: int) -> Optional[dict]:
-        """Metadata (+ ``_bin`` path) of one locally-discovered seed."""
-        path = os.path.join(self.shard_dir(shard), "corpus",
-                            f"{exec_index:07d}.json")
-        if not os.path.exists(path):
-            return None
-        with open(path, encoding="utf-8") as handle:
-            meta = json.load(handle)
-        meta["_bin"] = path[:-len(".json")] + ".bin"
-        return meta

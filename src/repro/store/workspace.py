@@ -30,6 +30,14 @@ the checkpoint and the resumed campaign deterministically regenerates
 the pruned tail, which is why a killed-and-resumed campaign finishes
 bit-identical to an uninterrupted one.
 
+Every file a campaign or fleet workspace writes or reads goes through
+the module-level record helpers below (the record seam): a *record* is
+a ``<stem>.bin`` blob plus its ``<stem>.json`` metadata, a *journal* an
+append-only JSON-lines file, and the manifests and checkpoint are
+format-checked JSON.  Resume fails with :class:`WorkspaceError`, never
+a raw ``OSError``, when a record's blob is missing or a journal line
+other than a torn final one does not decode.
+
 This module deliberately imports nothing from :mod:`repro.core` at
 module level (the campaign driver imports it); engine classes are only
 touched through attributes and late imports.
@@ -54,6 +62,8 @@ class WorkspaceError(RuntimeError):
     """Raised for missing, corrupt or conflicting workspace state."""
 
 
+# -- the record seam ----------------------------------------------------------
+
 def _atomic_write(path: str, payload: str) -> None:
     """Durably replace *path* with *payload*.
 
@@ -74,6 +84,153 @@ def _atomic_write(path: str, payload: str) -> None:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+def _write_json(path: str, blob) -> None:
+    """Atomically write *blob* as indented, key-sorted JSON."""
+    _atomic_write(path, json.dumps(blob, indent=2, sort_keys=True) + "\n")
+
+
+def _write_record(stem: str, blob: bytes, meta: dict) -> None:
+    """Write one record: the ``.bin`` blob, then its ``.json`` metadata,
+    so a ``.json`` on disk names a blob that was written before it."""
+    with open(stem + ".bin", "wb") as handle:
+        handle.write(blob)
+    _write_json(stem + ".json", meta)
+
+
+def _load_json(path: str, label: Optional[str] = None):
+    """Decode one JSON file; with *label* it is a manifest or checkpoint
+    and must carry this version's ``format``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            blob = json.load(handle)
+        except ValueError:
+            raise WorkspaceError(f"{path} does not decode as JSON; "
+                                 "workspace is corrupt") from None
+    if label is not None:
+        found = blob.get("format") if isinstance(blob, dict) else None
+        if found != STATE_FORMAT:
+            raise WorkspaceError(
+                f"{label} format {found!r} is not supported (expected "
+                f"{STATE_FORMAT}); it was written by an incompatible "
+                "version")
+    return blob
+
+
+def _load_record(stem: str) -> dict:
+    """One record's metadata, carrying its ``_stem`` for the blob."""
+    meta = _load_json(stem + ".json")
+    meta["_stem"] = stem
+    return meta
+
+
+def _list_records(directory: str) -> List[dict]:
+    """Every record in *directory*, in name order."""
+    if not os.path.isdir(directory):
+        return []
+    return [_load_record(os.path.join(directory, name[:-len(".json")]))
+            for name in sorted(os.listdir(directory))
+            if name.endswith(".json")]
+
+
+def _read_blob(meta: dict) -> bytes:
+    """The ``.bin`` blob of a listed record."""
+    path = meta["_stem"] + ".bin"
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise WorkspaceError(f"cannot read record blob {path} "
+                             f"({exc.strerror}); workspace is "
+                             "corrupt") from None
+
+
+def _past(execution: int, record: dict, exec_limit: Optional[int],
+          sync_limit: Optional[int]) -> bool:
+    """True for a record written after the checkpoint: past
+    *exec_limit*, or from a sync round past *sync_limit*."""
+    return (exec_limit is not None and execution > exec_limit) or \
+        (sync_limit is not None and record.get("sync_round", 0) > sync_limit)
+
+
+def _load_entries(directory: str, exec_limit: Optional[int] = None,
+                  sync_limit: Optional[int] = None) -> List[dict]:
+    """The records of *directory* in discovery order.
+
+    Sorted by execution index: name order breaks ties, so a boundary
+    seed precedes the imports applied at the same index, and a
+    divergence's ``seq`` orders the findings of one execution.  Given
+    limits (restore), records past them are deleted instead — the
+    resumed loop regenerates them.
+    """
+    entries = []
+    for meta in _list_records(directory):
+        if _past(meta["execution_index"], meta, exec_limit, sync_limit):
+            os.unlink(meta["_stem"] + ".json")
+            if os.path.exists(meta["_stem"] + ".bin"):
+                os.unlink(meta["_stem"] + ".bin")
+            continue
+        entries.append(meta)
+    entries.sort(key=lambda meta: (meta["execution_index"],
+                                   meta.get("seq", 0)))
+    return entries
+
+
+def _append_line(path: str, record: dict) -> None:
+    """Append one record to a journal."""
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(record) + "\n")
+
+
+def _read_journal(path: str, offset: int = 0) -> Tuple[int, List[dict]]:
+    """Journal records from byte *offset* on, and the offset after them.
+
+    Each append writes one whole line, so a SIGKILL landing mid-append
+    can tear only the final line: it has no newline yet, or it does not
+    decode.  That line is past the last checkpoint by construction, so
+    it is left unread (the resumed loop regenerates it).  An earlier
+    line that does not decode is corruption: :class:`WorkspaceError`.
+    """
+    if not os.path.exists(path):
+        return offset, []
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        *lines, tail = handle.read().split(b"\n")
+    records = []
+    for number, raw in enumerate(lines):
+        try:
+            records.append(json.loads(raw))
+        except ValueError:
+            if number == len(lines) - 1 and not tail:
+                break  # the torn final line
+            raise WorkspaceError(
+                f"{path} is corrupt: the line at byte {offset} does not "
+                "decode and is not the last one") from None
+        offset += len(raw) + 1
+    return offset, records
+
+
+def _prune_journal(path: str, exec_limit: int,
+                   sync_limit: Optional[int] = None) -> List[dict]:
+    """Load a journal, drop records past the checkpoint (and a torn
+    final line), and rewrite it when anything was dropped."""
+    if not os.path.exists(path):
+        return []
+    end, records = _read_journal(path)
+    kept = [record for record in records
+            if not _past(record["exec"], record, exec_limit, sync_limit)]
+    if len(kept) < len(records) or end < os.path.getsize(path):
+        _atomic_write(path,
+                      "".join(json.dumps(record) + "\n" for record in kept))
+    return kept
+
+
+def bucketed_hits(coverage_map) -> List[List[int]]:
+    """A map's hits as the coverage journal stores them: ``[index,
+    bucket]`` pairs in ascending index order."""
+    return [[index, BUCKET_LUT[count]]
+            for index, count in coverage_map.iter_hits()]
 
 
 def _rng_state_to_json(state) -> list:
@@ -233,20 +390,13 @@ class CampaignWorkspace:
             "seed": seed,
             "config": config_dict,
         }
-        _atomic_write(self._config_path,
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _write_json(self._config_path, manifest)
 
     def load_manifest(self) -> dict:
         if not os.path.exists(self._config_path):
             raise WorkspaceError(f"{self.root} is not a campaign workspace "
                                  "(no config.json)")
-        with open(self._config_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        if manifest.get("format") != STATE_FORMAT:
-            raise WorkspaceError(
-                f"workspace format {manifest.get('format')!r} is not "
-                f"supported (expected {STATE_FORMAT})")
-        return manifest
+        return _load_json(self._config_path, "workspace")
 
     # ------------------------------------------------------------------
     # incremental records (append-only; may run ahead of the checkpoint)
@@ -254,68 +404,76 @@ class CampaignWorkspace:
 
     def record_sample(self, execution: int, hours: float,
                       paths: int) -> None:
-        with open(self._series_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"exec": execution, "hours": hours,
-                                     "paths": paths}) + "\n")
+        _append_line(self._series_path,
+                     {"exec": execution, "hours": hours, "paths": paths})
 
-    def record_seed(self, seed, coverage_map) -> None:
-        """Persist one valuable seed plus its coverage-journal line."""
-        stem = os.path.join(self.corpus_dir,
-                            f"{seed.execution_index:07d}")
-        with open(stem + ".bin", "wb") as handle:
-            handle.write(seed.packet)
-        meta = {
-            "execution_index": seed.execution_index,
-            "model_name": seed.model_name,
-            "sim_time_ms": seed.sim_time_ms,
-            "edges_touched": seed.edges_touched,
-            "path_hash": seed.path_hash,
-        }
-        _atomic_write(stem + ".json",
-                      json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        bucketed = [[index, BUCKET_LUT[count]]
-                    for index, count in coverage_map.iter_hits()]
-        with open(self._coverage_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps({
-                "exec": seed.execution_index,
-                "path_hash": seed.path_hash,
-                "map": bucketed,
-            }) + "\n")
+    def record_seed(self, seed, bucketed: List[List[int]],
+                    sync: Optional[Tuple[int, int, int]] = None) -> None:
+        """Persist one valuable seed plus its coverage-journal line.
 
-    def record_import(self, seed, bucketed_map: List[List[int]],
-                      sync_round: int, src_shard: int,
-                      src_exec: int) -> None:
-        """Persist one fleet-sync import exactly like a local discovery.
-
-        The stem sorts *after* a local seed of the same execution index
-        (``.`` < ``_``), matching the in-memory order: a seed discovered
-        at the round boundary precedes the imports applied there.
+        *bucketed* is the seed's map as the journal stores it (see
+        :func:`bucketed_hits`).  A fleet-sync import passes *sync*, its
+        ``(sync_round, src_shard, src_exec)`` provenance: the keys ride
+        in the metadata (the round also in the journal line), and the
+        stem suffix sorts the import *after* a local seed of the same
+        execution index (``.`` < ``_``), matching the in-memory order: a
+        seed discovered at the round boundary precedes the imports
+        applied there.
         """
-        stem = os.path.join(
-            self.corpus_dir,
-            f"{seed.execution_index:07d}_sync_r{sync_round:03d}"
-            f"_s{src_shard:03d}_{src_exec:07d}")
-        with open(stem + ".bin", "wb") as handle:
-            handle.write(seed.packet)
+        stem = f"{seed.execution_index:07d}"
         meta = {
             "execution_index": seed.execution_index,
             "model_name": seed.model_name,
             "sim_time_ms": seed.sim_time_ms,
             "edges_touched": seed.edges_touched,
             "path_hash": seed.path_hash,
-            "sync_round": sync_round,
-            "src_shard": src_shard,
-            "src_exec": src_exec,
         }
-        _atomic_write(stem + ".json",
-                      json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        with open(self._coverage_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps({
-                "exec": seed.execution_index,
-                "path_hash": seed.path_hash,
-                "map": [list(pair) for pair in bucketed_map],
-                "sync_round": sync_round,
-            }) + "\n")
+        line = {"exec": seed.execution_index, "path_hash": seed.path_hash,
+                "map": bucketed}
+        if sync is not None:
+            sync_round, src_shard, src_exec = sync
+            stem += f"_sync_r{sync_round:03d}_s{src_shard:03d}_{src_exec:07d}"
+            meta.update(sync_round=sync_round, src_shard=src_shard,
+                        src_exec=src_exec)
+            line["sync_round"] = sync_round
+        _write_record(os.path.join(self.corpus_dir, stem), seed.packet, meta)
+        _append_line(self._coverage_path, line)
+
+    def record_crash(self, report: CrashReport, hours: float) -> None:
+        """Persist one *new unique* finding: a crash in ``crashes/``, a
+        differential-oracle divergence in ``divergences/``.
+
+        The ``oracle`` meta key is what routes a divergence back to
+        :class:`~repro.channel.oracle.DivergenceReport` on load.
+        """
+        meta = {
+            "kind": report.kind,
+            "site": report.site,
+            "detail": report.detail,
+            "model_name": report.model_name,
+            "execution_index": report.execution_index,
+            "hours": hours,
+        }
+        oracle = getattr(report, "oracle", None)
+        if oracle is None:
+            directory = self.crashes_dir
+            meta["call_sites"] = list(report.call_sites)
+            if report.trace is not None:
+                # session crash: the provoking step is in .bin; the full
+                # trace needed to reproduce it rides along in the metadata
+                meta["trace"] = report.trace.hex()
+                meta["crash_step"] = report.crash_step
+        else:
+            directory = self.divergences_dir
+            os.makedirs(directory, exist_ok=True)
+            meta["oracle"] = oracle
+            # one trace can surface several findings at the same
+            # execution index, so the index alone cannot reconstruct
+            # discovery order on restore; an explicit sequence number does
+            meta["seq"] = sum(1 for name in os.listdir(directory)
+                              if name.endswith(".json"))
+        stem = os.path.join(directory, fs_slug(f"{report.kind}_{report.site}"))
+        _write_record(stem, report.packet, meta)
 
     # ------------------------------------------------------------------
     # fleet sync inbox (written by the fleet driver, consumed on resume)
@@ -334,12 +492,9 @@ class CampaignWorkspace:
         """
         directory = self.inbox_round_dir(sync_round)
         os.makedirs(directory, exist_ok=True)
-        stem = os.path.join(directory,
-                            f"s{src_shard:03d}_{src_exec:07d}")
-        with open(stem + ".bin", "wb") as handle:
-            handle.write(packet)
-        _atomic_write(stem + ".json",
-                      json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        _write_record(os.path.join(directory,
+                                   f"s{src_shard:03d}_{src_exec:07d}"),
+                      packet, meta)
 
     def load_inbox_rounds(self, after: int,
                           through: int) -> List[Tuple[int, List[dict]]]:
@@ -347,77 +502,10 @@ class CampaignWorkspace:
         deterministic application order (source shard, source exec)."""
         rounds: List[Tuple[int, List[dict]]] = []
         for sync_round in range(after + 1, through + 1):
-            directory = self.inbox_round_dir(sync_round)
-            if not os.path.isdir(directory):
-                continue
-            entries = []
-            for name in sorted(os.listdir(directory)):
-                if not name.endswith(".json"):
-                    continue
-                path = os.path.join(directory, name)
-                with open(path, encoding="utf-8") as handle:
-                    meta = json.load(handle)
-                meta["_bin"] = path[:-len(".json")] + ".bin"
-                entries.append(meta)
+            entries = _list_records(self.inbox_round_dir(sync_round))
             if entries:
                 rounds.append((sync_round, entries))
         return rounds
-
-    def crash_stem(self, report: CrashReport) -> str:
-        name = fs_slug(f"{report.kind}_{report.site}")
-        return os.path.join(self.crashes_dir, name)
-
-    def record_crash(self, report: CrashReport, hours: float) -> None:
-        """Persist one *new unique* crash input plus its metadata."""
-        stem = self.crash_stem(report)
-        with open(stem + ".bin", "wb") as handle:
-            handle.write(report.packet)
-        meta = {
-            "kind": report.kind,
-            "site": report.site,
-            "detail": report.detail,
-            "model_name": report.model_name,
-            "execution_index": report.execution_index,
-            "hours": hours,
-            "call_sites": list(report.call_sites),
-        }
-        if report.trace is not None:
-            # session crash: the provoking step is in .bin; the full
-            # trace needed to reproduce it rides along in the metadata
-            meta["trace"] = report.trace.hex()
-            meta["crash_step"] = report.crash_step
-        _atomic_write(stem + ".json",
-                      json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-    def record_divergence(self, report, hours: float) -> None:
-        """Persist one *new unique* differential-oracle finding.
-
-        Same .bin/.json pair as crashes, in ``divergences/`` — the
-        ``oracle`` meta key is what routes the report back to
-        :class:`~repro.channel.oracle.DivergenceReport` on load.
-        """
-        os.makedirs(self.divergences_dir, exist_ok=True)
-        name = fs_slug(f"{report.kind}_{report.site}")
-        stem = os.path.join(self.divergences_dir, name)
-        # one trace can surface several findings at the same execution
-        # index, so the index alone cannot reconstruct discovery order
-        # on restore; an explicit sequence number does
-        seq = sum(1 for entry in os.listdir(self.divergences_dir)
-                  if entry.endswith(".json"))
-        with open(stem + ".bin", "wb") as handle:
-            handle.write(report.packet)
-        meta = {
-            "kind": report.kind,
-            "site": report.site,
-            "detail": report.detail,
-            "model_name": report.model_name,
-            "execution_index": report.execution_index,
-            "seq": seq,
-            "hours": hours,
-            "oracle": report.oracle,
-        }
-        _atomic_write(stem + ".json",
-                      json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     # ------------------------------------------------------------------
     # checkpoints
@@ -475,25 +563,15 @@ class CampaignWorkspace:
         if not self.has_state:
             raise WorkspaceError(f"{self.root} has no state.json to "
                                  "resume from")
-        with open(self._state_path, encoding="utf-8") as handle:
-            state = json.load(handle)
-        if state.get("format") != STATE_FORMAT:
-            raise WorkspaceError(
-                f"state format {state.get('format')!r} is not supported "
-                f"(expected {STATE_FORMAT}); the checkpoint was written "
-                "by an incompatible version")
-        return state
+        return _load_json(self._state_path, "state")
 
     def finalize(self, result_dict: dict) -> None:
-        _atomic_write(self._result_path,
-                      json.dumps(result_dict, indent=2, sort_keys=True)
-                      + "\n")
+        _write_json(self._result_path, result_dict)
 
     def load_result(self) -> Optional[dict]:
         if not os.path.exists(self._result_path):
             return None
-        with open(self._result_path, encoding="utf-8") as handle:
-            return json.load(handle)
+        return _load_json(self._result_path)
 
     # ------------------------------------------------------------------
     # restore
@@ -519,46 +597,42 @@ class CampaignWorkspace:
         for name, value in state["stats"].items():
             setattr(engine.stats, name, value)
 
-        # -- valuable seeds + global coverage --------------------------------
+        # -- corpus, crash and divergence records ---------------------------
         pool = engine.seed_pool
-        for meta in self._load_corpus_entries(exec_limit, prune=True,
-                                              sync_limit=self.synced_rounds):
-            with open(meta["_bin"], "rb") as handle:
-                packet = handle.read()
-            pool.seeds.append(ValuableSeed(
-                packet=packet,
-                model_name=meta["model_name"],
-                tree=None,  # only consumed at crack time, already done
-                execution_index=meta["execution_index"],
-                sim_time_ms=meta["sim_time_ms"],
-                edges_touched=meta["edges_touched"],
-                path_hash=meta["path_hash"],
-            ))
+        crash_times: Dict[tuple, float] = {}
+        for directory in (self.corpus_dir, self.crashes_dir,
+                          self.divergences_dir):
+            for meta in _load_entries(directory, exec_limit,
+                                      self.synced_rounds):
+                blob = _read_blob(meta)
+                if directory == self.corpus_dir:
+                    pool.seeds.append(ValuableSeed(
+                        packet=blob,
+                        model_name=meta["model_name"],
+                        tree=None,  # only consumed at crack time, done
+                        execution_index=meta["execution_index"],
+                        sim_time_ms=meta["sim_time_ms"],
+                        edges_touched=meta["edges_touched"],
+                        path_hash=meta["path_hash"],
+                    ))
+                elif directory == self.crashes_dir:
+                    report = _report_from_meta(meta, blob)
+                    engine.crashes.add(report, meta["hours"])
+                    crash_times[report.dedup_key] = meta["hours"]
+                else:
+                    engine.divergences.add(_report_from_meta(meta, blob),
+                                           meta["hours"])
+        engine.crashes.total_crashes = state["stats"]["crashes_total"]
+        engine.divergences.total_crashes = \
+            state["stats"].get("divergences_total", 0)
+
+        # -- global coverage --------------------------------------------------
         virgin = pool.coverage.virgin
-        for line in self._prune_jsonl(self._coverage_path, exec_limit,
-                                      sync_limit=self.synced_rounds):
+        for line in _prune_journal(self._coverage_path, exec_limit,
+                                   self.synced_rounds):
             for index, bucket in line["map"]:
                 virgin[index] |= bucket
         pool.coverage.edges_seen = state["edges_seen"]
-
-        # -- crash database ---------------------------------------------------
-        crash_times: Dict[tuple, float] = {}
-        for meta in self._load_crash_entries(exec_limit, prune=True):
-            with open(meta["_bin"], "rb") as handle:
-                packet = handle.read()
-            report = _report_from_meta(meta, packet)
-            engine.crashes.add(report, meta["hours"])
-            crash_times[report.dedup_key] = meta["hours"]
-        engine.crashes.total_crashes = state["stats"]["crashes_total"]
-
-        # -- divergence database ----------------------------------------------
-        for meta in self._load_divergence_entries(exec_limit, prune=True):
-            with open(meta["_bin"], "rb") as handle:
-                packet = handle.read()
-            engine.divergences.add(_report_from_meta(meta, packet),
-                                   meta["hours"])
-        engine.divergences.total_crashes = \
-            state["stats"].get("divergences_total", 0)
 
         # -- channel RNG -------------------------------------------------------
         if "channel" in state:
@@ -603,127 +677,42 @@ class CampaignWorkspace:
             state_model.restore(state["learner"])
 
         series = [(line["hours"], line["paths"])
-                  for line in self._prune_jsonl(self._series_path,
-                                                exec_limit)]
+                  for line in _prune_journal(self._series_path, exec_limit)]
         return series, crash_times
 
     # ------------------------------------------------------------------
-    # readers (used by restore, triage and the analysis layer)
+    # readers (used by the fleet driver, triage and the analysis layer)
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _load_entries(directory: str, exec_limit: Optional[int] = None,
-                      prune: bool = False,
-                      sync_limit: Optional[int] = None) -> List[dict]:
-        """Metadata (+ ``_bin`` path) of every ``.json``/``.bin`` pair in
-        *directory*, sorted by execution index (name-order on ties, so a
-        boundary seed precedes the imports applied at the same index);
-        entries past *exec_limit* — or from a sync round past
-        *sync_limit* — are skipped (and deleted when *prune* — the
-        resumed loop regenerates them)."""
-        entries = []
-        if not os.path.isdir(directory):
-            return entries
-        for name in sorted(os.listdir(directory)):
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(directory, name)
-            with open(path, encoding="utf-8") as handle:
-                meta = json.load(handle)
-            meta["_bin"] = path[:-len(".json")] + ".bin"
-            stale = (exec_limit is not None
-                     and meta["execution_index"] > exec_limit) or \
-                    (sync_limit is not None
-                     and meta.get("sync_round", 0) > sync_limit)
-            if stale:
-                if prune:
-                    os.unlink(path)
-                    if os.path.exists(meta["_bin"]):
-                        os.unlink(meta["_bin"])
-                continue
-            entries.append(meta)
-        # "seq" (divergence entries) breaks intra-execution ties in
-        # discovery order; elsewhere it is absent and name order rules
-        entries.sort(key=lambda meta: (meta["execution_index"],
-                                       meta.get("seq", 0)))
-        return entries
+    def read_coverage_journal(self, offset: int) -> Tuple[int, List[dict]]:
+        """Coverage-journal records appended since byte *offset*, and the
+        offset to read on from (see :func:`_read_journal`)."""
+        return _read_journal(self._coverage_path, offset)
 
-    def _load_corpus_entries(self, exec_limit: Optional[int] = None,
-                             prune: bool = False,
-                             sync_limit: Optional[int] = None) -> List[dict]:
-        return self._load_entries(self.corpus_dir, exec_limit, prune,
-                                  sync_limit)
+    def corpus_entry(self, exec_index: int) -> Optional[dict]:
+        """The record of the local seed found at *exec_index*, if any."""
+        stem = os.path.join(self.corpus_dir, f"{exec_index:07d}")
+        if not os.path.exists(stem + ".json"):
+            return None
+        return _load_record(stem)
 
-    def _load_crash_entries(self, exec_limit: Optional[int] = None,
-                            prune: bool = False) -> List[dict]:
-        return self._load_entries(self.crashes_dir, exec_limit, prune)
-
-    def _load_divergence_entries(self, exec_limit: Optional[int] = None,
-                                 prune: bool = False) -> List[dict]:
-        return self._load_entries(self.divergences_dir, exec_limit, prune)
-
-    def _prune_jsonl(self, path: str, exec_limit: int,
-                     sync_limit: Optional[int] = None) -> List[dict]:
-        """Load a journal, drop entries past the checkpoint, rewrite.
-
-        A record that does not decode is dropped too: a SIGKILL landing
-        mid-append leaves a torn final line, which by construction is
-        past the last checkpoint — the resumed loop regenerates it.
-        """
-        if not os.path.exists(path):
-            return []
-        kept: List[dict] = []
-        dropped = False
-        with open(path, encoding="utf-8") as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    line = json.loads(raw)
-                except ValueError:
-                    dropped = True
-                    continue
-                if line["exec"] > exec_limit or \
-                        (sync_limit is not None
-                         and line.get("sync_round", 0) > sync_limit):
-                    dropped = True
-                    continue
-                kept.append(line)
-        if dropped:
-            _atomic_write(path,
-                          "".join(json.dumps(line) + "\n" for line in kept))
-        return kept
+    #: the blob of a record this workspace listed (inbox or corpus entry)
+    read_blob = staticmethod(_read_blob)
 
     def load_crash_reports(self) -> List[CrashReport]:
-        """All persisted unique crashes, in discovery order (for triage)."""
-        reports = []
-        for meta in self._load_crash_entries():
-            with open(meta["_bin"], "rb") as handle:
-                packet = handle.read()
-            reports.append(_report_from_meta(meta, packet))
-        return reports
-
-    def load_divergence_reports(self) -> List[CrashReport]:
-        """All persisted unique divergences, in discovery order."""
-        reports = []
-        for meta in self._load_divergence_entries():
-            with open(meta["_bin"], "rb") as handle:
-                packet = handle.read()
-            reports.append(_report_from_meta(meta, packet))
-        return reports
+        """Every persisted unique finding in discovery order, crashes
+        first, then divergences (the triage input)."""
+        return [_report_from_meta(meta, _read_blob(meta))
+                for directory in (self.crashes_dir, self.divergences_dir)
+                for meta in _load_entries(directory)]
 
     def crash_times(self) -> Dict[tuple, float]:
         return {(meta["kind"], meta["site"]): meta["hours"]
-                for meta in self._load_crash_entries()}
+                for meta in _load_entries(self.crashes_dir)}
 
     def corpus_path_hashes(self) -> List[int]:
         """path_hash of every persisted valuable seed, discovery order."""
-        return [meta["path_hash"] for meta in self._load_corpus_entries()]
+        return [meta["path_hash"] for meta in _load_entries(self.corpus_dir)]
 
     def corpus_packets(self) -> List[bytes]:
-        packets = []
-        for meta in self._load_corpus_entries():
-            with open(meta["_bin"], "rb") as handle:
-                packets.append(handle.read())
-        return packets
+        return [_read_blob(meta) for meta in _load_entries(self.corpus_dir)]

@@ -411,12 +411,17 @@ class TestFaultedCampaignAcceptance:
         assert strict_lenient, "no strict-vs-lenient divergence found"
         assert full.stats["divergences_total"] >= len(full.unique_divergences)
 
-        # persisted: the workspace carries every unique finding
+        # persisted: the workspace carries every unique finding,
+        # crashes first, then divergences
         stored = CampaignWorkspace(str(tmp_path / "full")) \
-            .load_divergence_reports()
-        assert sorted(r.dedup_key for r in stored) == \
+            .load_crash_reports()
+        crashes = len(full.unique_crashes)
+        assert sorted(r.dedup_key for r in stored[:crashes]) == \
+            sorted(r.dedup_key for r in full.unique_crashes)
+        assert sorted(r.dedup_key for r in stored[crashes:]) == \
             sorted(r.dedup_key for r in full.unique_divergences)
-        assert all(getattr(r, "oracle", None) is not None for r in stored)
+        assert all(getattr(r, "oracle", None) is not None
+                   for r in stored[crashes:])
 
         # kill mid-run (not on a checkpoint multiple), then resume:
         # the finished campaign must be bit-identical

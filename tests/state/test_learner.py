@@ -37,6 +37,7 @@ from repro.state import (
 )
 from repro.state.learner import OVERFLOW_STATE, SILENT_STATE
 from repro.store import CampaignWorkspace
+from repro.store.workspace import _load_entries
 
 #: the targets whose hand-written models the learner is diffed against
 DIFFERENTIAL_TARGETS = ("iec104", "libmodbus", "opendnp3")
@@ -335,7 +336,7 @@ class TestLearnedCampaigns:
         for blob in packets:
             assert is_trace_blob(blob)
             assert decode_trace(blob)
-        metas = workspace._load_corpus_entries()
+        metas = _load_entries(workspace.corpus_dir)
         assert all(meta["model_name"] == "session:iec61850.learned"
                    for meta in metas)
 

@@ -35,6 +35,7 @@ from repro.state import (
 )
 from repro.state.model import State, StateModel, Transition
 from repro.store import CampaignWorkspace
+from repro.store.workspace import _load_entries
 from repro.triage import CrashChecker, minimize_crash, triage_reports
 
 #: since PR 5 every target ships a hand-written state model
@@ -300,7 +301,7 @@ class TestSessionCampaign:
             assert is_trace_blob(blob)
             steps = decode_trace(blob)
             assert steps
-        metas = workspace._load_corpus_entries()
+        metas = _load_entries(workspace.corpus_dir)
         assert all(meta["model_name"] == "session:iec104.session"
                    for meta in metas)
 

@@ -7,8 +7,10 @@ coverage path-hash set, unique crashes, stats and RNG trajectory.
 """
 
 import dataclasses
+import glob
 import json
 import os
+import re
 
 import pytest
 
@@ -16,9 +18,11 @@ from repro.core import (
     CampaignConfig, config_from_dict, config_to_dict, resume_campaign,
     run_campaign,
 )
+from repro.cli import main
 from repro.core.campaign import make_engine
 from repro.protocols import get_target
 from repro.store import CampaignWorkspace, WorkspaceError
+from repro.store.workspace import _load_entries
 
 
 #: the CampaignConfig fields a manifest holds
@@ -118,7 +122,7 @@ class TestWorkspaceLifecycle:
         workspace = CampaignWorkspace(ws_dir)
         hashes = workspace.corpus_path_hashes()
         assert hashes and all(isinstance(h, int) and h > 0 for h in hashes)
-        metas = workspace._load_corpus_entries()
+        metas = _load_entries(workspace.corpus_dir)
         assert all(meta["edges_touched"] > 0 for meta in metas)
         # one coverage-journal line per valuable seed
         with open(os.path.join(ws_dir, "coverage.jsonl")) as handle:
@@ -364,6 +368,89 @@ class TestPendingRecipes:
         with pytest.raises(WorkspaceError,
                            match=r"format 1 is not supported \(expected 2\)"):
             resume_campaign(ws_dir)
+
+
+class TestDamagedRecords:
+    """Resume finishes bit-identical or fails with WorkspaceError (the
+    CLI: ``error: ...``, exit 2) — never a raw OSError, never a
+    silently different campaign."""
+
+    @staticmethod
+    def _killed(ws_dir, stop_after):
+        """libmodbus seed 7, killed: at 77 the checkpoint is at 50; at
+        177 it is at 150 and keeps the crash found at execution 109."""
+        assert run_campaign("peach-star", get_target("libmodbus"), seed=7,
+                            config=_config(workspace=ws_dir),
+                            stop_after_executions=stop_after) is None
+
+    @staticmethod
+    def _resume_exits_2(ws_dir, capsys, needle):
+        capsys.readouterr()
+        assert main(["resume", ws_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+
+    @pytest.mark.parametrize("directory,stop_after",
+                             [("corpus", 77), ("crashes", 177)])
+    def test_missing_record_blob_fails_loudly(self, tmp_path, capsys,
+                                              directory, stop_after):
+        ws_dir = str(tmp_path / "ws")
+        self._killed(ws_dir, stop_after)
+        blob = sorted(glob.glob(os.path.join(ws_dir, directory, "*.bin")))[0]
+        os.unlink(blob)
+        with pytest.raises(WorkspaceError, match=re.escape(blob)):
+            resume_campaign(ws_dir)
+        self._resume_exits_2(ws_dir, capsys, blob)
+
+    def test_missing_inbox_blob_fails_loudly(self, tmp_path):
+        workspace = CampaignWorkspace(str(tmp_path / "shard"))
+        workspace.write_inbox_entry(1, 2, 30, b"\x01", {"src_shard": 2})
+        blob = os.path.join(workspace.inbox_round_dir(1), "s002_0000030.bin")
+        os.unlink(blob)
+        [(_, [meta])] = workspace.load_inbox_rounds(0, 1)
+        with pytest.raises(WorkspaceError, match=re.escape(blob)):
+            workspace.read_blob(meta)
+
+    def test_undecodable_line_before_the_last_fails_loudly(self, tmp_path,
+                                                           capsys):
+        ws_dir = str(tmp_path / "ws")
+        self._killed(ws_dir, 77)
+        journal = os.path.join(ws_dir, "coverage.jsonl")
+        with open(journal, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        assert len(lines) > 2
+        lines[0] = lines[0][:len(lines[0]) // 2] + "\n"
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        with pytest.raises(WorkspaceError,
+                           match="coverage.jsonl is corrupt: the line at "
+                                 "byte 0 does not decode"):
+            resume_campaign(ws_dir)
+        self._resume_exits_2(ws_dir, capsys, "coverage.jsonl is corrupt")
+
+    @pytest.mark.parametrize("journal,tail", [
+        ("coverage.jsonl", '{"exec": 999, "path_hash": 1, "ma'),
+        ("coverage.jsonl", '{"exec": 999, "path_hash": 1, "ma\n'),
+        ("series.jsonl", '{"exec": 99'),
+    ], ids=["coverage-unterminated", "coverage-undecodable",
+            "series-unterminated"])
+    def test_torn_final_line_resumes_bit_identical(self, tmp_path, journal,
+                                                   tail):
+        """A SIGKILL landing mid-append tears the final journal line;
+        it is past the checkpoint, so resume drops it and regenerates."""
+        full_dir = str(tmp_path / "full")
+        full = run_campaign("peach-star", get_target("libmodbus"), seed=7,
+                            config=_config(workspace=full_dir))
+        killed_dir = str(tmp_path / "killed")
+        self._killed(killed_dir, 77)
+        with open(os.path.join(killed_dir, journal), "a",
+                  encoding="utf-8") as handle:
+            handle.write(tail)
+        assert _signature(resume_campaign(killed_dir)) == _signature(full)
+        for name in ("coverage.jsonl", "series.jsonl"):
+            with open(os.path.join(killed_dir, name), "rb") as resumed, \
+                    open(os.path.join(full_dir, name), "rb") as clean:
+                assert resumed.read() == clean.read()
 
 
 def _rewrite_manifest(ws_dir, edit):
