@@ -9,7 +9,8 @@
 #   make test-matrix — the cross-protocol conformance matrix plus the
 #                      channel-fault/differential-oracle, live-network
 #                      (socket/serve), sparse-vs-vector coverage parity,
-#                      batch-size identity, workspace and fleet store
+#                      batch-size identity, one-pass-vs-reference packet
+#                      build parity, workspace and fleet store
 #                      (manifest/checkpoint compatibility, damaged
 #                      records, kill/resume) and collector reset/arm
 #                      contract (settrace and monitoring) suites
@@ -40,8 +41,9 @@ test-matrix:
 	$(PY) -m pytest tests/protocols/test_conformance.py tests/channel \
 		tests/net tests/runtime/test_vector_parity.py \
 		tests/runtime/test_instrument.py tests/runtime/test_backends.py \
-		tests/core/test_batching.py tests/store/test_workspace.py \
-		tests/store/test_fleet.py $(PYTEST_ARGS)
+		tests/core/test_batching.py tests/model/test_build_reference.py \
+		tests/store/test_workspace.py tests/store/test_fleet.py \
+		$(PYTEST_ARGS)
 
 fleet-demo:
 	rm -rf $(FLEET_DEMO_DIR)

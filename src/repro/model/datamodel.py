@@ -21,6 +21,7 @@ function code / packet type of a protocol.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.model.fields import (
@@ -79,6 +80,18 @@ class Transformer:
         return self.decode(data)
 
 
+class _BuildRecord:
+    """What one build's instantiation pass saw, in DFS pre-order."""
+
+    __slots__ = ("first", "relations", "fixups")
+
+    def __init__(self):
+        # field name -> its first node, the one InsNode.find returns
+        self.first: Dict[str, InsNode] = {}
+        self.relations: List[InsNode] = []  # relation carriers
+        self.fixups: List[InsNode] = []     # fixup carriers
+
+
 class _ParseState:
     """Mutable cursor shared across the recursive parse."""
 
@@ -125,27 +138,6 @@ class DataModel:
         self.transformer = transformer
         self.weight = weight
         self._linear_cache: Optional[Tuple[Field, ...]] = None
-        # Whether any rule carries a relation / fixup.  Static per model;
-        # build() skips the re-assemble passes a feature-free tree never
-        # needs (the result is identical — _assemble is idempotent).
-        self._has_relations, self._has_fixups = self._scan_features(root)
-
-    @staticmethod
-    def _scan_features(root: Field) -> Tuple[bool, bool]:
-        has_relations = False
-        has_fixups = False
-        stack = [root]
-        while stack:
-            field = stack.pop()
-            if field.relation is not None:
-                has_relations = True
-            if field.fixup is not None:
-                has_fixups = True
-            if isinstance(field, Repeat):
-                stack.append(field.element)
-            elif not field.is_leaf:
-                stack.extend(field.children())
-        return has_relations, has_fixups
 
     # ------------------------------------------------------------------
     # linear model (paper's M_L)
@@ -182,49 +174,76 @@ class DataModel:
     def build(self, provider: ValueProvider = DEFAULT_PROVIDER) -> InsTree:
         """Instantiate the tree into an InsTree with correct integrity.
 
-        Pass order: (1) instantiate every leaf, (2) assemble raw bytes,
-        (3) resolve size/count relations, (4) recompute fixups — the same
-        repair pipeline the File Fixup module reuses for spliced packets.
+        One recursive pass instantiates every rule and assembles raw
+        bytes and offsets (GENERATE + JOINT), recording what relations
+        and fixups need.  Size/count relations, then fixups, resolve
+        from that record — the same repair pipeline the File Fixup
+        module reuses for spliced packets — and a re-join refreshes
+        the ancestors of every patched carrier.  Carriers never change
+        width, so offsets stay put.
         """
-        root_node = self._build_node(self.root, provider, "")
-        self._assemble(root_node, 0, encode_leaves=False)
-        if self._has_relations:
-            self._resolve_relations(root_node)
-            self._assemble(root_node, 0, encode_leaves=False)
-        if self._has_fixups:
-            self._resolve_fixups(root_node)
-            self._assemble(root_node, 0, encode_leaves=False)
-        return InsTree(self.name, root_node)
+        record = _BuildRecord()
+        root = self._build_node(self.root, provider, "", 0, record)
+        for node in record.relations:
+            relation = node.field.relation
+            target = record.first.get(relation.of)
+            if target is None:
+                raise ModelError(
+                    f"{self.name}: relation target {relation.of!r} not found")
+            count = len(target.children) if isinstance(target.field, Repeat) \
+                else None
+            node.value = relation.compute(target.raw, count)
+            node.raw = node.field.encode(node.value)
+        if record.relations:
+            self._assemble(root, 0, encode_leaves=False)
+        if record.fixups:
+            self._resolve_fixups(root, record)
+        return InsTree(self.name, root)
 
     def build_default(self) -> InsTree:
         """Instantiate every rule with its default value (a valid packet)."""
         return self.build(DEFAULT_PROVIDER)
 
     def _build_node(self, field: Field, provider: ValueProvider,
-                    prefix: str) -> InsNode:
+                    prefix: str, offset: int,
+                    record: _BuildRecord) -> InsNode:
         path = f"{prefix}.{field.name}" if prefix else field.name
+        node = InsNode(field, offset=offset)
+        # Registered before its children: InsNode.find returns the
+        # first match in DFS pre-order, so an ancestor wins a name clash.
+        record.first.setdefault(field.name, node)
         if field.is_leaf:
             value = provider.leaf_value(field, path)
             if value is None:
                 value = field.default_value()
-            return InsNode(field, value=value, raw=field.encode(value))
+            node.value = value
+            node.raw = field.encode(value)
+            if field.relation is not None:
+                record.relations.append(node)
+            if field.fixup is not None:
+                record.fixups.append(node)
+            return node
+        prefixes = repeat(path)
         if isinstance(field, Choice):
             index = provider.choose_option(field, path)
             options = field.children()
             index = max(0, min(index, len(options) - 1))
-            child = self._build_node(options[index], provider, path)
-            return InsNode(field, children=[child])
-        if isinstance(field, Repeat):
+            fields = (options[index],)
+        elif isinstance(field, Repeat):
             count = provider.repeat_count(field, path)
             count = max(field.min_count, min(count, field.max_count))
-            children = [
-                self._build_node(field.element, provider, f"{path}[{i}]")
-                for i in range(count)
-            ]
-            return InsNode(field, children=children)
-        children = [self._build_node(child, provider, path)
-                    for child in field.children()]
-        return InsNode(field, children=children)
+            fields = (field.element,) * count
+            prefixes = [f"{path}[{i}]" for i in range(count)]
+        else:
+            fields = field.children()
+        children = node.children
+        for child_field, child_prefix in zip(fields, prefixes):
+            child = self._build_node(child_field, provider, child_prefix,
+                                     offset, record)
+            children.append(child)
+            offset += len(child.raw)
+        node.raw = b"".join([child.raw for child in children])
+        return node
 
     def _assemble(self, node: InsNode, offset: int,
                   encode_leaves: bool = True) -> int:
@@ -254,30 +273,15 @@ class DataModel:
         node.raw = b"".join(parts)
         return len(node.raw)
 
-    def _resolve_relations(self, root: InsNode) -> None:
-        for node in root.iter_nodes():
-            relation = node.field.relation
-            if relation is None:
-                continue
-            target = root.find(relation.of)
-            if target is None:
-                raise ModelError(
-                    f"{self.name}: relation target {relation.of!r} not found")
-            count = len(target.children) if isinstance(target.field, Repeat) \
-                else None
-            node.value = relation.compute(target.raw, count)
-            node.raw = node.field.encode(node.value)
-
-    def _resolve_fixups(self, root: InsNode) -> None:
-        carriers = [n for n in root.iter_nodes() if n.field.fixup is not None]
-        # Document order: a later fixup covering an earlier carrier sees
-        # the already-patched bytes.
-        carriers.sort(key=lambda n: n.offset)
-        for node in carriers:
+    def _resolve_fixups(self, root: InsNode, record: _BuildRecord) -> None:
+        # Carriers are leaves, so pre-order is document order; the
+        # re-join after each one lets a later fixup covering an earlier
+        # carrier see the patched bytes.
+        for node in record.fixups:
             fixup = node.field.fixup
             covered = []
             for name in fixup.over:
-                target = root.find(name)
+                target = record.first.get(name)
                 if target is None:
                     raise ModelError(
                         f"{self.name}: fixup target {name!r} not found")
@@ -290,22 +294,7 @@ class DataModel:
                 width = node.field.fixed_width() or 4
                 node.value = checksum.to_bytes(width, "big")
                 node.raw = node.value
-            self._patch_ancestors(root, node)
-
-    def _patch_ancestors(self, root: InsNode, changed: InsNode) -> None:
-        """Splice *changed*'s new raw into every ancestor's raw."""
-        self._patch_walk(root, changed)
-
-    def _patch_walk(self, node: InsNode, changed: InsNode) -> bool:
-        if node is changed:
-            return True
-        found = False
-        for child in node.children:
-            if self._patch_walk(child, changed):
-                found = True
-        if found:
-            node.raw = b"".join(child.raw for child in node.children)
-        return found
+            self._assemble(root, 0, encode_leaves=False)
 
     # ------------------------------------------------------------------
     # wire codec

@@ -240,9 +240,11 @@ class Str(Field):
         if self.length is not None and len(data) != self.length:
             raise ParseError(
                 f"{self.name}: need {self.length} bytes, got {len(data)}")
-        return data.decode("latin-1")
+        return self.decode_lenient(data)
 
     def decode_lenient(self, data: bytes) -> str:
+        if self.length is not None:
+            data = data.rstrip(self.pad)  # drop the padding encode added
         return data.decode("latin-1")
 
 

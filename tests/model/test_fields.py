@@ -3,7 +3,7 @@
 import pytest
 
 from repro.model import (
-    Blob, Block, Choice, ModelError, Number, ParseError, Repeat,
+    Blob, Block, Choice, DataModel, ModelError, Number, ParseError, Repeat,
     RuleSignature, Str,
 )
 
@@ -83,6 +83,31 @@ class TestStr:
     def test_bad_pad_rejected(self):
         with pytest.raises(ModelError):
             Str("s", pad=b"xy")
+
+    @pytest.mark.parametrize("field,raw,value", [
+        (Str("s", length=4), b"ab\x00\x00", "ab"),
+        (Str("s", length=4, pad=b" "), b"ab  ", "ab"),
+        (Str("s", length=4), b"abcd", "abcd"),
+        (Str("s"), b"ab\x00\x00", "ab\x00\x00"),
+    ], ids=["nul-padded", "space-padded", "full-width", "variable-length"])
+    def test_decode_drops_fixed_length_padding(self, field, raw, value):
+        assert field.decode(raw) == value
+        assert field.decode_lenient(raw) == value
+
+    def test_lenient_decode_drops_padding_of_a_truncated_value(self):
+        assert Str("s", length=4).decode_lenient(b"ab\x00") == "ab"
+
+    @pytest.mark.parametrize("token", [True, False], ids=["token", "plain"])
+    def test_padded_str_datamodel_roundtrip(self, token):
+        model = DataModel("m", Block("root", [
+            Str("magic", default="AB", length=4, token=token),
+            Number("x", 1),
+        ]))
+        data = model.build_bytes()
+        assert data == b"AB\x00\x00\x00"
+        parsed = model.parse(data)
+        assert parsed.leaf_values() == model.build().leaf_values()
+        assert parsed.raw == data
 
 
 class TestBlob:

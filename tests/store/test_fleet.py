@@ -14,9 +14,12 @@ The acceptance gates of the fleet subsystem:
 
 import json
 import os
+import re
+import shutil
 
 import pytest
 
+from repro.cli import main
 from repro.core import (
     CampaignConfig, resume_fleet, run_campaign, run_fleet,
 )
@@ -154,6 +157,25 @@ class TestKillAndResumeDeterminism:
         serial = _run(str(tmp_path / "serial"))
         pooled = _run(str(tmp_path / "pooled"), max_workers=3)
         assert _fleet_signature(pooled) == _fleet_signature(serial)
+
+
+class TestDamagedFleet:
+    """A damaged fleet fails resume with WorkspaceError (the CLI:
+    ``error: ...``, exit 2), never a raw OSError or a smaller fleet."""
+
+    def test_deleted_shard_fails_loudly(self, tmp_path, capsys):
+        ws_dir = str(tmp_path / "killed")
+        assert _run(ws_dir, shards=2, stop_after_rounds=1) is None
+        shard_dir = os.path.join(ws_dir, "shards", "001")
+        shutil.rmtree(shard_dir)
+        with pytest.raises(WorkspaceError,
+                           match=re.escape(f"{shard_dir} is not a campaign "
+                                           "workspace")):
+            resume_fleet(ws_dir, max_workers=1)
+        capsys.readouterr()
+        assert main(["resume", ws_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and shard_dir in err
 
 
 class TestCorpusSync:

@@ -320,6 +320,8 @@ class TestPendingRecipes:
     @pytest.mark.parametrize("corrupt,message", [
         (lambda state: state.update(format=1),
          r"state format 1 is not supported \(expected 2\)"),
+        (lambda state: state.update(format=3),
+         r"state format 3 is not supported \(expected 2\)"),
         (lambda state: state["pending"][0].update(model="modbus.bogus"),
          r"unknown model 'modbus\.bogus'"),
         (lambda state: state["pending"][0].update(seed=1 << 32),
@@ -335,8 +337,9 @@ class TestPendingRecipes:
          r"pending recipe 0 is malformed"),
         (lambda state: state.pop("pending"),
          r"pending queue is not a list"),
-    ], ids=["format-1", "unknown-model", "seed-too-wide", "seed-str",
-            "seed-float", "stray-path", "missing-seed", "no-queue"])
+    ], ids=["format-1", "format-3", "unknown-model", "seed-too-wide",
+            "seed-str", "seed-float", "stray-path", "missing-seed",
+            "no-queue"])
     def test_hostile_state_fails_loudly(self, tmp_path, corrupt, message):
         ws_dir = str(tmp_path / "ws")
         state = self._killed_with_pending(ws_dir)
