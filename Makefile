@@ -12,8 +12,9 @@
 #                      batch-size identity, one-pass-vs-reference packet
 #                      build parity, workspace and fleet store
 #                      (manifest/checkpoint compatibility, damaged
-#                      records, kill/resume) and collector reset/arm
-#                      contract (settrace and monitoring) suites
+#                      records, kill/resume), collector reset/arm
+#                      contract and inline-update-vs-reference line
+#                      collector (settrace and monitoring) suites
 #   make fleet-demo  — a small synced 4-shard fleet in /tmp, rendered
 #                      with the per-shard/merged summary table
 #   make sessions-demo — the stateful session-fuzzing walkthrough
@@ -41,6 +42,7 @@ test-matrix:
 	$(PY) -m pytest tests/protocols/test_conformance.py tests/channel \
 		tests/net tests/runtime/test_vector_parity.py \
 		tests/runtime/test_instrument.py tests/runtime/test_backends.py \
+		tests/runtime/test_collector_reference.py \
 		tests/core/test_batching.py tests/model/test_build_reference.py \
 		tests/store/test_workspace.py tests/store/test_fleet.py \
 		$(PYTEST_ARGS)

@@ -84,14 +84,14 @@ _PARENS = re.compile(r"\s*\([^)]*\)")
 _DIGITS = re.compile(r"\d+")
 
 
-def _reason_slug(exc: Exception) -> str:
+def _reason_slug(message: str) -> str:
     """A stable site label from a ParseError message.
 
     Parenthesized specifics (offending values) and digit runs vary per
     packet; stripping them makes the site a function of *where* the
     strict path gave up, so deduplication converges.
     """
-    text = _PARENS.sub("", str(exc))
+    text = _PARENS.sub("", message)
     text = _DIGITS.sub("#", text)
     return " ".join(text.split()) or "rejected"
 
@@ -150,10 +150,13 @@ class DifferentialOracle:
             return []
         try:
             strict_tree = model.parse(frame)
-            strict_exc = None
+            strict_reason = None
         except ParseError as exc:
             strict_tree = None
-            strict_exc = exc
+            # only the message: the exception's traceback holds this
+            # very frame, so keeping it would pin the parse and engine
+            # call stack in a cycle until the cyclic GC runs
+            strict_reason = str(exc)
         try:
             lenient_tree = model.parse(frame, strict=False)
         except ParseError:
@@ -178,8 +181,8 @@ class DifferentialOracle:
         if rebuilt != frame and self._parses_strictly(model, rebuilt):
             return [(
                 "strict-lenient", KIND_PARSE,
-                f"{model.name}:{_reason_slug(strict_exc)}",
-                f"strict parse rejects ({strict_exc}) but the lenient "
+                f"{model.name}:{_reason_slug(strict_reason)}",
+                f"strict parse rejects ({strict_reason}) but the lenient "
                 f"path repairs the frame into a strictly-legal "
                 f"{len(rebuilt)}-byte packet",
             )]

@@ -254,7 +254,7 @@ def cmd_resume(args) -> int:
                     print(report.render())
             return 0
         result = resume_campaign(args.workspace)
-    except (WorkspaceError, NetTargetError) as exc:
+    except (WorkspaceError, NetTargetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_campaign_summary(result, args.verbose)
@@ -292,10 +292,14 @@ def cmd_triage(args) -> int:
     if not crashes:
         print(f"no findings to triage on {spec.name}")
         return 0
-    report = triage_reports(
-        spec, crashes, minimize=not args.no_minimize,
-        max_executions_per_crash=args.max_triage_execs, out_dir=out_dir,
-        jobs=args.jobs, net_url=args.net_url)
+    try:
+        report = triage_reports(
+            spec, crashes, minimize=not args.no_minimize,
+            max_executions_per_crash=args.max_triage_execs,
+            out_dir=out_dir, jobs=args.jobs, net_url=args.net_url)
+    except ValueError as exc:  # e.g. a coverage backend it cannot use
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(render_triage_table(report))
     if args.verbose:
         for crash in report.crashes:

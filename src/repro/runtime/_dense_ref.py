@@ -20,21 +20,29 @@ from repro.runtime.coverage import MAP_SIZE, _MAP_MASK, bucket_count
 
 
 class DenseCoverageMap:
-    """Per-execution edge hit map, dense-scan variant (seed behaviour)."""
+    """Per-execution edge hit map, dense-scan variant (seed behaviour).
 
-    __slots__ = ("counts", "_prev")
+    ``journal`` exists only because the line collectors write a map's
+    ``counts``, ``journal`` and ``_prev`` directly; the resets clear it
+    and every scan here ignores it.
+    """
+
+    __slots__ = ("counts", "journal", "_prev")
 
     def __init__(self):
         self.counts = bytearray(MAP_SIZE)
+        self.journal = []
         self._prev = 0
 
     def reset(self) -> None:
         for index in range(MAP_SIZE):
             self.counts[index] = 0
+        self.journal.clear()
         self._prev = 0
 
     def fast_reset(self) -> None:
         self.counts = bytearray(MAP_SIZE)
+        self.journal.clear()
         self._prev = 0
 
     def visit(self, cur_location: int) -> None:

@@ -19,8 +19,10 @@ Performance model: a typical execution touches a few hundred of the
 indices — O(touched) instead of O(MAP_SIZE).  This is AFL's
 sparse-virgin-map trick adapted to CPython: the dense array stays (so
 index arithmetic is one bytearray access), but nothing ever scans it.
-All mutation must go through :meth:`CoverageMap.visit`; writing
-``counts`` directly desynchronizes the journal.
+Every mutation applies the update of :meth:`CoverageMap.visit`, which
+the line collectors of :mod:`repro.runtime.instrument` inline in their
+trace callbacks; writing ``counts`` any other way desynchronizes the
+journal.
 
 Two implementations share that model:
 
@@ -283,11 +285,11 @@ class GlobalCoverage:
 class VectorCoverageMap(CoverageMap):
     """Numpy-vectorized execution map; bit-for-bit equal to the sparse one.
 
-    ``counts`` stays the inherited bytearray — ``visit`` (the per-line
-    hot path) and everything that persists raw bytes are untouched — but
+    ``counts`` stays the inherited bytearray — the collectors' per-line
+    update and everything that persists raw bytes are untouched — but
     a writable zero-copy ``frombuffer`` view powers the batch
-    operations.  The journal likewise stays a Python list (``append`` in
-    ``visit`` beats ``array``/ndarray growth by 3x); it is converted to
+    operations.  The journal likewise stays a Python list (a list
+    ``append`` beats ``array``/ndarray growth by 3x); it is converted to
     an index vector at most once per (generation, length) and the
     conversion is shared by ``merge``/``would_be_new``/``fast_reset``/
     ``path_hash`` on the same execution.  Journals shorter than

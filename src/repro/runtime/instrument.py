@@ -30,20 +30,32 @@ context, not the stale first-touch journal tail — at zero cost on the
 hot path; collectors without a scope filter fall back to the journal
 tail.
 
-Both line collectors key their block-id cache by *code object* and then
-by line number, so the hot callback does two dict probes on interned
-objects instead of allocating a ``(filename, lineno)`` tuple per traced
-line.  All feed the same :class:`~repro.runtime.coverage.CoverageMap`
-and count executed blocks so the harness can flag hangs (runaway loops).
+The line collectors pay for one Python callback per traced line, so the
+callback does the paper's snippet itself, the way Peach*-clang inlines
+it at each branch point.  Block ids live in one table per collector,
+``filename -> {lineno -> block id}`` (``None`` for an out-of-scope
+file).  It is keyed by filename because a ``str`` caches its hash, while
+CPython 3.11 rehashes a code object on every dict probe, which costs
+hundreds of nanoseconds on a large function.  The settrace backend
+does one dict probe on the filename per *call* event and hands the
+frame a local tracer closed over that file's ids.  A traced line then
+costs one dict probe, the ``counts``/``journal`` update of
+:meth:`CoverageMap.visit <repro.runtime.coverage.CoverageMap.visit>`
+applied inline and the hang check, with no Python-level call: the map's
+``counts``, its ``journal.append``, ``prev`` and the block count are
+bound when the collector arms and written back when it disarms.  All
+collectors feed the same :class:`~repro.runtime.coverage.CoverageMap`
+and count executed blocks so the harness can flag hangs (runaway
+loops).
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from repro.runtime.coverage import CoverageMap
+from repro.runtime.coverage import _MAP_MASK, CoverageMap
 from repro.util import fnv1a32
 
 _MONITORING = getattr(sys, "monitoring", None)
@@ -120,14 +132,14 @@ def capture_crash_context(collector: Optional["Collector"],
     """
     if collector is None:
         return ()
-    matches = getattr(collector, "_file_matches", None)
-    if fault is not None and matches is not None:
+    block_id = getattr(collector, "_block_id", None)
+    if fault is not None and block_id is not None:
         sites = []
         tb = fault.__traceback__
         while tb is not None:
-            filename = tb.tb_frame.f_code.co_filename
-            if matches(filename):
-                sites.append(fnv1a32(f"{filename}:{tb.tb_lineno}"))
+            site = block_id(tb.tb_frame.f_code.co_filename, tb.tb_lineno)
+            if site is not None:
+                sites.append(site)
             tb = tb.tb_next
         if sites:
             return tuple(sites[-depth:])
@@ -191,40 +203,144 @@ class ExplicitCollector(Collector):
             raise HangBudgetExceeded(label)
 
 
+#: ``filename -> {lineno -> block id}``, ``None`` for an out-of-scope file
+_LineIds = Dict[str, Optional[Dict[int, int]]]
+
+
+def _file_ids(line_ids: _LineIds, module_prefixes: Tuple[str, ...],
+              filename: str) -> Optional[Dict[int, int]]:
+    """*filename*'s id table in *line_ids*, entered on first sight: an
+    empty table when one of the prefixes occurs in it, else ``None``."""
+    try:
+        return line_ids[filename]
+    except KeyError:
+        ids = ({} if any(prefix in filename for prefix in module_prefixes)
+               else None)
+        line_ids[filename] = ids
+        return ids
+
+
+def _line_hooks(line_ids: _LineIds, module_prefixes: Tuple[str, ...]):
+    """The per-line hot path of both line backends, as closures.
+
+    Returns ``(arm, disarm, file_tracer, on_line)``.  They share one
+    execution's recording state in closure cells: the armed map's
+    ``counts`` and ``journal.append``, AFL's ``prev``, the block count
+    and the hang budget.  ``arm(map, blocks, budget)`` binds that state
+    as a collector arms; ``disarm()`` returns ``(prev, blocks)`` for it
+    to write back.  ``file_tracer(filename, ids)`` makes the settrace
+    local trace function of one in-scope file, and ``on_line`` is the
+    ``sys.monitoring`` LINE callback.  Each applies the snippet of
+    :meth:`CoverageMap.visit <repro.runtime.coverage.CoverageMap.visit>`
+    inline — a call per traced line is what this layer avoids, so the
+    two copies are kept side by side here, and
+    ``tests/runtime/test_collector_reference.py`` pins both against a
+    collector that calls ``visit`` per line.
+    """
+    counts = append = None
+    prev = blocks = budget = 0
+
+    def arm(coverage_map, blocks_executed, hang_budget):
+        nonlocal counts, append, prev, blocks, budget
+        counts = coverage_map.counts
+        append = coverage_map.journal.append
+        prev = coverage_map._prev
+        blocks = blocks_executed
+        budget = hang_budget
+
+    def disarm():
+        return prev, blocks
+
+    def file_tracer(filename, ids):
+        def local_trace(frame, event, arg):
+            nonlocal prev, blocks
+            if event == "line":
+                lineno = frame.f_lineno
+                try:
+                    cur = ids[lineno]
+                except KeyError:
+                    cur = ids[lineno] = fnv1a32(f"{filename}:{lineno}")
+                index = (cur ^ prev) & _MAP_MASK
+                count = counts[index]
+                if count == 0:
+                    counts[index] = 1
+                    append(index)
+                elif count < 255:
+                    counts[index] = count + 1
+                prev = (cur >> 1) & _MAP_MASK
+                blocks += 1
+                if blocks > budget:
+                    raise HangBudgetExceeded(f"{filename}:{lineno}")
+            # the frame's tracer is this function; naming it here would
+            # make each tracer a reference cycle, holding the last armed
+            # map until a full collection
+            return frame.f_trace
+        return local_trace
+
+    def on_line(code, lineno):
+        nonlocal prev, blocks
+        filename = code.co_filename
+        try:
+            ids = line_ids[filename]
+        except KeyError:
+            ids = _file_ids(line_ids, module_prefixes, filename)
+        if ids is None:
+            return _MONITORING.DISABLE
+        try:
+            cur = ids[lineno]
+        except KeyError:
+            cur = ids[lineno] = fnv1a32(f"{filename}:{lineno}")
+        index = (cur ^ prev) & _MAP_MASK
+        count = counts[index]
+        if count == 0:
+            counts[index] = 1
+            append(index)
+        elif count < 255:
+            counts[index] = count + 1
+        prev = (cur >> 1) & _MAP_MASK
+        blocks += 1
+        if blocks > budget:
+            raise HangBudgetExceeded(f"{filename}:{lineno}")
+        return None
+
+    return arm, disarm, file_tracer, on_line
+
+
 class _LineCollector(Collector):
-    """Shared state of the two line-granularity backends."""
+    """Shared state of the two line-granularity backends.
+
+    A map handed to a line collector must expose ``counts`` (a
+    bytearray), ``journal`` (a list) and ``_prev``: the backends write
+    them directly.  Arming binds the current ``map`` and block count
+    and disarming writes ``prev`` and the count back, so a map swapped
+    between executions (``Target.run_into``) and several arms in one
+    execution both record exactly what :meth:`CoverageMap.visit` would.
+    """
 
     def __init__(self, module_prefixes: Iterable[str],
                  coverage_map: Optional[CoverageMap] = None,
                  hang_budget: int = HANG_BUDGET):
         super().__init__(coverage_map, hang_budget)
         self.module_prefixes = tuple(module_prefixes)
-        #: code object -> {lineno -> block id}; code objects are cached by
-        #: identity so the hot path never rebuilds filename:lineno strings
-        self._code_line_ids: Dict[object, Dict[int, int]] = {}
-        self._file_match_cache: Dict[str, bool] = {}
-        self._visit = self.map.visit
+        self._line_ids: _LineIds = {}
+        (self._arm, self._disarm, self._file_tracer,
+         self._on_line) = _line_hooks(self._line_ids, self.module_prefixes)
 
-    def _file_matches(self, filename: str) -> bool:
-        cached = self._file_match_cache.get(filename)
-        if cached is None:
-            cached = any(prefix in filename
-                         for prefix in self.module_prefixes)
-            self._file_match_cache[filename] = cached
-        return cached
+    def _block_id(self, filename: str, lineno: int) -> Optional[int]:
+        """The block id of an in-scope line (what the hooks record)."""
+        ids = _file_ids(self._line_ids, self.module_prefixes, filename)
+        if ids is None:
+            return None
+        block_id = ids.get(lineno)
+        if block_id is None:
+            block_id = ids[lineno] = fnv1a32(f"{filename}:{lineno}")
+        return block_id
 
-    # NOTE: both backends inline the block-id lookup in their per-line
-    # callback instead of sharing a helper — a method call per traced
-    # line is exactly the overhead this layer exists to avoid.  The id
-    # scheme is pinned cross-backend by fnv1a32(f"{filename}:{lineno}")
-    # and the backend-equivalence test in tests/runtime/test_backends.py.
+    def _arm_execution(self) -> None:
+        self._arm(self.map, self.blocks_executed, self.hang_budget)
 
-    def begin(self) -> None:
-        super().begin()
-        # rebind in case the map object was swapped between executions
-        # (the equivalence tests inject the dense reference this way,
-        # and Target.run_into rebinds the engine's pooled maps)
-        self._visit = self.map.visit
+    def _disarm_execution(self) -> None:
+        self.map._prev, self.blocks_executed = self._disarm()
 
 
 class TracingCollector(_LineCollector):
@@ -245,8 +361,11 @@ class TracingCollector(_LineCollector):
                  hang_budget: int = HANG_BUDGET):
         super().__init__(module_prefixes, coverage_map, hang_budget)
         self._saved_trace = None
+        #: filename -> its local tracer, None for an out-of-scope file
+        self._tracers: Dict[str, Optional[Callable]] = {}
 
     def __enter__(self):
+        self._arm_execution()
         self._saved_trace = sys.gettrace()
         sys.settrace(self._global_trace)
         return self
@@ -254,34 +373,22 @@ class TracingCollector(_LineCollector):
     def __exit__(self, exc_type, exc, tb):
         sys.settrace(self._saved_trace)
         self._saved_trace = None
+        self._disarm_execution()
         return False
 
     # -- trace callbacks -----------------------------------------------------
 
     def _global_trace(self, frame, event, arg):
-        if event != "call":
-            return None
-        if not self._file_matches(frame.f_code.co_filename):
-            return None
-        return self._local_trace
-
-    def _local_trace(self, frame, event, arg):
-        if event != "line":
-            return self._local_trace
-        code = frame.f_code
-        line_ids = self._code_line_ids.get(code)
-        if line_ids is None:
-            self._code_line_ids[code] = line_ids = {}
-        lineno = frame.f_lineno
-        block_id = line_ids.get(lineno)
-        if block_id is None:
-            block_id = fnv1a32(f"{code.co_filename}:{lineno}")
-            line_ids[lineno] = block_id
-        self._visit(block_id)
-        self.blocks_executed += 1
-        if self.blocks_executed > self.hang_budget:
-            raise HangBudgetExceeded(f"{code.co_filename}:{lineno}")
-        return self._local_trace
+        # settrace calls the global function for "call" events only
+        filename = frame.f_code.co_filename
+        try:
+            return self._tracers[filename]
+        except KeyError:
+            ids = _file_ids(self._line_ids, self.module_prefixes, filename)
+            tracer = None if ids is None else self._file_tracer(filename,
+                                                                ids)
+            self._tracers[filename] = tracer
+            return tracer
 
 
 class MonitoringCollector(_LineCollector):
@@ -319,7 +426,7 @@ class MonitoringCollector(_LineCollector):
     #: tool ids claimed by this process, with the LINE callback
     #: registered; populated lazily on the first arm per id
     _claimed_tools: set = set()
-    #: the collector whose bound callback is currently registered per
+    #: the collector whose LINE callback is currently registered per
     #: tool id (re-registration only happens when the collector changes)
     _callback_owner: Dict[int, "MonitoringCollector"] = {}
 
@@ -356,6 +463,7 @@ class MonitoringCollector(_LineCollector):
             mon.register_callback(self._tool_id, mon.events.LINE,
                                   self._on_line)
             cls._callback_owner[self._tool_id] = self
+        self._arm_execution()
         mon.set_events(self._tool_id, mon.events.LINE)
         return self
 
@@ -363,6 +471,7 @@ class MonitoringCollector(_LineCollector):
         # keep the tool id + callback registered; just stop delivery so
         # nothing fires (or records) outside the armed window
         _MONITORING.set_events(self._tool_id, 0)
+        self._disarm_execution()
         return False
 
     @classmethod
@@ -386,22 +495,6 @@ class MonitoringCollector(_LineCollector):
         cls._callback_owner.clear()
         cls._disabled_scope = None
 
-    def _on_line(self, code, lineno: int):
-        if not self._file_matches(code.co_filename):
-            return _MONITORING.DISABLE
-        line_ids = self._code_line_ids.get(code)
-        if line_ids is None:
-            self._code_line_ids[code] = line_ids = {}
-        block_id = line_ids.get(lineno)
-        if block_id is None:
-            block_id = fnv1a32(f"{code.co_filename}:{lineno}")
-            line_ids[lineno] = block_id
-        self._visit(block_id)
-        self.blocks_executed += 1
-        if self.blocks_executed > self.hang_budget:
-            raise HangBudgetExceeded(f"{code.co_filename}:{lineno}")
-        return None
-
 
 def make_line_collector(module_prefixes: Iterable[str], *,
                         coverage_map: Optional[CoverageMap] = None,
@@ -411,11 +504,25 @@ def make_line_collector(module_prefixes: Iterable[str], *,
 
     ``backend="auto"`` (or ``REPRO_COVERAGE_BACKEND``) selects
     ``sys.monitoring`` on CPython 3.12+ and falls back to ``sys.settrace``
-    on older interpreters; an explicit ``"monitoring"`` request on an
-    interpreter without PEP 669 raises so misconfiguration is loud.
+    on older interpreters.  A ``"monitoring"`` request this interpreter
+    cannot serve (no PEP 669, or another tool holds the coverage tool
+    id) raises :class:`ValueError` before anything runs, like an unknown
+    backend name, so the CLI reports it as ``error:`` (exit 2).
     """
     choice = resolve_backend(backend)
     if choice == "monitoring":
+        if _MONITORING is None:
+            raise ValueError(
+                "the monitoring coverage backend needs sys.monitoring "
+                "(PEP 669, CPython 3.12+); this interpreter is "
+                f"{sys.version_info.major}.{sys.version_info.minor} — "
+                "use REPRO_COVERAGE_BACKEND=settrace")
+        if not _monitoring_usable():
+            tool_id = _MONITORING.COVERAGE_ID
+            raise ValueError(
+                f"sys.monitoring tool id {tool_id} is held by "
+                f"{_MONITORING.get_tool(tool_id)!r}; "
+                "use REPRO_COVERAGE_BACKEND=settrace")
         return MonitoringCollector(module_prefixes,
                                    coverage_map=coverage_map,
                                    hang_budget=hang_budget)

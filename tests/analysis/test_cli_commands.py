@@ -89,6 +89,56 @@ class TestNetEndpointErrors:
         assert err.startswith("error: ") and "timeout_ms" in err
 
 
+class TestCoverageBackendErrors:
+    """A coverage backend this interpreter cannot serve is reported as
+    ``error:`` (exit 2) before any campaign runs."""
+
+    @pytest.fixture
+    def no_pep669(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.instrument._MONITORING", None)
+
+    @pytest.mark.parametrize("backend,message", [
+        ("monitoring", "sys.monitoring"),
+        ("bogus", "unknown coverage backend 'bogus'"),
+    ], ids=["monitoring-without-pep669", "unknown-name"])
+    def test_fuzz_exits_2(self, monkeypatch, capsys, no_pep669, backend,
+                          message):
+        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
+        assert main(["fuzz", "libmodbus", "--hours", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
+    def test_resume_exits_2(self, tmp_path, monkeypatch, capsys, no_pep669):
+        ws_dir = str(tmp_path / "ws")
+        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", "settrace")
+        assert main(["fuzz", "libmodbus", "--max-execs", "20",
+                     "--workspace", ws_dir]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", "monitoring")
+        assert main(["resume", ws_dir]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "sys.monitoring" in captured.err and captured.out == ""
+
+    def test_triage_exits_2(self, tmp_path, monkeypatch, capsys, no_pep669):
+        """Minimizing a persisted crash builds a collector of its own."""
+        ws_dir = str(tmp_path / "ws")
+        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", "settrace")
+        assert main(["fuzz", "libiccp", "--max-execs", "300", "--seed",
+                     "11", "--workspace", ws_dir]) == 0
+        assert os.listdir(os.path.join(ws_dir, "crashes"))
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", "monitoring")
+        out_dir = tmp_path / "repro"
+        assert main(["triage", "--workspace", ws_dir,
+                     "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "sys.monitoring" in captured.err and captured.out == ""
+        assert not out_dir.exists()
+
+
 class TestSweepArgumentErrors:
     @pytest.mark.parametrize("argv,message", [
         (["compare", "libmodbus", "--hours", "0"], "budget_hours"),

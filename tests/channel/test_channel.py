@@ -16,6 +16,7 @@ Three layers of guarantees:
   found, persisted, resumed bit-identically, and minimized by triage.
 """
 
+import gc
 import json
 import os
 import random
@@ -29,6 +30,7 @@ from repro.channel.oracle import KIND_CROSS_STACK, KIND_PARSE
 from repro.core import (
     CampaignConfig, make_engine, resume_campaign, run_campaign,
 )
+from repro.model import ParseError
 from repro.protocols import get_target
 from repro.runtime.target import Target
 from repro.sanitizer.report import CrashDatabase
@@ -246,6 +248,31 @@ class TestDifferentialOracle:
             reason = report.site.split(":", 1)[1]
             assert "(" not in reason
             assert not any(ch.isdigit() for ch in reason)
+
+    def test_strict_rejections_leave_no_reference_cycle(self):
+        """A strictly rejected frame keeps only the ParseError's message.
+        The exception's traceback holds the oracle frame that would hold
+        the exception, a cycle that pins the parse and engine call stack
+        until the cyclic GC runs."""
+        frames = []
+        for model in _PIT:
+            wire = _default_wire(model.name)
+            for cut in range(1, len(wire)):
+                try:
+                    model.parse(wire[:cut])
+                except ParseError:
+                    frames.append((wire[:cut], model.name))
+        frames = frames[:50]
+        assert len(frames) == 50
+        oracle = make_oracle(_IEC104, _PIT)
+        gc.collect()
+        gc.disable()
+        try:
+            for frame, model_name in frames:
+                oracle.examine(frame, model_name, 0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_examine_is_deterministic(self):
         oracle = make_oracle(_IEC104, _PIT)

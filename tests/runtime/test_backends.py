@@ -16,6 +16,7 @@ import pytest
 from repro.core import CampaignConfig, run_campaign
 from repro.protocols import get_target
 from repro.protocols.modbus import ModbusServer, build_read_request
+from repro.runtime import instrument
 from repro.runtime.instrument import (
     MonitoringCollector, TracingCollector, _monitoring_usable,
     make_line_collector, monitoring_available, resolve_backend,
@@ -76,7 +77,22 @@ class TestFactory:
     @pytest.mark.skipif(HAS_MONITORING,
                         reason="needs an interpreter without PEP 669")
     def test_monitoring_request_fails_loudly_without_pep669(self):
-        with pytest.raises(RuntimeError):
+        # a ValueError, like an unknown backend name: the CLI reports
+        # both as `error:` (exit 2) before any campaign runs
+        with pytest.raises(ValueError, match="sys.monitoring"):
+            make_line_collector(PREFIXES, backend="monitoring")
+
+    def test_monitoring_request_fails_when_the_tool_id_is_held(
+            self, monkeypatch):
+        class HeldMonitoring:
+            COVERAGE_ID = 1
+
+            @staticmethod
+            def get_tool(tool_id):
+                return "coverage.py"
+
+        monkeypatch.setattr(instrument, "_MONITORING", HeldMonitoring)
+        with pytest.raises(ValueError, match="held by 'coverage.py'"):
             make_line_collector(PREFIXES, backend="monitoring")
 
     def test_monitoring_version_gate_matches_interpreter(self):
@@ -290,6 +306,20 @@ class TestArmContract:
         assert hang and response is None and crash is None
         assert not _armed(collector)
         assert sys.gettrace() is before
+
+    def test_a_dropped_collector_leaves_no_reference_cycle(self, backend):
+        """Its tracers die with the collector: a tracer that refers to
+        itself would keep the last armed map's counts and journal alive
+        in a cycle, until a full collection."""
+        gc.collect()
+        gc.disable()
+        try:
+            target = Target(_ScriptedServer, self._collector(backend))
+            assert target.run(b"go").blocks_executed > 0
+            del target
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_a_fault_leaves_no_reference_cycle(self, backend):
         """The fault handed back by the armed dispatch dies with the
