@@ -269,7 +269,13 @@ def cmd_triage(args) -> int:
         if args.workspace:
             workspace = CampaignWorkspace(args.workspace)
             manifest = workspace.load_manifest()
-            spec = get_target(manifest["target"])
+            try:
+                spec = get_target(manifest["target"])
+            except KeyError as exc:
+                # args[0]: str() of a KeyError would quote its message
+                raise WorkspaceError(
+                    f"manifest of {args.workspace} cannot be triaged: "
+                    f"{exc.args[0]}") from None
             if args.target and args.target != spec.name:
                 print(f"error: workspace belongs to {spec.name!r}, "
                       f"not {args.target!r}", file=sys.stderr)
@@ -479,6 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "target", None) is not None:
+        try:
+            get_target(args.target)
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return 2
     handlers = {
         "targets": cmd_targets,
         "serve": cmd_serve,

@@ -220,17 +220,26 @@ def _file_ids(line_ids: _LineIds, module_prefixes: Tuple[str, ...],
         return ids
 
 
+def _line_at(code, offset: int) -> Optional[int]:
+    """The line of the instruction at byte *offset* of *code*."""
+    for start, end, lineno in code.co_lines():
+        if start <= offset < end:
+            return lineno
+    return None
+
+
 def _line_hooks(line_ids: _LineIds, module_prefixes: Tuple[str, ...]):
     """The per-line hot path of both line backends, as closures.
 
-    Returns ``(arm, disarm, file_tracer, on_line)``.  They share one
-    execution's recording state in closure cells: the armed map's
-    ``counts`` and ``journal.append``, AFL's ``prev``, the block count
-    and the hang budget.  ``arm(map, blocks, budget)`` binds that state
-    as a collector arms; ``disarm()`` returns ``(prev, blocks)`` for it
-    to write back.  ``file_tracer(filename, ids)`` makes the settrace
-    local trace function of one in-scope file, and ``on_line`` is the
-    ``sys.monitoring`` LINE callback.  Each applies the snippet of
+    Returns ``(arm, disarm, file_tracer, on_line, on_jump)``.  They
+    share one execution's recording state in closure cells: the armed
+    map's ``counts`` and ``journal.append``, AFL's ``prev``, the block
+    count and the hang budget.  ``arm(map, blocks, budget)`` binds that
+    state as a collector arms; ``disarm()`` returns ``(prev, blocks)``
+    for it to write back.  ``file_tracer(filename, ids)`` makes the
+    settrace local trace function of one in-scope file, and ``on_line``
+    and ``on_jump`` are the ``sys.monitoring`` LINE and JUMP callbacks.
+    Each applies the snippet of
     :meth:`CoverageMap.visit <repro.runtime.coverage.CoverageMap.visit>`
     inline — a call per traced line is what this layer avoids, so the
     two copies are kept side by side here, and
@@ -303,7 +312,30 @@ def _line_hooks(line_ids: _LineIds, module_prefixes: Tuple[str, ...]):
             raise HangBudgetExceeded(f"{filename}:{lineno}")
         return None
 
-    return arm, disarm, file_tracer, on_line
+    def on_jump(code, source, destination):
+        # CPython 3.12 builds sys.settrace from LINE events plus a JUMP
+        # handler (sys_trace_jump_func, Python/legacy_tracing.c) that
+        # reports a backward jump staying on one line (the loop of a
+        # one-line comprehension or generator expression) as another
+        # event for that line; a jump between lines is reported by the
+        # LINE event at its destination.  This mirrors that handler.
+        if destination > source:
+            return _MONITORING.DISABLE
+        filename = code.co_filename
+        try:
+            ids = line_ids[filename]
+        except KeyError:
+            ids = _file_ids(line_ids, module_prefixes, filename)
+        if ids is None:
+            return _MONITORING.DISABLE
+        lineno = _line_at(code, destination)
+        if lineno != _line_at(code, source):
+            return _MONITORING.DISABLE
+        if lineno is None:
+            return None
+        return on_line(code, lineno)
+
+    return arm, disarm, file_tracer, on_line, on_jump
 
 
 class _LineCollector(Collector):
@@ -323,8 +355,8 @@ class _LineCollector(Collector):
         super().__init__(coverage_map, hang_budget)
         self.module_prefixes = tuple(module_prefixes)
         self._line_ids: _LineIds = {}
-        (self._arm, self._disarm, self._file_tracer,
-         self._on_line) = _line_hooks(self._line_ids, self.module_prefixes)
+        (self._arm, self._disarm, self._file_tracer, self._on_line,
+         self._on_jump) = _line_hooks(self._line_ids, self.module_prefixes)
 
     def _block_id(self, filename: str, lineno: int) -> Optional[int]:
         """The block id of an in-scope line (what the hooks record)."""
@@ -462,9 +494,11 @@ class MonitoringCollector(_LineCollector):
         if cls._callback_owner.get(self._tool_id) is not self:
             mon.register_callback(self._tool_id, mon.events.LINE,
                                   self._on_line)
+            mon.register_callback(self._tool_id, mon.events.JUMP,
+                                  self._on_jump)
             cls._callback_owner[self._tool_id] = self
         self._arm_execution()
-        mon.set_events(self._tool_id, mon.events.LINE)
+        mon.set_events(self._tool_id, mon.events.LINE | mon.events.JUMP)
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -486,8 +520,9 @@ class MonitoringCollector(_LineCollector):
             return
         for tool_id in sorted(cls._claimed_tools):
             _MONITORING.set_events(tool_id, 0)
-            _MONITORING.register_callback(tool_id,
-                                          _MONITORING.events.LINE, None)
+            for event in (_MONITORING.events.LINE,
+                          _MONITORING.events.JUMP):
+                _MONITORING.register_callback(tool_id, event, None)
             _MONITORING.free_tool_id(tool_id)
         if cls._claimed_tools and cls._disabled_scope is not None:
             _MONITORING.restart_events()

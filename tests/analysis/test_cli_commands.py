@@ -58,6 +58,56 @@ class TestResumeCommand:
         assert err.startswith("error: ") and key in err
 
 
+class TestUnknownTarget:
+    """An unknown target name is ``error:`` (exit 2) before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "nosuch", "--port", "0"],
+        ["fuzz", "nosuch", "--workspace", "WS"],
+        ["fleet", "nosuch", "--workspace", "WS"],
+        ["triage", "nosuch", "--out", "WS"],
+        ["compare", "nosuch"],
+        ["crack", "nosuch", "00"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_target_exits_2(self, tmp_path, capsys, argv):
+        out_dir = tmp_path / "out"
+        argv = [str(out_dir) if arg == "WS" else arg for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: unknown target 'nosuch'; choices: ['iec104', ")
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda m: m.update(target="nosuch"), "unknown target 'nosuch'"),
+        (lambda m: m.pop("target"), "target"),
+    ], ids=["unknown-target", "no-target-key"])
+    def test_triage_workspace_with_a_bad_manifest_exits_2(
+            self, tmp_path, capsys, edit, key):
+        """Reported the way ``resume`` reports the same manifest."""
+        ws_dir = str(tmp_path / "ws")
+        assert main(["fuzz", "iec104", "--engine", "peach",
+                     "--max-execs", "20", "--workspace", ws_dir]) == 0
+        path = os.path.join(ws_dir, "config.json")
+        with open(path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        edit(manifest)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        capsys.readouterr()
+        out_dir = tmp_path / "repro"
+        for argv, verb in ((["resume", ws_dir], "resumed"),
+                           (["triage", "--workspace", ws_dir,
+                             "--out", str(out_dir)], "triaged")):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                f"error: manifest of {ws_dir} cannot be {verb}: ")
+            assert key in captured.err and captured.out == ""
+        assert not out_dir.exists()
+
+
 class TestNetEndpointErrors:
     def test_unreachable_endpoint_exits_2(self, capsys):
         # bind a port, then close it: nothing listens there any more

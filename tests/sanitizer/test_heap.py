@@ -1,10 +1,13 @@
 """Unit tests for the simulated heap (the ASan analog)."""
 
+import sys
+from functools import partial
+
 import pytest
 
 from repro.sanitizer import (
-    DoubleFree, HeapBufferOverflow, HeapUseAfterFree, NullDeref, SimHeap,
-    SimSegv,
+    DoubleFree, HeapBufferOverflow, HeapUseAfterFree, NullDeref, Pointer,
+    SimHeap, SimSegv,
 )
 
 
@@ -155,3 +158,73 @@ class TestDerefRead:
         heap = SimHeap()
         with pytest.raises(SimSegv):
             heap.deref_read(0, 1, "null")
+
+
+class TestPointer:
+    def test_fields_repr_and_offset(self):
+        ptr = Pointer(0x1000_0000, 3)
+        assert (ptr.address, ptr.alloc_id, ptr.base_offset) == \
+            (0x1000_0000, 3, 0)
+        assert repr(ptr) == \
+            "Pointer(address=268435456, alloc_id=3, base_offset=0)"
+        moved = ptr.offset(5).offset(-1)
+        assert type(moved) is Pointer
+        assert moved == Pointer(0x1000_0004, 3, 4)
+
+
+def _call_events(operation):
+    """The ``sys.settrace`` call events of one call of *operation*."""
+    events = []
+
+    def tracer(frame, event, arg):
+        if event == "call":
+            events.append(frame.f_code.co_name)
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = operation()
+    finally:
+        sys.settrace(previous)
+    return events, result
+
+
+class TestFrameBudget:
+    """A successful heap operation enters exactly one Python frame.
+
+    The line collectors trace only the protocol modules, but under
+    ``sys.settrace`` every frame entered anywhere is a call event they
+    pay for, and the targets touch the heap on most lines that read a
+    packet.  A helper call on the hot path (a shared ``_resolve``, a
+    Python ``__init__``, ``read_u8`` going through ``read``) shows up
+    here as a second event.
+    """
+
+    @pytest.mark.parametrize("name,args,expected", [
+        ("malloc", (8, "buf"), Pointer(0x1000_0104, 2)),
+        ("malloc_from", (b"xy", "buf"), Pointer(0x1000_0104, 2)),
+        ("read", ("ptr", 1, 2), b"\x02\x03"),
+        ("read_u8", ("ptr", 3), 4),
+        ("read_u16", ("ptr", 0, "s", "little"), 0x0201),
+        ("read_u32", ("ptr", 0), 0x01020304),
+        ("write", ("ptr", 1, b"\xff"), None),
+        ("write_u8", ("ptr", 0, 0x1AB), None),
+        ("write_u16", ("ptr", 2, 0xBEEF), None),
+        ("free", ("ptr",), None),
+        ("deref_read", (0x1000_0002, 2, "s"), b"\x03\x04"),
+        ("size_of", ("ptr",), 4),
+        ("live_allocations", (), 1),
+    ])
+    def test_one_frame_per_successful_operation(self, name, args, expected):
+        heap = SimHeap()
+        ptr = heap.malloc_from(b"\x01\x02\x03\x04", "buf")
+        args = tuple(ptr if arg == "ptr" else arg for arg in args)
+        events, result = _call_events(partial(getattr(heap, name), *args))
+        assert result == expected
+        assert events == [name]
+
+    def test_one_frame_per_pointer_offset(self):
+        ptr = SimHeap().malloc(4)
+        events, moved = _call_events(partial(ptr.offset, 2))
+        assert moved == Pointer(ptr.address + 2, ptr.alloc_id, 2)
+        assert events == ["offset"]
