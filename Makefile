@@ -14,8 +14,10 @@
 #                      (manifest/checkpoint compatibility, damaged
 #                      records, kill/resume), collector reset/arm
 #                      contract, inline-update-vs-reference line
-#                      collector (settrace and monitoring) and
-#                      inline-check-vs-reference heap suites
+#                      collector (settrace and monitoring),
+#                      inline-check-vs-reference heap,
+#                      slice-keeping-vs-reference parse and
+#                      one-pass-vs-two-pass oracle suites
 #   make fleet-demo  — a small synced 4-shard fleet in /tmp, rendered
 #                      with the per-shard/merged summary table
 #   make sessions-demo — the stateful session-fuzzing walkthrough
@@ -45,6 +47,7 @@ test-matrix:
 		tests/runtime/test_instrument.py tests/runtime/test_backends.py \
 		tests/runtime/test_collector_reference.py \
 		tests/core/test_batching.py tests/model/test_build_reference.py \
+		tests/model/test_parse_reference.py \
 		tests/sanitizer/test_heap_reference.py \
 		tests/store/test_workspace.py tests/store/test_fleet.py \
 		$(PYTEST_ARGS)

@@ -7,12 +7,24 @@ claim the wire format classify the same bytes differently — the raw
 material of request-smuggling and state-desynchronization bugs.  This
 module turns such disagreement into a first-class finding:
 
-* **strict vs lenient** — every delivered frame is parsed through both
+* **strict vs lenient** — every delivered frame is judged by both
   paths of its step's :class:`~repro.model.datamodel.DataModel`.  A
   divergence is recorded when the lenient path *repairs* a frame the
   strict path rejects into a strictly-legal packet (a lenient stack
   would act on a reading of bytes a strict stack drops), or when both
   accept but the lenient reading re-serializes to different bytes.
+
+  Most frames need one parse.  The lenient pass runs first, and the
+  tree it returns records whether it *tolerated* anything a strict
+  parse rejects.  The two paths differ only at those tolerance
+  branches, so a lenient pass that took none of them followed the
+  strict path exactly: its tree is the strict verdict too.  Only a
+  tolerated tree pays for a strict pass.  Success of the lenient pass
+  alone is not enough: a ``Choice`` may settle on an option the
+  strict pass rejects, and the strict pass then accepts through a
+  later option or rejects the frame outright.  A lenient rejection
+  ends the check without a strict pass: either both paths reject, or
+  the lenient one fails further on, and neither is a repair.
 * **cross-stack APCI** — the IEC 104 project's ``frame_kind`` ignores
   the APCI length octet while the lib60870 stack validates it; on
   fragmented or corrupted frames the two classifiers genuinely disagree
@@ -149,24 +161,25 @@ class DifferentialOracle:
         if model is None:
             return []
         try:
-            strict_tree = model.parse(frame)
-            strict_reason = None
-        except ParseError as exc:
-            strict_tree = None
-            # only the message: the exception's traceback holds this
-            # very frame, so keeping it would pin the parse and engine
-            # call stack in a cycle until the cyclic GC runs
-            strict_reason = str(exc)
-        try:
             lenient_tree = model.parse(frame, strict=False)
         except ParseError:
-            # both paths reject (e.g. a corrupted token): they agree
+            # both paths reject (e.g. a corrupted token), or the lenient
+            # one gives up further on: no repair to report either way
             return []
+        strict_reason = None
+        if lenient_tree.tolerated:
+            try:
+                model.parse(frame)
+            except ParseError as exc:
+                # only the message: the exception's traceback holds this
+                # very frame, so keeping it would pin the parse and
+                # engine call stack in a cycle until the cyclic GC runs
+                strict_reason = str(exc)
         try:
             rebuilt = model.to_wire(lenient_tree)
         except Exception:
             return []
-        if strict_tree is not None:
+        if strict_reason is None:
             if rebuilt != frame:
                 return [(
                     "strict-lenient", KIND_PARSE,

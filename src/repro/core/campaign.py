@@ -573,6 +573,10 @@ def rebuild_workspace_engine(workspace: CampaignWorkspace):
     from repro.protocols import get_target
 
     manifest = workspace.load_manifest()
+    cannot = f"manifest of {workspace.root} cannot be resumed"
+    for key in ("engine", "target", "seed", "config"):
+        if key not in manifest:
+            raise WorkspaceError(f"{cannot}: missing key {key!r}")
     config = config_from_dict(manifest["config"])
     config.workspace = workspace.root
     try:
@@ -580,8 +584,7 @@ def rebuild_workspace_engine(workspace: CampaignWorkspace):
         validate_campaign_config(manifest["engine"], target_spec, config)
     except (KeyError, ValueError) as exc:
         # args[0]: str() of a KeyError would quote its message
-        raise WorkspaceError(f"manifest of {workspace.root} cannot be "
-                             f"resumed: {exc.args[0]}") from None
+        raise WorkspaceError(f"{cannot}: {exc.args[0]}") from None
     engine = make_engine(manifest["engine"], target_spec,
                          manifest["seed"], config)
     if workspace.has_state:

@@ -100,17 +100,25 @@ class FileCracker:
         return new_puzzles
 
     def _deposit(self, tree: InsTree) -> int:
-        """The DFS of paper Alg. 2: every sub-tree contributes a puzzle."""
+        """The DFS of paper Alg. 2: every sub-tree contributes a puzzle.
+
+        Pre-order, like :meth:`InsNode.iter_nodes`, walked with an
+        explicit stack: deposit order feeds the corpus's eviction RNG.
+        """
         added = 0
-        for node in tree.root.iter_nodes():
+        add = self.corpus.add
+        skip_carriers = self.skip_fixup_chunks
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
             field = node.field
-            if self.skip_fixup_chunks and (field.fixup is not None
-                                           or field.relation is not None):
+            if skip_carriers and (field.fixup is not None
+                                  or field.relation is not None):
                 continue
             if field.token:
                 continue  # tokens are constants; donating them is a no-op
-            if not node.raw:
-                continue
-            if self.corpus.add(node.signature(), node.raw):
+            if node.raw and add(field.signature(), node.raw):
                 added += 1
         return added

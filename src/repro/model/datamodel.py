@@ -14,6 +14,25 @@ two halves the fuzzer needs:
   File Cracker, or raise :class:`~repro.model.fields.ParseError` when the
   seed is not legal under this model.
 
+Parse keeps the bytes it consumed: each node's ``raw`` is the slice of
+the input it matched and its ``offset`` where that slice starts.  Every
+exact-width leaf round-trips (``encode(decode(raw)) == raw``: a Number
+at its width, a fixed Str whose pad decode strips and encode restores,
+a Blob), and a parse that tolerates nothing consumes the input
+contiguously, so the slices are exactly the bytes re-encoding the tree
+would produce.  A tree a non-strict parse tolerated something in is
+re-assembled from re-encoded leaves: a truncated leaf, or a clamped or
+unconsumed extent, leaves the slices off the canonical encoding, and
+the re-encode normalizes truncated leaves to full width.
+
+A non-strict parse records on its tree whether it *tolerated* anything
+(:attr:`~repro.model.instree.InsTree.tolerated`).  Strict and lenient
+parsing differ only where the strict path raises; a lenient pass that
+took none of those branches followed the path a strict pass would
+follow, so its tree is also the strict verdict.  The differential
+oracle (:mod:`repro.channel.oracle`) relies on this to settle most
+frames with one parse.
+
 A :class:`Pit` is a named set of data models — "one format specification
 usually contains several data models" (paper §II) — typically one per
 function code / packet type of a protocol.
@@ -75,7 +94,10 @@ class Transformer:
 
         Transformers whose strict ``decode`` can reject damaged or
         truncated wire data (e.g. CRC interleaving) override this to
-        salvage what they can instead of raising.
+        salvage what they can instead of raising.  Wherever ``decode``
+        succeeds this must return the same bytes: the non-strict parse
+        tries ``decode`` first and falls back to this only on a
+        :class:`ParseError`, which it records as tolerated.
         """
         return self.decode(data)
 
@@ -95,7 +117,8 @@ class _BuildRecord:
 class _ParseState:
     """Mutable cursor shared across the recursive parse."""
 
-    __slots__ = ("data", "extents", "counts", "strict", "enforce_tokens")
+    __slots__ = ("data", "extents", "counts", "strict", "enforce_tokens",
+                 "tolerated")
 
     def __init__(self, data: bytes, strict: bool = True,
                  enforce_tokens: bool = True):
@@ -111,6 +134,10 @@ class _ParseState:
         # them (the response classifier reads a server reply through a
         # *request* model, whose opcode tokens legitimately differ)
         self.enforce_tokens = enforce_tokens
+        # True once the parse took a branch a strict, token-enforcing
+        # parse would not: every ``if state.strict`` tolerance and every
+        # tolerated token mismatch sets it, and nothing resets it
+        self.tolerated = False
 
 
 class DataModel:
@@ -252,8 +279,9 @@ class DataModel:
         ``encode_leaves=False`` trusts each leaf's existing ``raw``
         instead of re-encoding its value — valid inside :meth:`build`,
         where every mutation site (instantiation, relations, fixups)
-        maintains ``raw == field.encode(value)``.  :meth:`parse` keeps
-        the re-encode: it is what normalizes leniently-decoded
+        maintains ``raw == field.encode(value)``.  :meth:`parse` calls
+        it with the re-encode, and only for a tree it tolerated
+        something in: that is what normalizes leniently-decoded
         (truncated) leaves back to canonical width.
         """
         node.offset = offset
@@ -342,20 +370,35 @@ class DataModel:
         different opcode token and may be longer than any request
         shape).  Neither affects the default (enforcing) behaviour the
         cracker, binder and triage paths rely on.
+
+        The returned tree's ``tolerated`` is True when the parse took
+        any branch a strict, token-enforcing parse rejects; when it is
+        False, ``parse(data)`` returns an identical tree.
         """
-        if self.transformer is not None:
-            data = self.transformer.decode(data) if strict else \
-                self.transformer.decode_lenient(data)
         state = _ParseState(data, strict=strict,
                             enforce_tokens=not lenient_tokens)
+        transformer = self.transformer
+        if transformer is not None:
+            if strict:
+                data = transformer.decode(data)
+            else:
+                try:
+                    data = transformer.decode(data)
+                except ParseError:
+                    data = transformer.decode_lenient(data)
+                    state.tolerated = True
+            state.data = data
         node, pos = self._parse_node(self.root, state, 0, len(data))
         if pos != len(data) and not allow_trailing:
             raise ParseError(
                 f"{self.name}: {len(data) - pos} trailing bytes")
-        self._assemble(node, 0)
+        if state.tolerated:
+            # a truncated leaf or a clamped or unconsumed extent leaves
+            # the consumed slices off the canonical encoding
+            self._assemble(node, 0)
         if verify_fixups:
             self._verify_fixups(node)
-        return InsTree(self.name, node)
+        return InsTree(self.name, node, tolerated=state.tolerated)
 
     def matches(self, data: bytes) -> bool:
         """True when *data* parses cleanly under this model."""
@@ -374,6 +417,7 @@ class DataModel:
                 if state.strict:
                     raise ParseError(
                         f"{field.name}: announced size {extent} exceeds data")
+                state.tolerated = True
                 extent = max(0, min(extent, end - pos))  # truncated tail
             end = pos + extent
 
@@ -391,6 +435,7 @@ class DataModel:
                 raise ParseError(
                     f"{field.name}: announced size {extent} but consumed "
                     f"{pos - (end - extent)}")
+            state.tolerated = True
             pos = end  # the announced extent owns the unconsumed bytes
         return node, pos
 
@@ -407,21 +452,27 @@ class DataModel:
                 raise ParseError(f"{field.name}: truncated")
             # truncated leaf: decode what remains (tokens unverifiable
             # on a partial raw are accepted best-effort)
+            state.tolerated = True
             raw = state.data[pos:end]
             value = field.decode_lenient(raw)
             self._register_relation(field, value, state)
-            return InsNode(field, value=value, raw=raw), end
+            return InsNode(field, value, None, raw, pos), end
         raw = state.data[pos:pos + width]
         value = field.decode(raw)
-        if field.token and state.enforce_tokens and \
-                value != field.default_value():
-            raise ParseError(
-                f"{field.name}: token mismatch ({value!r} != "
-                f"{field.default_value()!r})")
-        if state.strict and not field.validate(value):
-            raise ParseError(f"{field.name}: constraint violation ({value!r})")
-        self._register_relation(field, value, state)
-        return InsNode(field, value=value, raw=raw), pos + width
+        if field.token and value != field.default_value():
+            if state.enforce_tokens:
+                raise ParseError(
+                    f"{field.name}: token mismatch ({value!r} != "
+                    f"{field.default_value()!r})")
+            state.tolerated = True
+        if not field.validate(value):
+            if state.strict:
+                raise ParseError(
+                    f"{field.name}: constraint violation ({value!r})")
+            state.tolerated = True
+        if field.relation is not None:
+            self._register_relation(field, value, state)
+        return InsNode(field, value, None, raw, pos), pos + width
 
     def _register_relation(self, field: Field, value, state: _ParseState) -> None:
         relation = field.relation
@@ -434,11 +485,13 @@ class DataModel:
 
     def _parse_block(self, field: Block, state: _ParseState, pos: int,
                      end: int) -> Tuple[InsNode, int]:
+        start = pos
         children = []
         for child in field.children():
             node, pos = self._parse_node(child, state, pos, end)
             children.append(node)
-        return InsNode(field, children=children), pos
+        return InsNode(field, None, children, state.data[start:pos],
+                       start), pos
 
     def _parse_choice(self, field: Choice, state: _ParseState, pos: int,
                       end: int) -> Tuple[InsNode, int]:
@@ -448,8 +501,10 @@ class DataModel:
             saved_counts = dict(state.counts)
             try:
                 node, newpos = self._parse_node(option, state, pos, end)
-                return InsNode(field, children=[node]), newpos
+                return InsNode(field, None, [node], node.raw, pos), newpos
             except ParseError as exc:
+                # ``tolerated`` stays set: a tolerance taken in an option
+                # given up may have steered the parse off the strict path
                 state.extents = saved_extents
                 state.counts = saved_counts
                 errors.append(str(exc))
@@ -458,6 +513,7 @@ class DataModel:
     def _parse_repeat(self, field: Repeat, state: _ParseState, pos: int,
                       end: int) -> Tuple[InsNode, int]:
         count = state.counts.pop(field.name, None)
+        start = pos
         children = []
         if count is not None:
             if count < field.min_count or count > field.max_count:
@@ -465,6 +521,7 @@ class DataModel:
                     raise ParseError(
                         f"{field.name}: announced count {count} "
                         "out of range")
+                state.tolerated = True
                 count = max(field.min_count,
                             min(count, field.max_count))
             for _ in range(count):
@@ -478,8 +535,10 @@ class DataModel:
                 except ParseError:
                     if state.strict:
                         raise
+                    state.tolerated = True
                     break  # a truncated tail that matches no element
                 if newpos == pos and not state.strict:
+                    state.tolerated = True
                     break  # zero-width element: no progress possible
                 children.append(node)
                 pos = newpos
@@ -487,7 +546,9 @@ class DataModel:
                 if state.strict:
                     raise ParseError(f"{field.name}: fewer than "
                                      f"{field.min_count} elements")
-        return InsNode(field, children=children), pos
+                state.tolerated = True
+        return InsNode(field, None, children, state.data[start:pos],
+                       start), pos
 
     def _verify_fixups(self, root: InsNode) -> None:
         for node in root.iter_nodes():

@@ -8,7 +8,9 @@ other rules it is compatible with (its :class:`RuleSignature`, used by the
 puzzle corpus's ``GETDONOR``).
 
 Fields are declarative and immutable after model construction; per-packet
-state lives in :class:`repro.model.instree.InsNode` instances.
+state lives in :class:`repro.model.instree.InsNode` instances.  That is
+what lets a field compute its :class:`RuleSignature` once, on first use,
+and hand out the same object (and stable id) ever after.
 """
 
 from __future__ import annotations
@@ -42,9 +44,15 @@ class RuleSignature:
     width: int  # encoded width in bytes; 0 when variable
     semantic: str
 
+    def __post_init__(self):
+        # hashed once: the corpus and the mutators key every deposit and
+        # lookup by this id (not a dataclass field, so eq/hash ignore it)
+        object.__setattr__(self, "_stable_id", fnv1a32(
+            f"{self.kind}/{self.width}/{self.semantic}"))
+
     def stable_id(self) -> int:
         """32-bit stable identifier of this signature."""
-        return fnv1a32(f"{self.kind}/{self.width}/{self.semantic}")
+        return self._stable_id
 
     def __str__(self) -> str:
         width = str(self.width) if self.width else "var"
@@ -68,6 +76,7 @@ class Field:
     """
 
     kind = "field"
+    is_leaf = True
 
     def __init__(self, name: str, semantic: Optional[str] = None,
                  token: bool = False):
@@ -78,12 +87,9 @@ class Field:
         self.token = token
         self.relation = None  # set via repro.model.relations
         self.fixup = None     # set via repro.model.fixups
+        self._signature: Optional[RuleSignature] = None
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def is_leaf(self) -> bool:
-        return True
 
     def children(self) -> Sequence["Field"]:
         return ()
@@ -103,8 +109,11 @@ class Field:
         return None
 
     def signature(self) -> RuleSignature:
-        width = self.fixed_width() or 0
-        return RuleSignature(self.kind, width, self.semantic)
+        signature = self._signature
+        if signature is None:
+            signature = self._signature = RuleSignature(
+                self.kind, self.fixed_width() or 0, self.semantic)
+        return signature
 
     # -- value codec (leaves override) --------------------------------------
 
@@ -297,6 +306,7 @@ class Block(Field):
     """Internal node grouping an ordered sequence of child fields."""
 
     kind = "block"
+    is_leaf = False
 
     def __init__(self, name: str, children: Sequence[Field], *,
                  semantic: Optional[str] = None):
@@ -307,10 +317,6 @@ class Block(Field):
         if len(set(names)) != len(names):
             raise ModelError(f"duplicate child names in block {name!r}: {names}")
         self._children = tuple(children)
-
-    @property
-    def is_leaf(self) -> bool:
-        return False
 
     def children(self) -> Sequence[Field]:
         return self._children
@@ -340,6 +346,7 @@ class Choice(Field):
     """
 
     kind = "choice"
+    is_leaf = False
 
     def __init__(self, name: str, options: Sequence[Field], *,
                  semantic: Optional[str] = None):
@@ -347,10 +354,6 @@ class Choice(Field):
         if not options:
             raise ModelError(f"choice {name!r} must have options")
         self._options = tuple(options)
-
-    @property
-    def is_leaf(self) -> bool:
-        return False
 
     def children(self) -> Sequence[Field]:
         return self._options
@@ -372,6 +375,7 @@ class Repeat(Field):
     """
 
     kind = "repeat"
+    is_leaf = False
 
     def __init__(self, name: str, element: Field, *, min_count: int = 0,
                  max_count: int = 64, semantic: Optional[str] = None):
@@ -381,10 +385,6 @@ class Repeat(Field):
         self.element = element
         self.min_count = min_count
         self.max_count = max_count
-
-    @property
-    def is_leaf(self) -> bool:
-        return False
 
     def children(self) -> Sequence[Field]:
         return (self.element,)

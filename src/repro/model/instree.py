@@ -127,11 +127,19 @@ class InsNode:
 
 
 class InsTree:
-    """A parsed or built packet: root node plus the originating model name."""
+    """A parsed or built packet: root node plus the originating model name.
 
-    def __init__(self, model_name: str, root: InsNode):
+    ``tolerated`` is True on a tree a non-strict parse produced by
+    tolerating something a strict parse rejects (a truncated leaf, a
+    constraint violation, a clamped extent, ...); False on every built
+    tree and every strictly parsed one.
+    """
+
+    def __init__(self, model_name: str, root: InsNode,
+                 tolerated: bool = False):
         self.model_name = model_name
         self.root = root
+        self.tolerated = tolerated
 
     @property
     def raw(self) -> bytes:

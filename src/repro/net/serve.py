@@ -38,7 +38,7 @@ from typing import Optional, Tuple
 
 from repro.net.framing import (
     MSG_ACK, MSG_CRASH, MSG_DATA, MSG_HANG, MSG_NONE, MSG_RESET,
-    MSG_RESPONSE, encode_envelope, framer_for, read_envelope,
+    MSG_RESPONSE, EnvelopeError, encode_envelope, framer_for, read_envelope,
 )
 from repro.runtime.target import Session, dispatch_armed
 
@@ -121,7 +121,10 @@ class ServeApp:
     async def _envelope_session(self, reader, writer) -> None:
         session = self._session()
         while True:
-            message = await read_envelope(reader)
+            try:
+                message = await read_envelope(reader)
+            except EnvelopeError:
+                return  # an oversized envelope: drop the session
             if message is None:
                 return
             kind, payload = message

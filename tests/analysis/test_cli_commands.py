@@ -40,8 +40,13 @@ class TestResumeCommand:
         (lambda m: m["config"].update(channel_burst=-1), "channel burst"),
         (lambda m: m["config"].update(future_knob=7), "future_knob"),
         (lambda m: m.update(target="nosuch"), "nosuch"),
+        (lambda m: m.pop("engine"), "missing key 'engine'"),
+        (lambda m: m.pop("target"), "missing key 'target'"),
+        (lambda m: m.pop("seed"), "missing key 'seed'"),
+        (lambda m: m.pop("config"), "missing key 'config'"),
     ], ids=["record_every-0", "budget_hours-str", "channel_burst-negative",
-            "unknown-key", "unknown-target"])
+            "unknown-key", "unknown-target", "no-engine", "no-target",
+            "no-seed", "no-config"])
     def test_corrupt_manifest_exits_2(self, tmp_path, capsys, edit, key):
         ws_dir = str(tmp_path / "ws")
         assert main(["fuzz", "iec104", "--engine", "peach",

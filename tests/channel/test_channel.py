@@ -26,11 +26,13 @@ import pytest
 from repro.channel import (
     FAULT_KINDS, Channel, DirectChannel, FaultingChannel, make_oracle,
 )
-from repro.channel.oracle import KIND_CROSS_STACK, KIND_PARSE
+from repro.channel.oracle import (
+    KIND_CROSS_STACK, KIND_PARSE, DifferentialOracle,
+)
 from repro.core import (
     CampaignConfig, make_engine, resume_campaign, run_campaign,
 )
-from repro.model import ParseError
+from repro.model import Block, DataModel, Number, ParseError, Pit
 from repro.protocols import get_target
 from repro.runtime.target import Target
 from repro.sanitizer.report import CrashDatabase
@@ -310,6 +312,49 @@ class TestDifferentialOracle:
     def test_non_iec104_targets_get_no_cross_stack_pair(self):
         assert make_oracle(get_target("libmodbus")).cross_stack is None
         assert make_oracle(get_target("lib60870")).cross_stack is not None
+
+
+_BUDGET_MODEL = DataModel("budget", Block("frame", [
+    Number("a", 1, default=1, values=(1, 2)),
+    Number("tok", 1, default=0x68, token=True),
+]))
+
+
+class TestParseBudget:
+    """``DataModel.parse`` calls per ``examine`` on a fresh oracle: one
+    lenient pass settles a legal frame and a frame both paths reject;
+    only a tolerated frame pays for the strict pass, and a strictly
+    rejected repair for one more parse of the repaired bytes."""
+
+    @pytest.mark.parametrize("model_name,frame,parses", [
+        ("budget", "0168", 1),       # legal
+        ("budget", "0100", 1),       # token mismatch: both reject
+        ("budget", "0968", 2),       # constraint violation: tolerated
+        ("budget", "01", 3),         # truncated; repaired to 01 68
+        ("iec104.startdt", "680407000000", 1),
+        ("iec104.startdt", "000407000000", 1),
+        ("iec104.startdt", "6804070000", 3),
+        ("iec104.interrogation", "680e0000000064010600010000000014", 1),
+    ], ids=["legal", "both-reject", "tolerated", "repaired",
+            "iec104-legal", "iec104-both-reject", "iec104-repaired",
+            "iec104-i-frame"])
+    def test_parses_per_examine(self, model_name, frame, parses,
+                                monkeypatch):
+        if model_name == "budget":
+            oracle = DifferentialOracle(Pit("budget", [_BUDGET_MODEL]))
+        else:
+            oracle = make_oracle(_IEC104, _PIT)
+        calls = []
+        parse = DataModel.parse
+
+        def counted(model, data, **options):
+            calls.append(options)
+            return parse(model, data, **options)
+
+        monkeypatch.setattr(DataModel, "parse", counted)
+        oracle.examine(bytes.fromhex(frame), model_name, 0)
+        assert len(calls) == parses
+        assert calls[0] == {"strict": False}
 
 
 class TestDivergenceReportSurface:

@@ -2,12 +2,14 @@
 
 import asyncio
 import json
+import logging
+import struct
 
 import pytest
 
 from repro.net.framing import (
-    MSG_ACK, MSG_CRASH, MSG_DATA, MSG_HANG, MSG_NONE, MSG_RESET,
-    MSG_RESPONSE, encode_envelope, framer_for, read_envelope,
+    MAX_ENVELOPE, MSG_ACK, MSG_CRASH, MSG_DATA, MSG_HANG, MSG_NONE,
+    MSG_RESET, MSG_RESPONSE, encode_envelope, framer_for, read_envelope,
 )
 from repro.net.serve import ServeApp, bound_address, start_serving
 from repro.protocols import get_target
@@ -137,6 +139,30 @@ class TestEnvelopeSessions:
             return message
 
         assert serve(scenario) is None
+
+    def test_oversized_envelope_drops_the_session_quietly(self, caplog):
+        async def scenario(app, server):
+            reader, writer = await connect(server)
+            writer.write(MSG_DATA + struct.pack(">I", MAX_ENVELOPE + 1))
+            await writer.drain()
+            dropped = await read_envelope(reader)  # server hangs up
+            await hangup(writer)
+            reader, writer = await connect(server)
+            acked = await ask(reader, writer, MSG_RESET)
+            await hangup(writer)
+            # let both connection handlers finish: one still pending at
+            # loop shutdown is cancelled, which asyncio logs as an error
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            if handlers:
+                await asyncio.wait(handlers, timeout=5)
+            return dropped, acked
+
+        with caplog.at_level(logging.ERROR):
+            dropped, acked = serve(scenario)
+        assert dropped is None
+        assert acked == (MSG_ACK, b"")
+        assert [record for record in caplog.records
+                if record.levelno >= logging.ERROR] == []
 
     def test_sessions_are_isolated_by_default(self):
         async def scenario(app, server):

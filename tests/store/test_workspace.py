@@ -262,6 +262,10 @@ class TestHostileManifest:
          r"unknown target 'nosuch'"),
         (lambda manifest: manifest.update(engine="afl"),
          r"unknown engine 'afl'"),
+        (lambda manifest: manifest.pop("engine"), r"missing key 'engine'"),
+        (lambda manifest: manifest.pop("target"), r"missing key 'target'"),
+        (lambda manifest: manifest.pop("seed"), r"missing key 'seed'"),
+        (lambda manifest: manifest.pop("config"), r"missing key 'config'"),
     ], ids=["policy", "semantic_batch", "semantic_ratio", "hang_budget",
             "max_trace_steps", "crack_enabled", "crack_enabled-int",
             "semantic_batch-float", "unknown-key", "budget_hours-str",
@@ -271,7 +275,8 @@ class TestHostileManifest:
             "record_every-0",
             "checkpoint_every-0", "budget_hours-0", "max_executions-negative",
             "channel_burst-negative", "channel_faults-above-1",
-            "pin_prob-negative", "unknown-target", "unknown-engine"])
+            "pin_prob-negative", "unknown-target", "unknown-engine",
+            "no-engine", "no-target", "no-seed", "no-config"])
     def test_hostile_manifest_fails_loudly(self, tmp_path, edit, message):
         ws_dir = str(tmp_path / "ws")
         assert run_campaign("peach-star", get_target("libmodbus"), seed=7,
