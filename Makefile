@@ -16,8 +16,11 @@
 #                      contract, inline-update-vs-reference line
 #                      collector (settrace and monitoring),
 #                      inline-check-vs-reference heap,
-#                      slice-keeping-vs-reference parse and
-#                      one-pass-vs-two-pass oracle suites
+#                      slice-keeping-vs-reference parse,
+#                      one-pass-vs-two-pass oracle, token prefilter,
+#                      memoized-vs-reference trace binder and
+#                      one-map-vs-per-step-map trace suites, plus the
+#                      session and state-learning suites (tests/state)
 #   make fleet-demo  — a small synced 4-shard fleet in /tmp, rendered
 #                      with the per-shard/merged summary table
 #   make sessions-demo — the stateful session-fuzzing walkthrough
@@ -48,6 +51,8 @@ test-matrix:
 		tests/runtime/test_collector_reference.py \
 		tests/core/test_batching.py tests/model/test_build_reference.py \
 		tests/model/test_parse_reference.py \
+		tests/model/test_token_prefilter.py \
+		tests/runtime/test_trace_map_reference.py tests/state \
 		tests/sanitizer/test_heap_reference.py \
 		tests/store/test_workspace.py tests/store/test_fleet.py \
 		$(PYTEST_ARGS)

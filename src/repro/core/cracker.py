@@ -10,6 +10,13 @@ is deliberate: a packet generated by model ``M_i`` that also parses under
 ``M_j`` deposits its chunks under ``M_j``'s rule signatures too, which is
 how construction-rule similarity across packet types (paper Fig. 2a) is
 harvested.
+
+Most of those parses are rejections, so before the recursive parse each
+model checks its fixed-offset token bytes
+(:meth:`~repro.model.datamodel.DataModel.tokens_match`), and a model
+whose tokens cannot match is skipped.  That is exact: ``tokens_match``
+is False only for bytes a strict parse must reject, and a rejected
+parse deposits nothing.
 """
 
 from __future__ import annotations
@@ -65,6 +72,8 @@ class FileCracker:
             return cached
         parses = []
         for model in self.pit:
+            if not model.tokens_match(seed):
+                continue  # a strict parse must reject it
             try:
                 parses.append((model.name, model.parse(seed)))
             except ParseError:

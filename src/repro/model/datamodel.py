@@ -33,6 +33,13 @@ follow, so its tree is also the strict verdict.  The differential
 oracle (:mod:`repro.channel.oracle`) relies on this to settle most
 frames with one parse.
 
+Most models fix some token bytes at a fixed offset (a start byte, a
+function code).  :meth:`DataModel.tokens_match` checks only those, so
+the loops that parse a packet under every model of a pit and keep the
+legal trees skip a model whose tokens cannot match without the
+recursive parse.  It is never stricter than a strict parse: see its
+docstring.
+
 A :class:`Pit` is a named set of data models — "one format specification
 usually contains several data models" (paper §II) — typically one per
 function code / packet type of a protocol.
@@ -165,6 +172,8 @@ class DataModel:
         self.transformer = transformer
         self.weight = weight
         self._linear_cache: Optional[Tuple[Field, ...]] = None
+        # (offset, bytes) of the fixed-offset tokens, derived on first use
+        self._tokens: Optional[Tuple[Tuple[int, bytes], ...]] = None
 
     # ------------------------------------------------------------------
     # linear model (paper's M_L)
@@ -399,6 +408,51 @@ class DataModel:
         if verify_fixups:
             self._verify_fixups(node)
         return InsTree(self.name, node, tolerated=state.tolerated)
+
+    def tokens_match(self, data: bytes) -> bool:
+        """False only when a strict parse of *data* must raise.
+
+        Checks the encoded default of every token :class:`Number` that a
+        strict parse reaches at a fixed offset: the tokens before the
+        first :class:`Choice`, :class:`Repeat` or variable-width leaf, in
+        declaration order.  A strict, token-enforcing parse reaches such
+        a token only through fields that consume exactly their width or
+        raise, so bytes that differ there are rejected anyway, by the
+        token check or by an earlier failure.  A Number's encode and
+        decode are a bijection at its width, so equal bytes mean an
+        equal value; a default outside the width's range never equals a
+        decoded value, so parse rejects every input there.  A model with
+        a transformer checks nothing: its tokens sit in decoded bytes.
+        """
+        tokens = self._tokens
+        if tokens is None:
+            found: List[Tuple[int, bytes]] = []
+            if self.transformer is None:
+                self._fixed_tokens(self.root, 0, found)
+            tokens = self._tokens = tuple(found)
+        for offset, raw in tokens:
+            if data[offset:offset + len(raw)] != raw:
+                return False
+        return True
+
+    def _fixed_tokens(self, field: Field, offset: int,
+                      found: List[Tuple[int, bytes]]) -> Optional[int]:
+        """Collect *field*'s fixed-offset tokens into *found*; the offset
+        after it, or None where the walk stops."""
+        if isinstance(field, (Choice, Repeat)):
+            return None
+        if not field.is_leaf:
+            for child in field.children():
+                offset = self._fixed_tokens(child, offset, found)
+                if offset is None:
+                    return None
+            return offset
+        width = field.fixed_width()
+        if width is None:
+            return None
+        if field.token and isinstance(field, Number):
+            found.append((offset, field.encode(field.default)))
+        return offset + width
 
     def matches(self, data: bytes) -> bool:
         """True when *data* parses cleanly under this model."""

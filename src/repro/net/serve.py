@@ -100,17 +100,28 @@ class ServeApp:
 
     async def handle_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
+        """Serve one connection until the peer hangs up, the session is
+        dropped, or the event loop shuts down.
+
+        A loop that shuts down cancels a handler still waiting for a
+        frame; that ends the session like a hang-up.  Returning instead
+        of re-raising matters: asyncio.streams' done-callback calls
+        ``task.exception()``, which raises on a cancelled task and gets
+        logged as an error.
+        """
         self.connections += 1
         try:
             if self.framing == "raw":
                 await self._raw_session(reader, writer)
             else:
                 await self._envelope_session(reader, writer)
+        except asyncio.CancelledError:
+            pass
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
     def _session(self) -> Session:

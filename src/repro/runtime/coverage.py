@@ -31,7 +31,7 @@ Two implementations share that model:
 * the **vector** backend — :class:`VectorCoverageMap`/
   :class:`VectorGlobalCoverage` keep the same bytearrays (so the visit
   hot path and the workspace's virgin-map replay are untouched) but run
-  ``merge``/``would_be_new``/``absorb``/``fast_reset`` as numpy
+  ``merge``/``would_be_new``/``fast_reset`` as numpy
   fancy-index operations over zero-copy ``frombuffer`` views.
 
 :func:`resolve_coverage_impl` picks the vector backend whenever numpy
@@ -170,24 +170,6 @@ class CoverageMap:
         elif count < 255:
             counts[index] = count + 1
         self._prev = (cur_location >> 1) & _MAP_MASK
-
-    def absorb(self, other: "CoverageMap") -> None:
-        """Fold another execution map's counts into this one.
-
-        The session executor accumulates per-step maps into one
-        trace-level map this way: the result is what a single execution
-        running all steps back-to-back would have produced (edge counts
-        sum, saturating at 255), so ``edge_count``/``path_hash``/
-        ``iter_hits`` describe the whole trace.  O(touched in *other*).
-        """
-        counts = self.counts
-        journal = self.journal
-        other_counts = other.counts
-        for index in other.journal:
-            current = counts[index]
-            if current == 0:
-                journal.append(index)
-            counts[index] = min(255, current + other_counts[index])
 
     def iter_hits(self) -> Iterable[Tuple[int, int]]:
         """Yield ``(edge_index, raw_count)`` for every touched edge.
@@ -330,24 +312,6 @@ class VectorCoverageMap(CoverageMap):
             journal.clear()
         self._prev = 0
         self._gen += 1
-
-    def absorb(self, other: "CoverageMap") -> None:
-        if not other.journal:
-            return
-        if not isinstance(other, VectorCoverageMap) \
-                or len(other.journal) < _VECTOR_MIN_JOURNAL:
-            super().absorb(other)
-            return
-        idx = other._indices()
-        counts = self._counts_np
-        current = counts[idx].astype(_np.uint16)
-        fresh = current == 0
-        if fresh.any():
-            # journal append order = other's first-touch order, exactly
-            # like the reference loop
-            self.journal.extend(idx[fresh].tolist())
-        summed = current + other._counts_np[idx]
-        counts[idx] = _np.minimum(summed, 255).astype(_np.uint8)
 
     def path_hash(self) -> int:
         journal = self.journal

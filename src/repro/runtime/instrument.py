@@ -126,9 +126,10 @@ def capture_crash_context(collector: Optional["Collector"],
     context from much earlier in the execution and bucketed wrongly.
 
     Without a traceback (hangs, explicit collectors, the dense reference
-    map) the journal tail remains the fallback.  Valid only between the
-    faulting execution and the next ``begin()``; the harness captures it
-    while handling the fault.
+    map) the journal tail remains the fallback; in a trace that is the
+    tail of the trace's map.  Valid only between the faulting execution
+    and the next ``begin()``; the harness captures it while handling the
+    fault.
     """
     if collector is None:
         return ()
@@ -153,7 +154,10 @@ class Collector:
     """Common interface: reset per execution, armed around target code.
 
     ``begin()`` starts a new execution: it resets the map and the block
-    counter and arms nothing.  The context manager arms the
+    counter and arms nothing.  ``begin_step()`` starts the next step of
+    a trace that records into one map: it restarts AFL's edge chain and
+    the block counter but keeps the map's counts and journal.  The
+    context manager arms the
     instrumentation mechanism on entry and disarms it on exit; the
     harness enters it around each ``server.handle_packet`` call only
     (:func:`repro.runtime.target.dispatch_armed`), so an execution that
@@ -172,6 +176,10 @@ class Collector:
 
     def begin(self) -> None:
         self.map.fast_reset()
+        self.blocks_executed = 0
+
+    def begin_step(self) -> None:
+        self.map._prev = 0
         self.blocks_executed = 0
 
     def __enter__(self):

@@ -8,9 +8,10 @@ a fresh :class:`~repro.sanitizer.heap.SimHeap` so crashes are a
 deterministic function of the packet.
 
 Coverage is charged only at the target's own code: the collector is
-reset once per execution (``begin()``) and armed around each
-``handle_packet`` call alone (:func:`dispatch_armed`), so neither the
-harness nor an event loop runs instrumented.
+reset once per execution (``begin()``, or ``begin_step()`` for a trace
+step) and armed around each ``handle_packet`` call alone
+(:func:`dispatch_armed`), so neither the harness nor an event loop runs
+instrumented.
 
 One harness serves every transport.  :class:`Target` owns the trace
 loop, the channel step and the result shapes;
@@ -248,6 +249,16 @@ class Target:
         is attributed to the step that raised it (the trace stops
         there — the session is gone).
 
+        The collector records every step straight into the trace's map
+        and gets its own map back on every way out.  Each step starts
+        like an execution (``begin_step()``: AFL's ``prev`` and the
+        block count restart, so the hang budget is per step) but keeps
+        the counts.  That is what folding per-step maps together would
+        give: the journal is first touch across steps, and counts
+        saturate alike, ``min(255, a + min(255, b)) == min(255, a +
+        b)``.  A crashing or hanging step's partial coverage stays in
+        the map; the map's final ``prev`` is not part of its identity.
+
         *binder* (optional, duck-typed — see
         :class:`repro.state.binder.TraceBinder`) is consulted around
         each step: ``prepare(index, packet)`` returns the wire bytes to
@@ -257,36 +268,43 @@ class Target:
         """
         self._begin_trace()
         collector = self.collector
-        accumulated = CoverageMap() if collector is not None else None
-        result = TraceResult(coverage=accumulated, crash=None, hang=False,
+        result = TraceResult(coverage=None, crash=None, hang=False,
                              response=None)
+        if collector is not None:
+            own_map = collector.map
+            collector.map = result.coverage = CoverageMap()
         last = len(steps) - 1
-        for index, (packet, model_name) in enumerate(steps):
-            self.executions += 1
-            wire = packet if binder is None else binder.prepare(index, packet)
-            result.sent.append(wire)
-            frames = self._channel_frames(index, wire, index == last)
-            if self.channel is not None:
-                result.delivered.append(list(frames))
+        try:
+            for index, (packet, model_name) in enumerate(steps):
+                self.executions += 1
+                wire = packet if binder is None \
+                    else binder.prepare(index, packet)
+                result.sent.append(wire)
+                frames = self._channel_frames(index, wire, index == last)
+                if self.channel is not None:
+                    result.delivered.append(list(frames))
+                if collector is not None:
+                    collector.begin_step()
+                crash, hang, response = self._deliver(index, frames,
+                                                      model_name)
+                if collector is not None:
+                    result.blocks_executed += collector.blocks_executed
+                result.steps_executed = index + 1
+                result.responses.append(response)
+                result.response = response
+                if crash is not None:
+                    result.crash = crash
+                    result.crash_step = index
+                    break
+                if hang:
+                    result.hang = True
+                    result.crash_step = index
+                    break
+                if binder is not None:
+                    binder.observe(index, response)
+        finally:
             if collector is not None:
-                collector.begin()
-            crash, hang, response = self._deliver(index, frames, model_name)
-            if collector is not None:
-                result.blocks_executed += collector.blocks_executed
-                accumulated.absorb(collector.map)
-            result.steps_executed = index + 1
-            result.responses.append(response)
-            result.response = response
-            if crash is not None:
-                result.crash = crash
-                result.crash_step = index
-                break
-            if hang:
-                result.hang = True
-                result.crash_step = index
-                break
-            if binder is not None:
-                binder.observe(index, response)
+                collector.map = own_map
         return result
 
     # -- transport hooks (SocketTarget overrides both) -------------------

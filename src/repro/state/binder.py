@@ -16,9 +16,25 @@ session variables' current values, and re-builds the packet through
 and checksums stay correct around the injected values.  After the
 server replies, :meth:`TraceBinder.observe` parses the response under
 the step's *expect* model and captures the declared leaves.  Both
-directions are best-effort: a packet (or response) that does not parse
-is passed through untouched, because malformedness is frequently the
-point of the trace.
+directions are best-effort: a packet (or response) that does not parse,
+or a bound value its leaf cannot encode, is passed through untouched,
+because malformedness is frequently the point of the trace.
+
+Honest prefixes repeat: a mutated trace replays its base's steps, with
+the same packets and mostly the same live values.  A campaign therefore
+hands every binder one memo (a plain dict the
+:class:`~repro.state.engine.SessionFuzzer` owns), and ``prepare`` and
+``observe`` look their result up before parsing.  That is exact because
+each is a pure function of its key: ``prepare`` of the step's model
+name, the packet and the bound ``(leaf, value)`` pairs; ``observe`` of
+the ``expect`` model name, the response and the capture declarations.
+Pit models never change, parse and build draw no RNG,
+:class:`~repro.core.fixup_engine.TreeEchoProvider` only echoes the
+parsed tree, and bound values are decoded leaf values (``int``, ``str``
+or ``bytes``), which never compare equal across types, so two keys
+cannot alias.  A pass-through is memoized like any other result.  The
+memo is derived state: it is never checkpointed, and it stops growing
+at :attr:`TraceBinder.MEMO_LIMIT`, which changes no result.
 """
 
 from __future__ import annotations
@@ -63,12 +79,21 @@ def apply_pins(model, tree, pins: Mapping[str, object]) -> Tuple[object, bytes]:
 
 
 class TraceBinder:
-    """Session-variable flow for one trace execution."""
+    """Session-variable flow for one trace execution.
 
-    def __init__(self, pit: Pit, steps: Sequence[TraceStep]):
+    *memo*, when given, is the campaign's shared result memo (see the
+    module docstring); without one every call parses and builds.
+    """
+
+    #: memo entries kept per campaign; later results are not memoized
+    MEMO_LIMIT = 4096
+
+    def __init__(self, pit: Pit, steps: Sequence[TraceStep],
+                 memo: Optional[dict] = None):
         self.pit = pit
         self.steps = list(steps)
         self.vars: Dict[str, object] = {}
+        self.memo = memo
 
     def _model(self, name: Optional[str]):
         if not name:
@@ -78,6 +103,12 @@ class TraceBinder:
         except ModelError:
             return None
 
+    def _remember(self, key, value):
+        memo = self.memo
+        if len(memo) < self.MEMO_LIMIT:
+            memo[key] = value
+        return value
+
     # -- outgoing --------------------------------------------------------
 
     def prepare(self, index: int, packet: bytes) -> bytes:
@@ -85,12 +116,24 @@ class TraceBinder:
         step = self.steps[index]
         if not step.bind or not self.vars:
             return packet
-        values = {leaf: self.vars[var]
-                  for leaf, var in sorted(step.bind.items())
-                  if var in self.vars}
-        if not values:
+        bound = tuple((leaf, self.vars[var])
+                      for leaf, var in sorted(step.bind.items())
+                      if var in self.vars)
+        if not bound:
             return packet
-        model = self._model(step.model_name)
+        if self.memo is None:
+            return self._rebind(step.model_name, packet, bound)
+        key = ("prepare", step.model_name, packet, bound)
+        wire = self.memo.get(key)
+        if wire is None:
+            wire = self._remember(
+                key, self._rebind(step.model_name, packet, bound))
+        return wire
+
+    def _rebind(self, model_name: str, packet: bytes,
+                bound: Tuple[Tuple[str, object], ...]) -> bytes:
+        """*packet* rebuilt with the *bound* leaves overwritten."""
+        model = self._model(model_name)
         if model is None:
             return packet
         try:
@@ -105,7 +148,7 @@ class TraceBinder:
             # payload, so it goes out verbatim
             return packet
         changed = False
-        for leaf, value in values.items():
+        for leaf, value in bound:
             node = tree.find(leaf)
             if node is not None and node.is_leaf:
                 node.value = value
@@ -115,7 +158,10 @@ class TraceBinder:
         try:
             rebuilt = model.build(TreeEchoProvider(tree))
             return model.to_wire(rebuilt)
-        except (ModelError, ParseError, ValueError, OverflowError):
+        except (ModelError, ParseError, ValueError, OverflowError,
+                TypeError, AttributeError):
+            # a bound value of the wrong type for its leaf (a foreign or
+            # damaged trace binding a Number to a bytes capture)
             return packet
 
     # -- incoming --------------------------------------------------------
@@ -125,17 +171,36 @@ class TraceBinder:
         step = self.steps[index]
         if response is None or not step.capture:
             return
-        model = self._model(step.expect)
+        captures = tuple(sorted(step.capture.items()))
+        if self.memo is None:
+            captured = self._capture(step.expect, response, captures)
+        else:
+            key = ("observe", step.expect, response, captures)
+            captured = self.memo.get(key)
+            if captured is None:
+                captured = self._remember(
+                    key, self._capture(step.expect, response, captures))
+        for var, value in captured:
+            self.vars[var] = value
+
+    def _capture(self, expect: Optional[str], response: bytes,
+                 captures: Tuple[Tuple[str, str], ...]
+                 ) -> Tuple[Tuple[str, object], ...]:
+        """The ``(var, value)`` pairs *response* yields, in *captures*
+        order."""
+        model = self._model(expect)
         if model is None:
-            return
+            return ()
         try:
             tree = model.parse(response, strict=False)
         except ParseError:
-            return
-        for var, leaf in sorted(step.capture.items()):
+            return ()
+        captured = []
+        for var, leaf in captures:
             node = tree.find(leaf)
             if node is not None and node.is_leaf and node.value is not None:
-                self.vars[var] = node.value
+                captured.append((var, node.value))
+        return tuple(captured)
 
 
 class LaneBinder:
@@ -152,11 +217,13 @@ class LaneBinder:
     """
 
     def __init__(self, pit: Pit, steps: Sequence[TraceStep],
-                 lanes: int):
+                 lanes: int, memo: Optional[dict] = None):
         if lanes < 1:
             raise ValueError(f"lanes {lanes} < 1")
         self.lanes = lanes
-        self._binders = [TraceBinder(pit, steps) for _ in range(lanes)]
+        # one memo for every lane: its keys do not depend on the lane
+        self._binders = [TraceBinder(pit, steps, memo)
+                         for _ in range(lanes)]
 
     @property
     def vars(self) -> Dict[str, object]:

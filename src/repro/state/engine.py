@@ -100,13 +100,17 @@ class SessionFuzzer(PeachStar):
         self.state_model = state_model
         self.concurrency = max(1, concurrency)
         self.session_model_name = trace_model_name(state_model.name)
+        #: the binders' shared result memo (derived state: never
+        #: checkpointed, so a resumed campaign starts it empty)
+        self._binder_memo: dict = {}
 
     # -- one iteration ---------------------------------------------------
 
     def _make_binder(self, steps: List[TraceStep]):
         if self.concurrency > 1:
-            return LaneBinder(self.pit, steps, self.concurrency)
-        return TraceBinder(self.pit, steps)
+            return LaneBinder(self.pit, steps, self.concurrency,
+                              self._binder_memo)
+        return TraceBinder(self.pit, steps, self._binder_memo)
 
     def iterate(self) -> IterationOutcome:
         """Produce one trace, run it as a session, record the outcome."""

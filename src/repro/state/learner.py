@@ -36,6 +36,13 @@ The AFLNet analogy, piece by piece:
   :class:`~repro.state.binder.TraceBinder`; targets with no hand model
   simply fuzz without captures, exactly like AFLNet.
 
+The strict reading parses a reply under every model of the pit, and
+most of those parses are rejections, so a model whose fixed-offset
+token bytes cannot match the reply
+(:meth:`~repro.model.datamodel.DataModel.tokens_match`) is skipped
+without a parse.  That is exact: ``tokens_match`` is False only for
+bytes a strict parse must reject, and a rejected parse adds no reading.
+
 Everything is deterministic given the engine RNG: classification is a
 pure function of the response bytes, the automaton preserves first-
 observation order, and :meth:`LearnedStateModel.snapshot` /
@@ -128,6 +135,8 @@ class ResponseClassifier:
         #    feature leaves directly (peer-direction models, echoes);
         strict_pairs: List[str] = []
         for model in self.pit:
+            if not model.tokens_match(response):
+                continue  # a strict parse must reject it
             try:
                 tree = model.parse(response)
             except (ParseError, ValueError, OverflowError):

@@ -219,6 +219,27 @@ class TestEnvelopeSessions:
                 assert (kind, payload) == (MSG_RESPONSE, local.response)
 
 
+@pytest.mark.parametrize("framing", ["peachstar", "raw"])
+def test_a_loop_shutdown_ends_a_waiting_session_quietly(framing, caplog):
+    """A handler still waiting for a frame when the event loop shuts down
+    is cancelled; that ends its session without an asyncio error (the
+    path a Ctrl-C of ``peachstar serve`` takes with a client connected)."""
+
+    async def main():
+        app, server = await start_serving(get_target("iec104"),
+                                          "127.0.0.1", 0, framing=framing)
+        client = await connect(server)  # held open past the loop's end
+        await asyncio.sleep(0.05)
+        return app.connections, client
+
+    with caplog.at_level(logging.ERROR):
+        connections, _ = asyncio.run(main())
+    assert connections == 1
+    assert [record for record in caplog.records
+            if record.name == "asyncio"
+            and record.levelno >= logging.ERROR] == []
+
+
 class TestRawSessions:
     def test_response_travels_in_protocol_framing(self):
         spec = get_target("iec104")

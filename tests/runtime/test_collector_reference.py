@@ -11,8 +11,8 @@ Per execution, both must agree on the journal (in order), the ``counts``
 bytes and ``_prev``, ``blocks_executed`` and the hang flag, and the
 crash call sites and the response.  Inputs: generated packets for all
 six targets, a faulting channel and the loopback socket (several arms
-per execution), session traces (``begin()`` per step, then
-``absorb``), ``run_into`` with two alternating maps, and a small hang
+per execution), session traces (``begin_step()`` per step, into the
+trace's map), ``run_into`` with two alternating maps, and a small hang
 budget tripped inside in-scope code.  The collector under test comes
 from ``make_line_collector``, so the suite checks whichever backend
 ``REPRO_COVERAGE_BACKEND`` selects.
@@ -75,6 +75,11 @@ class ReferenceCollector(Collector):
 
     def begin(self):
         super().begin()
+        self._visit = self.map.visit
+
+    def begin_step(self):
+        # a trace step records into the map run_trace pointed us at
+        super().begin_step()
         self._visit = self.map.visit
 
     def __enter__(self):
@@ -242,8 +247,8 @@ def _trace_outcome(result):
 
 @pytest.mark.parametrize("target_name", ["iec104", "libmodbus", "lib60870"])
 def test_session_traces_record_like_the_reference(target_name):
-    """A session campaign's traces (``begin()`` per step, then ``absorb``)
-    replayed step for step on the reference."""
+    """A session campaign's traces (``begin_step()`` per step, into the
+    trace's map) replayed step for step on the reference."""
     spec = get_target(target_name)
     config = CampaignConfig(budget_hours=24.0, max_executions=PACKETS,
                             record_every=50, sessions=True)

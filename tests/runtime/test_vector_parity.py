@@ -97,21 +97,6 @@ class TestMapParity:
             assert list(fast.iter_hits()) == list(full.iter_hits())
             assert fast.path_hash() == full.path_hash()
 
-    def test_absorb_matches_sparse(self):
-        rng = random.Random(55)
-        for length in JOURNAL_LENGTHS:
-            sparse_acc, vector_acc = _pair()
-            sparse, vector = _pair()
-            _visit_both(sparse, vector, _random_blocks(rng, length))
-            sparse_acc.absorb(sparse)
-            vector_acc.absorb(vector)
-            # and absorbing across implementations also agrees
-            cross = VectorCoverageMap()
-            cross.absorb(sparse)
-            assert bytes(vector_acc.counts) == bytes(sparse_acc.counts)
-            assert bytes(cross.counts) == bytes(sparse_acc.counts)
-            assert sorted(vector_acc.journal) == sorted(sparse_acc.journal)
-
     def test_path_hash_memo_survives_reset_generations(self):
         vector = VectorCoverageMap()
         hashes = []
