@@ -18,9 +18,11 @@
 #                      inline-check-vs-reference heap,
 #                      slice-keeping-vs-reference parse,
 #                      one-pass-vs-two-pass oracle, token prefilter,
-#                      memoized-vs-reference trace binder and
-#                      one-map-vs-per-step-map trace suites, plus the
-#                      session and state-learning suites (tests/state)
+#                      memoized-vs-reference trace binder,
+#                      one-map-vs-per-step-map trace and
+#                      shared-vs-per-engine record/crack/splice step
+#                      suites, plus the session and state-learning
+#                      suites (tests/state)
 #   make fleet-demo  — a small synced 4-shard fleet in /tmp, rendered
 #                      with the per-shard/merged summary table
 #   make sessions-demo — the stateful session-fuzzing walkthrough
@@ -53,6 +55,7 @@ test-matrix:
 		tests/model/test_parse_reference.py \
 		tests/model/test_token_prefilter.py \
 		tests/runtime/test_trace_map_reference.py tests/state \
+		tests/core/test_engine_reference.py \
 		tests/sanitizer/test_heap_reference.py \
 		tests/store/test_workspace.py tests/store/test_fleet.py \
 		$(PYTEST_ARGS)

@@ -8,7 +8,6 @@ makes observable (:mod:`repro.channel.oracle`).
 from repro.channel.faults import (
     FAULT_KINDS,
     Channel,
-    DirectChannel,
     FaultingChannel,
 )
 from repro.channel.oracle import (
@@ -20,7 +19,6 @@ from repro.channel.oracle import (
 __all__ = [
     "FAULT_KINDS",
     "Channel",
-    "DirectChannel",
     "FaultingChannel",
     "DifferentialOracle",
     "DivergenceReport",

@@ -8,7 +8,7 @@ retransmission handling, sequence-number confusion, length/framing
 desynchronization — only trigger when the transport misbehaves.
 
 :class:`Channel` is the seam :meth:`repro.runtime.target.Target.run` /
-``run_trace`` consult per step; :class:`DirectChannel` is the pinned
+``run_trace`` consult per step; the base class itself is the pinned
 byte-identical passthrough (parity-tested against the channel-less
 path), and :class:`FaultingChannel` injects one of five classic
 transport faults per frame, driven by its own seeded RNG so campaigns
@@ -71,15 +71,6 @@ class Channel:
 
     def restore(self, blob: dict) -> None:
         """Stateless channels have nothing to restore."""
-
-
-class DirectChannel(Channel):
-    """The pinned passthrough: every frame delivered once, unchanged.
-
-    Exists so the channel seam itself can be parity-tested: a campaign
-    run through a :class:`DirectChannel` must be bit-identical to one
-    run with no channel at all, for every protocol.
-    """
 
 
 #: fault menu, in the order the selection roll indexes it

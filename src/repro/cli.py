@@ -124,10 +124,14 @@ def _add_net_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _net_config(args):
-    """The NetConfig implied by the net args, or None (in-process path)."""
+    """The NetConfig implied by the net args, or None (in-process path).
+
+    Any ``--concurrency`` but 1 gets a NetConfig, so that
+    :meth:`NetConfig.validate` refuses a value below 1.
+    """
     url = getattr(args, "target_url", None)
     concurrency = getattr(args, "concurrency", 1)
-    if url is None and concurrency <= 1:
+    if url is None and concurrency == 1:
         return None
     return NetConfig(url=url if url is not None else "loopback",
                      framing=getattr(args, "net_framing", "peachstar"),

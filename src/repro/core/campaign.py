@@ -153,25 +153,31 @@ def config_to_dict(config: CampaignConfig) -> dict:
 _ANY_VALUE = object()
 
 
-def _retired_keys() -> Dict[str, object]:
-    """Keys older manifests carry that ``CampaignConfig`` no longer has.
+def _retired_keys() -> Dict[type, Dict[str, object]]:
+    """Keys older manifests carry that a config dataclass no longer has.
 
-    Each maps to the one value every campaign this version reproduces
-    ran with, read from the constants the engines and collectors use.
+    Per dataclass, each maps to the one value every campaign this
+    version reproduces ran with, read from the constants the engines
+    and collectors use.
     """
     from repro.state.engine import SessionFuzzer  # late: layering
     return {
-        "policy": asdict(default_campaign_policy()),
-        "semantic_batch": PeachStar.SEMANTIC_BATCH,
-        "semantic_ratio": PeachStar.SEMANTIC_RATIO,
-        "hang_budget": HANG_BUDGET,
-        "max_trace_steps": SessionFuzzer.MAX_TRACE_STEPS,
-        "crack_enabled": True,
-        # campaign-neutral: parity-pinned backends, any batch size and
-        # either coverage-map implementation give the same campaign
-        "coverage_backend": _ANY_VALUE,
-        "batch_size": _ANY_VALUE,
-        "coverage_impl": _ANY_VALUE,
+        CampaignConfig: {
+            "policy": asdict(default_campaign_policy()),
+            "semantic_batch": PeachStar.SEMANTIC_BATCH,
+            "semantic_ratio": PeachStar.SEMANTIC_RATIO,
+            "hang_budget": HANG_BUDGET,
+            "max_trace_steps": SessionFuzzer.MAX_TRACE_STEPS,
+            "crack_enabled": True,
+            # campaign-neutral: parity-pinned backends, any batch size
+            # and either coverage-map implementation give the same
+            # campaign
+            "coverage_backend": _ANY_VALUE,
+            "batch_size": _ANY_VALUE,
+            "coverage_impl": _ANY_VALUE,
+        },
+        # loopback serving shares one server exactly when concurrency > 1
+        NetConfig: {"shared_state": False},
     }
 
 
@@ -188,17 +194,19 @@ def _fits_json_type(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _decode_fields(cls, blob, where: str, retired: Dict[str, object]):
+def _decode_fields(cls, blob, where: str,
+                   retired: Dict[type, Dict[str, object]]):
     """Build dataclass *cls* from a manifest object, refusing anything
     this version would not resume into the same campaign."""
     if not isinstance(blob, dict):
         raise WorkspaceError(f"{where} is {blob!r}, not a JSON object; "
                              "workspace is corrupt")
     hints = get_type_hints(cls)
+    retired_here = retired.get(cls, {})
     kwargs = {}
     for key, value in blob.items():
-        if key in retired:
-            pinned = retired[key]
+        if key in retired_here:
+            pinned = retired_here[key]
             if pinned is not _ANY_VALUE and \
                     json.dumps(value, sort_keys=True) != \
                     json.dumps(pinned, sort_keys=True):
@@ -219,7 +227,7 @@ def _decode_fields(cls, blob, where: str, retired: Dict[str, object]):
             hint = get_args(hint)[0]
         if is_dataclass(hint):
             kwargs[key] = _decode_fields(hint, value, f"{where} key {key!r}",
-                                         retired={})
+                                         retired)
         elif _fits_json_type(value, hint):
             kwargs[key] = value
         else:

@@ -47,14 +47,9 @@ class FileCracker:
     immutable once built, so sharing them across calls is safe.
     """
 
-    def __init__(self, pit: Pit, corpus: PuzzleCorpus, *,
-                 skip_fixup_chunks: bool = True):
+    def __init__(self, pit: Pit, corpus: PuzzleCorpus):
         self.pit = pit
         self.corpus = corpus
-        #: fixup/relation carriers are recomputed by File Fixup, so their
-        #: cracked values are useless as donors; skipping them keeps the
-        #: corpus semantic.
-        self.skip_fixup_chunks = skip_fixup_chunks
         self.seeds_cracked = 0
         self.models_matched = 0
         self.puzzles_deposited = 0
@@ -116,15 +111,15 @@ class FileCracker:
         """
         added = 0
         add = self.corpus.add
-        skip_carriers = self.skip_fixup_chunks
         stack = [tree.root]
         while stack:
             node = stack.pop()
             if node.children:
                 stack.extend(reversed(node.children))
             field = node.field
-            if skip_carriers and (field.fixup is not None
-                                  or field.relation is not None):
+            if field.fixup is not None or field.relation is not None:
+                # File Fixup recomputes these carriers, so their cracked
+                # values are useless as donors
                 continue
             if field.token:
                 continue  # tokens are constants; donating them is a no-op

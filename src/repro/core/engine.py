@@ -185,41 +185,57 @@ class GenerationFuzzer:
             result = self.target.run(packet, model.name)
         else:
             result = self.target.run_into(packet, model.name, coverage_map)
-        self.clock.charge_execution(instrumented=self.uses_feedback)
-        self.stats.executions += 1
-        if semantic:
-            self.stats.semantic_executions += 1
         outcome = IterationOutcome(packet=packet, model_name=model.name,
                                    result=result, semantic=semantic)
+        frames_per_step = None
+        if self.oracle is not None:
+            delivered = result.delivered \
+                if result.delivered is not None else [packet]
+            frames_per_step = [(model.name, delivered)]
+        return self._record(outcome, 1, int(semantic), tree,
+                            [(packet, tree)], frames_per_step)
+
+    def _record(self, outcome: IterationOutcome, executed: int,
+                spliced: int, tree: Optional[InsTree], parts,
+                frames_per_step) -> IterationOutcome:
+        """Account and record one execution; every engine ends here.
+
+        *executed* steps ran (one for a packet), *spliced* of them came
+        from donor splicing.  *tree* is the seed's own tree (``None``
+        for a trace), *parts* the ``(packet, tree)`` pairs a valuable
+        input is cracked into, and *frames_per_step* what the oracle
+        examines (see :meth:`_run_oracle`; ``None`` without an oracle).
+        The outcome leaves stamped with the post-iteration readings the
+        campaign driver uses.
+        """
+        result = outcome.result
+        for _ in range(executed):
+            self.clock.charge_execution(instrumented=self.uses_feedback)
+        self.stats.executions += executed
+        self.stats.semantic_executions += spliced
         if result.crash is not None:
             self.stats.crashes_total += 1
             outcome.new_unique_crash = self.crashes.add(
                 result.crash, self.clock.hours)
         if result.hang:
             self.stats.hangs += 1
-        # Crashing/hanging packets go to the crash set (C7), not the seed
+        # Crashing/hanging inputs go to the crash set (C7), not the seed
         # queue: their coverage is dominated by the fault path and their
         # chunks make poisonous donors — same policy as AFL's queue.
         if result.coverage is not None and result.crash is None \
                 and not result.hang:
             seed = self.seed_pool.consider(
-                packet, model.name, tree, result.coverage,
+                outcome.packet, outcome.model_name, tree, result.coverage,
                 self.stats.executions, self.clock.now_ms)
             if seed is not None:
                 outcome.seed = seed
                 outcome.valuable = True
                 self.stats.valuable_seeds += 1
-                self._on_valuable_seed(seed)
+                self._crack(parts)
         if self.oracle is not None:
-            delivered = result.delivered \
-                if result.delivered is not None else [packet]
-            self._run_oracle(outcome, [(model.name, delivered)])
+            self._run_oracle(outcome, frames_per_step)
             self._maybe_steer_divergence(outcome, tree)
         self._absorb_net_stats()
-        return self._finish_outcome(outcome)
-
-    def _finish_outcome(self, outcome: IterationOutcome) -> IterationOutcome:
-        """Stamp the post-iteration readings the campaign driver uses."""
         outcome.executions = self.stats.executions
         outcome.hours = self.clock.hours
         outcome.paths = self.seed_pool.path_count
@@ -304,8 +320,13 @@ class GenerationFuzzer:
                 break
         return outcomes
 
+    def _crack(self, parts) -> None:
+        """Hook for feedback-driven engines; the baseline cracks nothing."""
+
     def _on_valuable_seed(self, seed) -> None:
-        """Hook for feedback-driven engines; baseline does nothing."""
+        """Crack a seed retained outside :meth:`_record` (a steered seed
+        or a fleet import)."""
+        self._crack([(seed.packet, seed.tree)])
 
     def _maybe_steer_divergence(self, outcome: IterationOutcome,
                                 tree: Optional[InsTree]) -> None:
@@ -380,12 +401,14 @@ class GenerationFuzzer:
 class PeachStar(GenerationFuzzer):
     """Peach*: coverage-guided packet crack and generation (Fig. 3).
 
+    Every valuable seed is cracked into the puzzle corpus, as in the
+    paper.
+
     Additional parameters
     ---------------------
-    crack_enabled / semantic_enabled:
-        Ablation switches: cracking without semantic generation measures
-        pure corpus-building cost; disabling both turns Peach* into an
-        instrumented Peach.
+    semantic_enabled:
+        Ablation switch: without semantic generation Peach* still
+        cracks, which measures pure corpus-building cost.
     """
 
     engine_name = "peach-star"
@@ -401,7 +424,6 @@ class PeachStar(GenerationFuzzer):
     def __init__(self, pit: Pit, target: Target, rng: random.Random,
                  clock: Optional[SimulatedClock] = None,
                  policy: Optional[GenerationPolicy] = None,
-                 crack_enabled: bool = True,
                  semantic_enabled: bool = True,
                  pin_prob: float = 0.5,
                  oracle=None, steer_divergence: bool = False):
@@ -412,7 +434,6 @@ class PeachStar(GenerationFuzzer):
         self.generator = SemanticGenerator(
             self.corpus, rng, policy, batch_limit=self.SEMANTIC_BATCH,
             pin_prob=pin_prob)
-        self.crack_enabled = crack_enabled
         self.semantic_enabled = semantic_enabled
         #: decided-but-unbuilt spliced seeds: (recipe, model name), built
         #: only when popped
@@ -427,28 +448,48 @@ class PeachStar(GenerationFuzzer):
             tree, packet = self.generator.build(model, recipe)
             return tree, packet, model, True
         model = choose_model(self.pit, self.rng)
-        if self.semantic_enabled and not self.corpus.is_empty and \
-                self.rng.random() < self.SEMANTIC_RATIO:
-            recipes = self.generator.construct(model)
-            if recipes:
-                # the paper's cost model charges the whole batch here,
-                # at construct time, however few slots are ever built
-                self.clock.charge_semantic_generation(len(recipes))
-                self.clock.charge_fixup()
-                for recipe in recipes[1:]:
-                    self._pending.append((recipe, model.name))
-                tree, packet = self.generator.build(model, recipes[0])
-                return tree, packet, model, True
+        spliced = self._spliced(model, self._pending)
+        if spliced is not None:
+            return (*spliced, model, True)
         tree, packet = generate_packet(model, self.rng, self.policy)
         return tree, packet, model, False
 
+    def _spliced(self, model: DataModel,
+                 queue: Optional[Deque[Tuple[SpliceRecipe, str]]] = None
+                 ) -> Optional[Tuple[InsTree, bytes]]:
+        """Semantic-aware generation (Alg. 3) of one *model* packet.
+
+        Once the corpus holds puzzles, a roll of ``SEMANTIC_RATIO``
+        decides a spliced batch and builds its first recipe; the rest
+        of the batch joins *queue* when one is given.  ``None`` leaves
+        the caller to the inherent strategy.
+        """
+        if not self.semantic_enabled or self.corpus.is_empty or \
+                self.rng.random() >= self.SEMANTIC_RATIO:
+            return None
+        recipes = self.generator.construct(model)
+        if not recipes:
+            return None
+        # the paper's cost model charges the whole batch here, at
+        # construct time, however few slots are ever built
+        self.clock.charge_semantic_generation(len(recipes))
+        self.clock.charge_fixup()
+        if queue is not None:
+            queue.extend((recipe, model.name) for recipe in recipes[1:])
+        return self.generator.build(model, recipes[0])
+
     # -- feedback --------------------------------------------------------------
 
-    def _on_valuable_seed(self, seed) -> None:
-        if not self.crack_enabled:
-            return
-        self.clock.charge_crack()
-        new_puzzles = self.cracker.crack(seed.packet, seed.tree)
+    def _crack(self, parts) -> None:
+        """Crack a valuable input into the puzzle corpus (Alg. 2).
+
+        *parts* are its ``(packet, tree)`` pairs, one per packet; each
+        costs one crack on the clock.
+        """
+        new_puzzles = 0
+        for packet, tree in parts:
+            self.clock.charge_crack()
+            new_puzzles += self.cracker.crack(packet, tree)
         self.stats.puzzles = self.corpus.puzzle_count()
         if new_puzzles and self._pending and \
                 len(self._pending) > 4 * self.generator.batch_limit:

@@ -52,17 +52,8 @@ class SeedPool:
         """Fold an execution's coverage in; return the seed if valuable."""
         if not self.coverage.merge(coverage_map):
             return None
-        seed = ValuableSeed(
-            packet=packet,
-            model_name=model_name,
-            tree=tree,
-            execution_index=execution_index,
-            sim_time_ms=sim_time_ms,
-            edges_touched=coverage_map.edge_count(),
-            path_hash=coverage_map.path_hash(),
-        )
-        self.seeds.append(seed)
-        return seed
+        return self.force_add(packet, model_name, tree, coverage_map,
+                              execution_index, sim_time_ms)
 
     def force_add(self, packet: bytes, model_name: str,
                   tree: Optional[InsTree], coverage_map: CoverageMap,

@@ -99,16 +99,18 @@ def _decode_donor(field: Field, donor: bytes):
 class SemanticGenerator:
     """Implements CONSTRUCT of paper Alg. 3 with a batch cap."""
 
+    #: donors sampled per spliceable position of one batch (the bound on
+    #: each factor of Alg. 3's cartesian product)
+    MAX_DONORS_PER_POSITION = 6
+
     def __init__(self, corpus: PuzzleCorpus, rng: random.Random,
                  policy: Optional[GenerationPolicy] = None,
                  batch_limit: int = 16,
-                 max_donors_per_position: int = 6,
                  pin_prob: float = 0.5):
         self.corpus = corpus
         self.rng = rng
         self.policy = policy
         self.batch_limit = batch_limit
-        self.max_donors_per_position = max_donors_per_position
         #: probability that a donor-bearing position is actually pinned in
         #: a given batch.  Literal Alg. 3 pins every such position
         #: (pin_prob=1.0); pinning a random subset keeps mutator entropy
@@ -141,7 +143,7 @@ class SemanticGenerator:
             if self.pin_prob < 1.0 and self.rng.random() >= self.pin_prob:
                 continue  # leave this position to the inherent rule
             chosen = self.corpus.sample_donors(
-                field, self.max_donors_per_position)
+                field, self.MAX_DONORS_PER_POSITION)
             if not chosen:
                 continue
             positions.append((self._leaf_path(model, field), field,

@@ -35,7 +35,7 @@ class NetConfig:
     unavailable there — black-box fuzzing).  ``concurrency > 1``
     interleaves N sessions round-robin over one event loop against a
     shared-state server (step *i* of a trace runs on connection
-    ``i % N``); it implies ``shared_state`` for loopback serving and
+    ``i % N``); loopback serving shares one server exactly then.  It
     requires session mode.
     """
 
@@ -48,9 +48,6 @@ class NetConfig:
     #: reconnect attempts when the endpoint drops the connection
     #: mid-session (a crashed real server closes the socket)
     reconnect: int = 1
-    #: served connections share one server instance (race one session
-    #: state) instead of getting a private server each
-    shared_state: bool = False
     #: interleaved sessions per trace scenario (1 = plain sessions)
     concurrency: int = 1
 

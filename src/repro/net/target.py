@@ -409,11 +409,10 @@ def make_loopback_target(spec, *, collector=None, channel=None,
     """
     net = net if net is not None else NetConfig()
     net.validate()
-    shared = net.shared_state or net.concurrency > 1
     loop = asyncio.new_event_loop()
     app, server = loop.run_until_complete(start_serving(
         spec, "127.0.0.1", 0, collector=collector,
-        shared_state=shared, framing=net.framing))
+        shared_state=net.concurrency > 1, framing=net.framing))
     address = bound_address(server)
     timeout_ms = None if net.framing == "peachstar" else net.timeout_ms
     return SocketTarget(

@@ -472,16 +472,14 @@ class MonitoringCollector(_LineCollector):
 
     def __init__(self, module_prefixes: Iterable[str],
                  coverage_map: Optional[CoverageMap] = None,
-                 hang_budget: int = HANG_BUDGET,
-                 tool_id: Optional[int] = None):
+                 hang_budget: int = HANG_BUDGET):
         if _MONITORING is None:
             raise RuntimeError(
                 "sys.monitoring is not available on this interpreter "
                 f"({sys.version_info.major}.{sys.version_info.minor}); "
                 "use TracingCollector or make_line_collector()")
         super().__init__(module_prefixes, coverage_map, hang_budget)
-        self._tool_id = (tool_id if tool_id is not None
-                         else _MONITORING.COVERAGE_ID)
+        self._tool_id = _MONITORING.COVERAGE_ID
 
     def __enter__(self):
         mon = _MONITORING

@@ -118,9 +118,6 @@ class SessionFuzzer(PeachStar):
         binder = self._make_binder(steps)
         result = self.target.run_trace(
             [(step.packet, step.model_name) for step in steps], binder)
-        for _ in range(result.steps_executed):
-            self.clock.charge_execution(instrumented=self.uses_feedback)
-        self.stats.executions += result.steps_executed
         self.stats.traces += 1
         # state learning: a LearnedStateModel grows its automaton from
         # the observed responses and re-annotates the executed steps
@@ -132,66 +129,36 @@ class SessionFuzzer(PeachStar):
         learned = getattr(self.state_model, "learned_state_count", None)
         if learned is not None:
             self.stats.learned_states = learned
-        semantic_steps = sum(
-            1 for step in steps[:result.steps_executed] if step.semantic)
-        self.stats.semantic_executions += semantic_steps
         encoded = encode_trace(steps)
-        outcome = IterationOutcome(
-            packet=encoded, model_name=self.session_model_name,
-            result=result, semantic=semantic_steps > 0)
         if result.crash is not None:
             result.crash.trace = encoded
             result.crash.crash_step = result.crash_step
-            self.stats.crashes_total += 1
-            outcome.new_unique_crash = self.crashes.add(
-                result.crash, self.clock.hours)
-        if result.hang:
-            self.stats.hangs += 1
-        # Crashing/hanging traces stay out of the pool, same policy as
-        # the single-packet queue: their coverage is fault-dominated.
-        if result.coverage is not None and result.crash is None \
-                and not result.hang:
-            seed = self.seed_pool.consider(
-                encoded, self.session_model_name, None, result.coverage,
-                self.stats.executions, self.clock.now_ms)
-            if seed is not None:
-                outcome.seed = seed
-                outcome.valuable = True
-                self.stats.valuable_seeds += 1
-                self._crack_steps(steps)
+        spliced = sum(
+            1 for step in steps[:result.steps_executed] if step.semantic)
+        outcome = IterationOutcome(
+            packet=encoded, model_name=self.session_model_name,
+            result=result, semantic=spliced > 0)
+        frames_per_step = None
         if self.oracle is not None:
             # post-channel frames when a channel ran, the sent wire
             # otherwise; either way labelled with each step's model
             per_step = result.delivered if result.delivered \
                 else [[wire] for wire in result.sent]
-            self._run_oracle(outcome, [
-                (steps[index].model_name, frames)
-                for index, frames in enumerate(per_step)])
-            self._maybe_steer_divergence(outcome, None)
-        self._absorb_net_stats()
-        return self._finish_outcome(outcome)
-
-    # -- cracking --------------------------------------------------------
-
-    def _crack_steps(self, steps: List[TraceStep]) -> None:
-        """Crack every step of a valuable trace into the puzzle corpus."""
-        if not self.crack_enabled:
-            return
-        for step in steps:
-            self.clock.charge_crack()
-            self.cracker.crack(step.packet, step.tree)
-        self.stats.puzzles = self.corpus.puzzle_count()
+            frames_per_step = [(step.model_name, frames)
+                               for step, frames in zip(steps, per_step)]
+        return self._record(outcome, result.steps_executed, spliced, None,
+                            [(step.packet, step.tree) for step in steps],
+                            frames_per_step)
 
     def _on_valuable_seed(self, seed) -> None:
-        """Fleet-import hook: imported entries may be encoded traces."""
-        if not self.crack_enabled:
-            return
+        """Steered seeds and fleet imports may be encoded traces: those
+        crack their decoded steps."""
         if is_trace_blob(seed.packet):
             try:
                 steps = decode_trace(seed.packet)
             except TraceError:
                 return
-            self._crack_steps(steps)
+            self._crack([(step.packet, step.tree) for step in steps])
         else:
             super()._on_valuable_seed(seed)
 
@@ -248,22 +215,15 @@ class SessionFuzzer(PeachStar):
 
     def _produce_step(self, model: DataModel
                       ) -> Tuple[InsTree, bytes, bool]:
-        """One step packet via crack-and-generate for a fixed model.
+        """One step packet for a fixed model: spliced or generated.
 
-        Mirrors :meth:`PeachStar._produce` minus the model choice and
-        the pending-batch queue (sessions need *this* model now; the
-        unused remainder of a semantic batch would only queue packets
-        for states the trace has already left, so only the first recipe
-        is ever built).
+        :meth:`PeachStar._spliced` without the pending queue: the unused
+        remainder of a spliced batch would only queue packets for states
+        the trace has already left.
         """
-        if self.semantic_enabled and not self.corpus.is_empty and \
-                self.rng.random() < self.SEMANTIC_RATIO:
-            recipes = self.generator.construct(model)
-            if recipes:
-                self.clock.charge_semantic_generation(len(recipes))
-                self.clock.charge_fixup()
-                tree, packet = self.generator.build(model, recipes[0])
-                return tree, packet, True
+        spliced = self._spliced(model)
+        if spliced is not None:
+            return (*spliced, True)
         tree, packet = generate_packet(model, self.rng, self.policy)
         return tree, packet, False
 

@@ -215,26 +215,23 @@ class LearnedStateModel:
         The target's format specification (exploration draws from it).
     hints:
         Output of :func:`binding_hints` (may be empty).
-    explore_prob:
-        Probability of an exploration step even when learned edges
-        exist; a state with no learned edges always explores.
-    max_states:
-        Cap on learned feature classes; labels past it collapse into
-        :data:`OVERFLOW_STATE` so a noisy protocol cannot blow the
-        automaton (and the checkpoint) up.
     """
 
     #: the pre-first-response state of every session
     INITIAL = "genesis"
+    #: probability of an exploration step even when learned edges
+    #: exist; a state with no learned edges always explores
+    EXPLORE_PROB = 0.3
+    #: cap on learned feature classes; labels past it collapse into
+    #: :data:`OVERFLOW_STATE` so a noisy protocol cannot blow the
+    #: automaton (and the checkpoint) up
+    MAX_STATES = 64
 
-    def __init__(self, pit: Pit, hints: Optional[Mapping[str, tuple]] = None,
-                 explore_prob: float = 0.3, max_states: int = 64):
+    def __init__(self, pit: Pit, hints: Optional[Mapping[str, tuple]] = None):
         self.pit = pit
         self.name = f"{pit.name}.learned"
         self.initial = self.INITIAL
         self.hints = dict(hints) if hints else {}
-        self.explore_prob = explore_prob
-        self.max_states = max_states
         self.classifier = ResponseClassifier(pit)
         self._states: Dict[str, _LearnedState] = {}
         self._intern(self.initial)
@@ -270,13 +267,13 @@ class LearnedStateModel:
         """One walk step: follow a learned edge or explore.
 
         Unknown states (stale labels from spliced/imported traces) and
-        edge-less states always explore; otherwise an ``explore_prob``
+        edge-less states always explore; otherwise an ``EXPLORE_PROB``
         roll decides.  Every random decision draws from the engine RNG,
         so walks stay reproducible and resumable.
         """
         state = self._states.get(state_name)
         if state is None or not state.edges or \
-                rng.random() < self.explore_prob:
+                rng.random() < self.EXPLORE_PROB:
             return self._explore(state_name, rng)
         sends = list(state.edges)
         weights = [sum(state.edges[send].values()) for send in sends]
@@ -356,7 +353,7 @@ class LearnedStateModel:
     def _intern(self, label: str) -> str:
         if label in self._states:
             return label
-        if len(self._states) > self.max_states:
+        if len(self._states) > self.MAX_STATES:
             label = OVERFLOW_STATE
             if label in self._states:
                 return label

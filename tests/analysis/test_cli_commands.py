@@ -143,6 +143,24 @@ class TestNetEndpointErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "timeout_ms" in err
 
+    @pytest.mark.parametrize("argv,value", [
+        (["fuzz", "iec104", "--concurrency", "0"], "0"),
+        (["fuzz", "iec104", "--sessions", "--concurrency", "-3"], "-3"),
+        (["fleet", "iec104", "--sessions", "--shards", "2",
+          "--concurrency", "0"], "0"),
+    ], ids=["fuzz", "fuzz-sessions", "fleet"])
+    def test_concurrency_below_one_exits_2(self, tmp_path, capsys, argv,
+                                           value):
+        """Without ``--target-url`` too, a ``--concurrency`` below 1 is
+        refused before any campaign runs."""
+        ws_dir = tmp_path / "ws"
+        assert main([*argv, "--max-execs", "20",
+                     "--workspace", str(ws_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: concurrency {value} < 1\n"
+        assert captured.out == ""
+        assert not ws_dir.exists()
+
 
 class TestCoverageBackendErrors:
     """A coverage backend this interpreter cannot serve is reported as

@@ -24,7 +24,7 @@ import random
 import pytest
 
 from repro.channel import (
-    FAULT_KINDS, Channel, DirectChannel, FaultingChannel, make_oracle,
+    FAULT_KINDS, Channel, FaultingChannel, make_oracle,
 )
 from repro.channel.oracle import (
     KIND_CROSS_STACK, KIND_PARSE, DifferentialOracle,
@@ -195,13 +195,12 @@ class TestFaultingChannelDeterminism:
         assert _pump(rewound, self.FRAMES[32:]) == tail_expected
 
 
-class TestDirectChannel:
+class TestPassthroughChannel:
     def test_passthrough_and_stateless_snapshot(self):
-        channel = DirectChannel()
+        channel = Channel()
         assert channel.transmit(0, WIRE) == [WIRE]
         assert channel.flush() == []
         assert channel.snapshot() is None
-        assert isinstance(channel, Channel)
 
     def test_target_run_matches_channel_less_path(self):
         spec = get_target("iec104")
@@ -209,7 +208,7 @@ class TestDirectChannel:
             spec.make_pit().model("iec104.startdt").build_default())
         plain = Target(spec.make_server, None).run(packet)
         piped = Target(spec.make_server, None,
-                       channel=DirectChannel()).run(packet)
+                       channel=Channel()).run(packet)
         assert piped.delivered == [packet]
         assert plain.delivered is None
         assert (plain.response, plain.crashed, plain.hang) == \

@@ -92,13 +92,6 @@ class TestPeachStar:
         assert any(outcome.semantic for outcome in outcomes)
         assert engine.stats.semantic_executions > 0
 
-    def test_crack_disabled_ablation(self):
-        engine = _engine(PeachStar, crack_enabled=False)
-        for _ in range(80):
-            engine.iterate()
-        assert engine.corpus.is_empty
-        assert engine.stats.semantic_executions == 0
-
     def test_semantic_disabled_ablation(self):
         engine = _engine(PeachStar, semantic_enabled=False)
         for _ in range(80):

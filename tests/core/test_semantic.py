@@ -66,14 +66,14 @@ class TestConstruct:
         assert len(combos) == 6
 
     def test_batch_limit_caps_product(self):
+        donors = SemanticGenerator.MAX_DONORS_PER_POSITION
         corpus = _corpus_with(
-            address=[i.to_bytes(2, "big") for i in range(6)],
-            quantity=[i.to_bytes(2, "big") for i in range(6)])
+            address=[i.to_bytes(2, "big") for i in range(donors)],
+            quantity=[i.to_bytes(2, "big") for i in range(donors)])
         generator = SemanticGenerator(corpus, random.Random(1),
-                                      pin_prob=1.0, batch_limit=10,
-                                      max_donors_per_position=6)
+                                      pin_prob=1.0, batch_limit=10)
         batch = generator.construct(_model())
-        assert len(batch) == 10
+        assert len(batch) == 10 < donors * donors
 
     def test_relations_repaired_after_splice(self):
         """File Fixup: the size field is recomputed, never donor-filled."""

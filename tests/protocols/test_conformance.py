@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.channel import DirectChannel
+from repro.channel import Channel
 from repro.core import (
     CampaignConfig, make_engine, resume_campaign, run_campaign,
 )
@@ -174,16 +174,16 @@ def _campaign_signature(result):
 
 
 @pytest.mark.parametrize("target_name", TARGET_NAMES)
-def test_direct_channel_campaign_is_bit_identical(target_name):
+def test_passthrough_channel_campaign_is_bit_identical(target_name):
     """The channel seam itself must not perturb anything: a campaign
-    through the pinned DirectChannel passthrough is bit-identical to a
+    through the pinned ``Channel`` passthrough is bit-identical to a
     channel-less one, on every stack."""
     spec = get_target(target_name)
     config = CampaignConfig(budget_hours=24.0, max_executions=120,
                             record_every=20)
     plain = run_campaign("peach-star", spec, seed=42, config=config)
     engine = make_engine("peach-star", spec, 42, config)
-    engine.target.channel = DirectChannel()
+    engine.target.channel = Channel()
     piped = run_campaign("peach-star", spec, seed=42, config=config,
                          engine=engine)
     assert _campaign_signature(piped) == _campaign_signature(plain)

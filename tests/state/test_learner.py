@@ -259,9 +259,10 @@ class TestLearnedStateModel:
         assert clone.snapshot() == snap
         assert clone.state_labels() == learner.state_labels()
 
-    def test_state_cap_collapses_into_overflow(self):
+    def test_state_cap_collapses_into_overflow(self, monkeypatch):
+        monkeypatch.setattr(LearnedStateModel, "MAX_STATES", 3)
         pit = get_target("iec104").make_pit()
-        learner = LearnedStateModel(pit, max_states=3)
+        learner = LearnedStateModel(pit)
         for index in range(8):
             label = learner._intern(f"class-{index}")
             assert label == f"class-{index}" or label == OVERFLOW_STATE

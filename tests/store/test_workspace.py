@@ -20,6 +20,7 @@ from repro.core import (
 )
 from repro.cli import main
 from repro.core.campaign import make_engine
+from repro.net.config import NetConfig
 from repro.protocols import get_target
 from repro.store import CampaignWorkspace, WorkspaceError
 from repro.store.workspace import _load_entries
@@ -218,6 +219,25 @@ class TestKillAndResumeDeterminism:
         resumed = resume_campaign(ws_dir)
         assert _signature(resumed) == _signature(full)
 
+    def test_net_manifest_with_shared_state_false_resumes_bit_identical(
+            self, tmp_path):
+        """The retired ``net.shared_state``: loopback serving shares one
+        server exactly when concurrency > 1, so older manifests resume
+        at ``false``."""
+        spec = get_target("iec104")
+        full = run_campaign("peach-star", spec, seed=7,
+                            config=_config(sessions=True, net=NetConfig()))
+        ws_dir = str(tmp_path / "ws")
+        assert run_campaign("peach-star", spec, seed=7,
+                            config=_config(sessions=True, net=NetConfig(),
+                                           workspace=ws_dir),
+                            stop_after_executions=77) is None
+        _rewrite_manifest(ws_dir, lambda manifest:
+                          manifest["config"]["net"].update(
+                              shared_state=False))
+        resumed = resume_campaign(ws_dir)
+        assert _signature(resumed) == _signature(full)
+
 
 class TestHostileManifest:
     """A manifest this version cannot resume into the campaign it
@@ -251,6 +271,9 @@ class TestHostileManifest:
          r"timeout_ms -5\.0 is not > 0"),
         (_set_config(net={"url": "tcp://nohost"}),
          r"malformed tcp:// url: 'tcp://nohost'"),
+        (_set_config(net={"shared_state": True}),
+         r"key 'net' key 'shared_state' is True, but this version only "
+         r"reproduces campaigns run with False"),
         (_set_config(record_every=0), r"record_every 0 < 1"),
         (_set_config(checkpoint_every=0), r"checkpoint_every 0 < 1"),
         (_set_config(budget_hours=0), r"budget_hours 0 is not > 0"),
@@ -272,6 +295,7 @@ class TestHostileManifest:
             "record_every-float", "pin_prob-bool", "sessions-int",
             "differential-str", "net-unknown-key", "net-str-int",
             "net-not-object", "net-timeout-negative", "net-url-no-port",
+            "net-shared_state",
             "record_every-0",
             "checkpoint_every-0", "budget_hours-0", "max_executions-negative",
             "channel_burst-negative", "channel_faults-above-1",
