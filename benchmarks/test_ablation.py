@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of Peach*'s design choices.
 
 Not a paper artifact — these benches isolate which Peach* component
 buys what:

@@ -2,7 +2,7 @@
 
 Campaigns and Fig. 4 panels can be serialized to JSON (full fidelity),
 CSV (the paths-over-time series, one row per sample) and Markdown (the
-comparison tables used in EXPERIMENTS.md), so results survive outside a
+Peach-vs-Peach* comparison tables), so results survive outside a
 pytest session and can be re-plotted with external tooling.
 """
 
@@ -78,7 +78,7 @@ def panel_to_markdown(panel: Fig4Panel) -> str:
 
 
 def panels_to_markdown(panels: List[Fig4Panel]) -> str:
-    """EXPERIMENTS.md-style summary table across panels."""
+    """Markdown summary table across panels, one row per project."""
     lines = [
         "| project | Peach (final) | Peach\\* (final) | increase |",
         "|---|---|---|---|",

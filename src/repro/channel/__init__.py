@@ -7,7 +7,6 @@ makes observable (:mod:`repro.channel.oracle`).
 
 from repro.channel.faults import (
     FAULT_KINDS,
-    Channel,
     FaultingChannel,
 )
 from repro.channel.oracle import (
@@ -18,7 +17,6 @@ from repro.channel.oracle import (
 
 __all__ = [
     "FAULT_KINDS",
-    "Channel",
     "FaultingChannel",
     "DifferentialOracle",
     "DivergenceReport",

@@ -7,13 +7,14 @@ links and TCP middleboxes, and the interesting server bugs — stale
 retransmission handling, sequence-number confusion, length/framing
 desynchronization — only trigger when the transport misbehaves.
 
-:class:`Channel` is the seam :meth:`repro.runtime.target.Target.run` /
-``run_trace`` consult per step; the base class itself is the pinned
-byte-identical passthrough (parity-tested against the channel-less
-path), and :class:`FaultingChannel` injects one of five classic
-transport faults per frame, driven by its own seeded RNG so campaigns
-stay deterministic and kill/resume stays bit-identical (the RNG state
-checkpoints with the workspace).
+:class:`FaultingChannel` is the seam
+:meth:`repro.runtime.target.Target.run` / ``run_trace`` consult per
+step (``channel=None`` is the perfect transport).  It injects one of
+five classic transport faults per frame, driven by its own seeded RNG
+so campaigns stay deterministic and kill/resume stays bit-identical
+(the RNG state checkpoints with the workspace).  At rate 0 it is the
+pinned byte-identical passthrough (parity-tested against the
+channel-less path).
 
 The fault menu mirrors what a fuzzing proxy can do in flight:
 
@@ -21,7 +22,7 @@ The fault menu mirrors what a fuzzing proxy can do in flight:
 * **duplicate** — the frame arrives twice (TCP retransmission);
 * **reorder** — the frame is held and delivered *after* its successor
   (adjacent swap; a held frame still pending at trace end is delivered
-  by :meth:`Channel.flush`);
+  by :meth:`FaultingChannel.flush`);
 * **fragment** — the frame arrives as two reads split at a random cut
   (stream framing without message boundaries);
 * **corrupt** — one random bit flips in flight (serial-line noise);
@@ -46,40 +47,16 @@ import random
 from typing import Dict, List, Optional
 
 
-class Channel:
-    """Base seam: byte-identical passthrough with no held state.
-
-    ``transmit(index, wire)`` returns the frames to deliver *now* (in
-    order); ``flush()`` returns frames still held at the trace
-    boundary; ``reset()`` clears per-trace state (never the RNG).
-    ``snapshot()``/``restore()`` are the workspace-checkpoint hooks —
-    the base channel is stateless, so it snapshots to ``None`` and the
-    workspace skips it.
-    """
-
-    def transmit(self, index: int, wire: bytes) -> List[bytes]:
-        return [wire]
-
-    def flush(self) -> List[bytes]:
-        return []
-
-    def reset(self) -> None:
-        """Clear held frames at a trace boundary (RNG is untouched)."""
-
-    def snapshot(self) -> Optional[dict]:
-        return None
-
-    def restore(self, blob: dict) -> None:
-        """Stateless channels have nothing to restore."""
-
-
 #: fault menu, in the order the selection roll indexes it
 FAULT_KINDS = ("drop", "duplicate", "reorder", "fragment", "corrupt")
 
 
-class FaultingChannel(Channel):
+class FaultingChannel:
     """Seeded per-frame fault injection.
 
+    ``transmit(index, wire)`` returns the frames to deliver *now* (in
+    order); ``flush()`` returns frames still held at the trace
+    boundary; ``reset()`` clears per-trace state (never the RNG).
     Every frame costs exactly one uniform roll against *rate*; a
     faulted frame costs the selection roll plus the fault's own draws.
     The draw sequence is a pure function of the RNG state and the frame
@@ -105,10 +82,14 @@ class FaultingChannel(Channel):
         #: frame held back by a pending reorder (delivered after the
         #: next frame, or by flush() at the trace boundary)
         self._held: Optional[bytes] = None
-        self.faults_injected = 0
         self.fault_counts: Dict[str, int] = {kind: 0
                                              for kind in FAULT_KINDS}
         self.fault_counts["burst"] = 0
+
+    @property
+    def faults_injected(self) -> int:
+        """Faults injected so far, of every kind."""
+        return sum(self.fault_counts.values())
 
     # -- fault application ------------------------------------------------
 
@@ -119,7 +100,6 @@ class FaultingChannel(Channel):
         if self._burst_remaining > 0:
             # mid-burst: this frame is lost outright, no rolls spent
             self._burst_remaining -= 1
-            self.faults_injected += 1
             self.fault_counts["burst"] += 1
             frames: List[bytes] = []
             if self._held is not None:
@@ -149,7 +129,6 @@ class FaultingChannel(Channel):
             return [wire]  # nothing to split
         if fault == "corrupt" and not wire:
             return [wire]
-        self.faults_injected += 1
         self.fault_counts[fault] += 1
         if fault == "drop":
             return []
@@ -182,6 +161,7 @@ class FaultingChannel(Channel):
         return [held]
 
     def reset(self) -> None:
+        """Clear held frames at a trace boundary (RNG is untouched)."""
         self._held = None
         self._burst_remaining = 0
 
@@ -212,7 +192,6 @@ class FaultingChannel(Channel):
         self.rate = blob["rate"]
         held = blob.get("held")
         self._held = bytes.fromhex(held) if held is not None else None
-        self.faults_injected = blob.get("faults_injected", 0)
         counts = blob.get("fault_counts", {})
         for kind in (*FAULT_KINDS, "burst"):
             self.fault_counts[kind] = counts.get(kind, 0)

@@ -185,6 +185,15 @@ def _print_campaign_summary(result, verbose: bool = False) -> None:
             print()
 
 
+def _print_fleet_report(fleet, verbose: bool) -> None:
+    print(render_fleet_table(fleet))
+    if verbose:
+        for report in (fleet.merged_crashes.unique_reports()
+                       + fleet.merged_divergences.unique_reports()):
+            print()
+            print(report.render())
+
+
 def cmd_targets(_args) -> int:
     print(f"{'name':<13} {'paper project':<16} {'bugs':>4} "
           f"{'sessions':>8}  description")
@@ -211,12 +220,8 @@ def cmd_serve(args) -> int:
 
 def cmd_fuzz(args) -> int:
     spec = get_target(args.target)
-    try:
-        result = run_campaign(args.engine, spec, seed=args.seed,
-                              config=_config(args))
-    except (WorkspaceError, NetTargetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_campaign(args.engine, spec, seed=args.seed,
+                          config=_config(args))
     _print_campaign_summary(result, args.verbose)
     if args.workspace:
         print(f"workspace persisted to {args.workspace} "
@@ -227,89 +232,59 @@ def cmd_fuzz(args) -> int:
 
 def cmd_fleet(args) -> int:
     spec = get_target(args.target)
-    try:
-        fleet = run_fleet(args.engine, spec, shards=args.shards,
-                          workspace_dir=args.workspace, seed=args.seed,
-                          sync_every=args.sync_every, config=_config(args),
-                          max_workers=args.jobs)
-    except (WorkspaceError, NetTargetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_fleet_table(fleet))
-    if args.verbose:
-        for report in (fleet.merged_crashes.unique_reports()
-                       + fleet.merged_divergences.unique_reports()):
-            print()
-            print(report.render())
+    fleet = run_fleet(args.engine, spec, shards=args.shards,
+                      workspace_dir=args.workspace, seed=args.seed,
+                      sync_every=args.sync_every, config=_config(args),
+                      max_workers=args.jobs)
+    _print_fleet_report(fleet, args.verbose)
     print(f"fleet persisted to {args.workspace} "
           "(continue with `peachstar resume`)")
     return 0
 
 
 def cmd_resume(args) -> int:
-    try:
-        if is_fleet_workspace(args.workspace):
-            fleet = resume_fleet(args.workspace, max_workers=args.jobs)
-            print(render_fleet_table(fleet))
-            if args.verbose:
-                for report in (fleet.merged_crashes.unique_reports()
-                               + fleet.merged_divergences.unique_reports()):
-                    print()
-                    print(report.render())
-            return 0
-        result = resume_campaign(args.workspace)
-    except (WorkspaceError, NetTargetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_campaign_summary(result, args.verbose)
+    if is_fleet_workspace(args.workspace):
+        fleet = resume_fleet(args.workspace, max_workers=args.jobs)
+        _print_fleet_report(fleet, args.verbose)
+        return 0
+    _print_campaign_summary(resume_campaign(args.workspace), args.verbose)
     return 0
 
 
 def cmd_triage(args) -> int:
-    try:
-        if args.net_url is not None:
-            # before any campaign runs: the exported scripts replay there
-            NetConfig(url=args.net_url).validate()
-        if args.workspace:
-            workspace = CampaignWorkspace(args.workspace)
-            manifest = workspace.load_manifest()
-            try:
-                spec = get_target(manifest["target"])
-            except KeyError as exc:
-                # args[0]: str() of a KeyError would quote its message
-                raise WorkspaceError(
-                    f"manifest of {args.workspace} cannot be triaged: "
-                    f"{exc.args[0]}") from None
-            if args.target and args.target != spec.name:
-                print(f"error: workspace belongs to {spec.name!r}, "
-                      f"not {args.target!r}", file=sys.stderr)
-                return 2
-            crashes = workspace.load_crash_reports()
-            out_dir = args.out or workspace.repro_dir
-        else:
-            if not args.target:
-                print("error: give a target name or --workspace DIR",
-                      file=sys.stderr)
-                return 2
-            spec = get_target(args.target)
-            result = run_campaign("peach-star", spec, seed=args.seed,
-                                  config=_config(args))
-            crashes = result.unique_crashes + result.unique_divergences
-            out_dir = args.out or f"peachstar-triage-{spec.name}"
-    except (WorkspaceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.net_url is not None:
+        # before any campaign runs: the exported scripts replay there
+        NetConfig(url=args.net_url).validate()
+    if args.workspace:
+        workspace = CampaignWorkspace(args.workspace)
+        manifest = workspace.load_manifest()
+        try:
+            spec = get_target(manifest["target"])
+        except KeyError as exc:
+            # args[0]: str() of a KeyError would quote its message
+            raise WorkspaceError(
+                f"manifest of {args.workspace} cannot be triaged: "
+                f"{exc.args[0]}") from None
+        if args.target and args.target != spec.name:
+            raise ValueError(f"workspace belongs to {spec.name!r}, "
+                             f"not {args.target!r}")
+        crashes = workspace.load_crash_reports()
+        out_dir = args.out or workspace.repro_dir
+    else:
+        if not args.target:
+            raise ValueError("give a target name or --workspace DIR")
+        spec = get_target(args.target)
+        result = run_campaign("peach-star", spec, seed=args.seed,
+                              config=_config(args))
+        crashes = result.unique_crashes + result.unique_divergences
+        out_dir = args.out or f"peachstar-triage-{spec.name}"
     if not crashes:
         print(f"no findings to triage on {spec.name}")
         return 0
-    try:
-        report = triage_reports(
-            spec, crashes, minimize=not args.no_minimize,
-            max_executions_per_crash=args.max_triage_execs,
-            out_dir=out_dir, jobs=args.jobs, net_url=args.net_url)
-    except ValueError as exc:  # e.g. a coverage backend it cannot use
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = triage_reports(
+        spec, crashes, minimize=not args.no_minimize,
+        max_executions_per_crash=args.max_triage_execs,
+        out_dir=out_dir, jobs=args.jobs, net_url=args.net_url)
     print(render_triage_table(report))
     if args.verbose:
         for crash in report.crashes:
@@ -320,13 +295,9 @@ def cmd_triage(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = get_target(args.target)
-    try:
-        panel = run_fig4_panel(spec, repetitions=args.repetitions,
-                               budget_hours=args.hours, base_seed=args.seed,
-                               config=_config(args), jobs=args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    panel = run_fig4_panel(spec, repetitions=args.repetitions,
+                           budget_hours=args.hours, base_seed=args.seed,
+                           config=_config(args), jobs=args.jobs)
     print(render_panel_report(panel))
     return 0
 
@@ -361,14 +332,10 @@ def cmd_crack(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    try:
-        rows = [run_table1_row(name, repetitions=args.repetitions,
-                               budget_hours=args.hours, base_seed=args.seed,
-                               config=_config(args), jobs=args.jobs)
-                for name in BUGGY_TARGETS]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = [run_table1_row(name, repetitions=args.repetitions,
+                           budget_hours=args.hours, base_seed=args.seed,
+                           config=_config(args), jobs=args.jobs)
+            for name in BUGGY_TARGETS]
     print(render_table1(rows))
     return 0
 
@@ -506,7 +473,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "crack": cmd_crack,
         "table1": cmd_table1,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (WorkspaceError, NetTargetError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -160,7 +160,8 @@ def _retired_keys() -> Dict[type, Dict[str, object]]:
     version reproduces ran with, read from the constants the engines
     and collectors use.
     """
-    from repro.state.engine import SessionFuzzer  # late: layering
+    from repro.net.target import SocketTarget  # late: layering
+    from repro.state.engine import SessionFuzzer
     return {
         CampaignConfig: {
             "policy": asdict(default_campaign_policy()),
@@ -176,8 +177,12 @@ def _retired_keys() -> Dict[type, Dict[str, object]]:
             "batch_size": _ANY_VALUE,
             "coverage_impl": _ANY_VALUE,
         },
-        # loopback serving shares one server exactly when concurrency > 1
-        NetConfig: {"shared_state": False},
+        NetConfig: {
+            # loopback serving shares one server exactly when
+            # concurrency > 1
+            "shared_state": False,
+            "connect_timeout_ms": SocketTarget.CONNECT_TIMEOUT_MS,
+        },
     }
 
 
@@ -387,7 +392,6 @@ def _drive_campaign(engine_name: str, target_spec, seed: int,
                     engine: GenerationFuzzer, config: CampaignConfig,
                     workspace: Optional[CampaignWorkspace],
                     series: List[Tuple[float, int]],
-                    crash_times: Dict[Tuple[str, str], float],
                     stop_after_executions: Optional[int],
                     pause_after_executions: Optional[int] = None,
                     ) -> Optional[CampaignResult]:
@@ -407,8 +411,7 @@ def _drive_campaign(engine_name: str, target_spec, seed: int,
     try:
         return _drive_campaign_loop(
             engine_name, target_spec, seed, engine, config, workspace,
-            series, crash_times, stop_after_executions,
-            pause_after_executions)
+            series, stop_after_executions, pause_after_executions)
     finally:
         # a SocketTarget closes its connections, served loopback and
         # event loop; the in-process Target no-ops.  Runs on completion,
@@ -421,7 +424,6 @@ def _drive_campaign_loop(engine_name: str, target_spec, seed: int,
                          engine: GenerationFuzzer, config: CampaignConfig,
                          workspace: Optional[CampaignWorkspace],
                          series: List[Tuple[float, int]],
-                         crash_times: Dict[Tuple[str, str], float],
                          stop_after_executions: Optional[int],
                          pause_after_executions: Optional[int] = None,
                          ) -> Optional[CampaignResult]:
@@ -461,21 +463,19 @@ def _drive_campaign_loop(engine_name: str, target_spec, seed: int,
             # batch's end, but each outcome must be recorded as of the
             # iteration that produced it
             executions = outcome.executions
-            if outcome.new_unique_crash:
-                key = outcome.result.crash.dedup_key
-                crash_times[key] = outcome.hours
-                if workspace is not None:
+            if workspace is not None:
+                if outcome.new_unique_crash:
                     workspace.record_crash(outcome.result.crash,
                                            outcome.hours)
-            if workspace is not None:
                 for report in outcome.new_divergences:
                     workspace.record_crash(report, outcome.hours)
-            if workspace is not None and outcome.valuable:
-                # outcome.result.coverage is the map that made the seed
-                # valuable — the collector map itself for single-packet
-                # runs, the step-accumulated trace map in session mode
-                workspace.record_seed(outcome.seed,
-                                      bucketed_hits(outcome.result.coverage))
+                if outcome.valuable:
+                    # outcome.result.coverage is the map that made the
+                    # seed valuable — the collector map itself for
+                    # single-packet runs, the step-accumulated trace map
+                    # in session mode
+                    workspace.record_seed(
+                        outcome.seed, bucketed_hits(outcome.result.coverage))
             if executions // config.record_every > record_bucket:
                 record_bucket = executions // config.record_every
                 series.append((outcome.hours, outcome.paths))
@@ -500,7 +500,7 @@ def _drive_campaign_loop(engine_name: str, target_spec, seed: int,
         final_edges=engine.seed_pool.edge_count,
         executions=engine.stats.executions,
         unique_crashes=engine.crashes.unique_reports(),
-        crash_times=crash_times,
+        crash_times=dict(engine.crashes.first_seen),
         stats=engine.stats.as_dict(),
         path_hashes=tuple(s.path_hash for s in engine.seed_pool.seeds),
         unique_divergences=engine.divergences.unique_reports(),
@@ -543,29 +543,26 @@ def run_campaign(engine_name: str, target_spec, seed: int = 0,
         engine = make_engine(engine_name, target_spec, seed, config)
     workspace = None
     series: List[Tuple[float, int]] = [(0.0, 0)]
-    crash_times: Dict[Tuple[str, str], float] = {}
     if config.workspace:
         workspace = CampaignWorkspace(config.workspace)
         workspace.initialize(engine_name, target_spec.name, seed,
                              config_to_dict(config))
-        series, crash_times = _begin_workspace_records(workspace, engine)
+        series = _begin_workspace_records(workspace, engine)
     return _drive_campaign(engine_name, target_spec, seed, engine, config,
-                           workspace, series, crash_times,
-                           stop_after_executions)
+                           workspace, series, stop_after_executions)
 
 
 def _begin_workspace_records(workspace: CampaignWorkspace, engine
-                             ) -> Tuple[List[Tuple[float, int]],
-                                        Dict[Tuple[str, str], float]]:
+                             ) -> List[Tuple[float, int]]:
     """The initial records of a fresh persisted campaign.
 
     One definition for both entry points (run_campaign and the fleet
     shard driver): the t=0 series sample plus the initial checkpoint,
-    returning the matching in-memory (series, crash_times) seeds.
+    returning the matching in-memory series.
     """
     workspace.record_sample(0, 0.0, 0)
     workspace.checkpoint(engine)
-    return [(0.0, 0)], {}
+    return [(0.0, 0)]
 
 
 def rebuild_workspace_engine(workspace: CampaignWorkspace):
@@ -575,8 +572,7 @@ def rebuild_workspace_engine(workspace: CampaignWorkspace):
     that was initialized but never driven gets the fresh-start records
     instead.  Shared by :func:`resume_campaign` and the fleet shard
     driver (which interposes corpus-sync imports before re-driving the
-    loop).  Returns ``(manifest, config, target_spec, engine, series,
-    crash_times)``.
+    loop).  Returns ``(manifest, config, target_spec, engine, series)``.
     """
     from repro.protocols import get_target
 
@@ -596,10 +592,10 @@ def rebuild_workspace_engine(workspace: CampaignWorkspace):
     engine = make_engine(manifest["engine"], target_spec,
                          manifest["seed"], config)
     if workspace.has_state:
-        series, crash_times = workspace.restore(engine)
+        series = workspace.restore(engine)
     else:
-        series, crash_times = _begin_workspace_records(workspace, engine)
-    return manifest, config, target_spec, engine, series, crash_times
+        series = _begin_workspace_records(workspace, engine)
+    return manifest, config, target_spec, engine, series
 
 
 def resume_campaign(workspace_dir: str, *,
@@ -616,11 +612,11 @@ def resume_campaign(workspace_dir: str, *,
     same final result.
     """
     workspace = CampaignWorkspace(workspace_dir)
-    manifest, config, target_spec, engine, series, crash_times = \
+    manifest, config, target_spec, engine, series = \
         rebuild_workspace_engine(workspace)
     return _drive_campaign(manifest["engine"], target_spec,
                            manifest["seed"], engine, config, workspace,
-                           series, crash_times, stop_after_executions)
+                           series, stop_after_executions)
 
 
 def run_repetitions(engine_name: str, target_spec, *, repetitions: int,

@@ -45,7 +45,6 @@ class IterationOutcome:
     packet: bytes
     model_name: str
     result: "ExecResult"
-    valuable: bool = False
     new_unique_crash: bool = False
     semantic: bool = False  # packet came from donor splicing
     #: divergence reports newly deduplicated this iteration (empty
@@ -61,6 +60,11 @@ class IterationOutcome:
     executions: int = 0
     hours: float = 0.0
     paths: int = 0
+
+    @property
+    def valuable(self) -> bool:
+        """Whether this iteration retained a seed."""
+        return self.seed is not None
 
 
 @dataclass(slots=True)
@@ -201,10 +205,11 @@ class GenerationFuzzer:
         """Account and record one execution; every engine ends here.
 
         *executed* steps ran (one for a packet), *spliced* of them came
-        from donor splicing.  *tree* is the seed's own tree (``None``
-        for a trace), *parts* the ``(packet, tree)`` pairs a valuable
-        input is cracked into, and *frames_per_step* what the oracle
-        examines (see :meth:`_run_oracle`; ``None`` without an oracle).
+        from donor splicing.  *tree* is the packet's own tree, which a
+        steered seed is cracked with (``None`` for a trace), *parts*
+        the ``(packet, tree)`` pairs a valuable input is cracked into,
+        and *frames_per_step* what the oracle examines (see
+        :meth:`_run_oracle`; ``None`` without an oracle).
         The outcome leaves stamped with the post-iteration readings the
         campaign driver uses.
         """
@@ -225,11 +230,10 @@ class GenerationFuzzer:
         if result.coverage is not None and result.crash is None \
                 and not result.hang:
             seed = self.seed_pool.consider(
-                outcome.packet, outcome.model_name, tree, result.coverage,
+                outcome.packet, outcome.model_name, result.coverage,
                 self.stats.executions, self.clock.now_ms)
             if seed is not None:
                 outcome.seed = seed
-                outcome.valuable = True
                 self.stats.valuable_seeds += 1
                 self._crack(parts)
         if self.oracle is not None:
@@ -323,10 +327,11 @@ class GenerationFuzzer:
     def _crack(self, parts) -> None:
         """Hook for feedback-driven engines; the baseline cracks nothing."""
 
-    def _on_valuable_seed(self, seed) -> None:
-        """Crack a seed retained outside :meth:`_record` (a steered seed
-        or a fleet import)."""
-        self._crack([(seed.packet, seed.tree)])
+    def _on_valuable_seed(self, seed, tree: Optional[InsTree] = None
+                          ) -> None:
+        """Crack a seed retained outside :meth:`_record`: a steered seed
+        with the *tree* it was built from, or a fleet import."""
+        self._crack([(seed.packet, tree)])
 
     def _maybe_steer_divergence(self, outcome: IterationOutcome,
                                 tree: Optional[InsTree]) -> None:
@@ -344,13 +349,12 @@ class GenerationFuzzer:
                 or result.crash is not None or result.hang:
             return
         seed = self.seed_pool.force_add(
-            outcome.packet, outcome.model_name, tree, result.coverage,
+            outcome.packet, outcome.model_name, result.coverage,
             self.stats.executions, self.clock.now_ms)
         outcome.seed = seed
-        outcome.valuable = True
         self.stats.valuable_seeds += 1
         self.stats.steered_seeds += 1
-        self._on_valuable_seed(seed)
+        self._on_valuable_seed(seed, tree)
 
     def _absorb_net_stats(self) -> None:
         """Sync transport-layer counters into stats (every iteration).
@@ -363,8 +367,7 @@ class GenerationFuzzer:
         """
         channel = self.target.channel
         if channel is not None:
-            self.stats.channel_faults = getattr(
-                channel, "faults_injected", 0)
+            self.stats.channel_faults = channel.faults_injected
         take = getattr(self.target, "take_net_counters", None)
         if take is None:
             return

@@ -110,7 +110,6 @@ def _absorb_imports(engine, workspace: CampaignWorkspace,
         seed = ValuableSeed(
             packet=packet,
             model_name=meta["model_name"],
-            tree=None,
             execution_index=engine.stats.executions,
             sim_time_ms=engine.clock.now_ms,
             edges_touched=meta["edges_touched"],
@@ -136,7 +135,7 @@ def _fleet_shard_worker(task: _ShardTask) -> Optional[CampaignResult]:
     """
     shard_dir, pause_at, stop_after, apply_through = task
     workspace = CampaignWorkspace(shard_dir)
-    manifest, config, target_spec, engine, series, crash_times = \
+    manifest, config, target_spec, engine, series = \
         rebuild_workspace_engine(workspace)
     for sync_round, entries in workspace.load_inbox_rounds(
             workspace.synced_rounds, apply_through):
@@ -145,7 +144,7 @@ def _fleet_shard_worker(task: _ShardTask) -> Optional[CampaignResult]:
         workspace.checkpoint(engine)
     return _drive_campaign(manifest["engine"], target_spec,
                            manifest["seed"], engine, config, workspace,
-                           series, crash_times, stop_after,
+                           series, stop_after,
                            pause_after_executions=pause_at)
 
 

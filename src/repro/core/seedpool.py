@@ -3,8 +3,8 @@
 A seed is *valuable* when its execution "reaches a new program execution
 state that has not appeared before" — i.e. its bucketed coverage map
 contains bits the global virgin map has not seen.  The pool retains those
-seeds (with their InsTrees, so the cracker need not re-parse) and its
-size is the "paths covered" metric of the paper's Figure 4.
+seeds and its size is the "paths covered" metric of the paper's
+Figure 4.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.model.instree import InsTree
 from repro.runtime.coverage import CoverageMap, GlobalCoverage
 
 
@@ -22,7 +21,6 @@ class ValuableSeed:
 
     packet: bytes
     model_name: str
-    tree: Optional[InsTree]
     execution_index: int
     sim_time_ms: float
     edges_touched: int
@@ -36,7 +34,8 @@ class SeedPool:
 
     ``consider`` runs once per execution, so it leans on the sparse
     coverage pipeline: ``merge`` walks the execution map's touched-edge
-    journal and ``edge_count`` is O(1), never scanning the full map.
+    journal, never scanning the full map.  ``edge_count`` does scan the
+    virgin map; campaigns read it once per checkpoint and result.
     """
 
     __slots__ = ("coverage", "seeds")
@@ -46,18 +45,17 @@ class SeedPool:
         self.seeds: List[ValuableSeed] = []
 
     def consider(self, packet: bytes, model_name: str,
-                 tree: Optional[InsTree], coverage_map: CoverageMap,
-                 execution_index: int, sim_time_ms: float
-                 ) -> Optional[ValuableSeed]:
+                 coverage_map: CoverageMap, execution_index: int,
+                 sim_time_ms: float) -> Optional[ValuableSeed]:
         """Fold an execution's coverage in; return the seed if valuable."""
         if not self.coverage.merge(coverage_map):
             return None
-        return self.force_add(packet, model_name, tree, coverage_map,
+        return self.force_add(packet, model_name, coverage_map,
                               execution_index, sim_time_ms)
 
     def force_add(self, packet: bytes, model_name: str,
-                  tree: Optional[InsTree], coverage_map: CoverageMap,
-                  execution_index: int, sim_time_ms: float) -> ValuableSeed:
+                  coverage_map: CoverageMap, execution_index: int,
+                  sim_time_ms: float) -> ValuableSeed:
         """Retain a seed regardless of the virgin map's verdict.
 
         Divergence steering (``--steer-divergence``) uses this for a
@@ -70,7 +68,6 @@ class SeedPool:
         seed = ValuableSeed(
             packet=packet,
             model_name=model_name,
-            tree=tree,
             execution_index=execution_index,
             sim_time_ms=sim_time_ms,
             edges_touched=coverage_map.edge_count(),

@@ -118,7 +118,6 @@ class SemanticGenerator:
         #: conjunctions instead of replaying old ones.  The ablation
         #: benchmark measures both settings.
         self.pin_prob = pin_prob
-        self.seeds_generated = 0
         #: (id(model), id(field)) -> dotted leaf path.  Safe to key on
         #: ids: ``DataModel.linear()`` memoizes its Field tuple, so the
         #: objects handed to ``_leaf_path`` stay alive (and identical)
@@ -201,7 +200,6 @@ class SemanticGenerator:
             return True
 
         recurse(0)
-        self.seeds_generated += len(batch)
         return batch
 
     def build(self, model: DataModel,

@@ -109,10 +109,6 @@ def merge_crash_reports(results: Sequence[CampaignResult]
             if key not in shard:  # timed bug without a kept report
                 shard.add(CrashReport(kind=key[0], site=key[1],
                                       detail="", packet=b""), when)
-        # keep raw totals exact: add() saw only the unique reports
-        raw_total = result.stats.get("crashes_total")
-        if raw_total is not None:
-            shard.total_crashes = raw_total
         merged.merge(shard)
     return merged
 
@@ -123,16 +119,14 @@ def merge_divergence_reports(results: Sequence[CampaignResult]
 
     Divergence reports carry no per-key first-seen table (they ride in
     ``unique_divergences`` only), so the fold is a plain earliest-
-    execution-index merge with raw totals from the stats counter.
+    execution-index merge.  Raw totals stay in each result's stats
+    (``divergences_total``).
     """
     merged = CrashDatabase()
     for result in results:
         shard = CrashDatabase()
         for report in result.unique_divergences:
             shard.add(report, None)
-        raw_total = result.stats.get("divergences_total")
-        if raw_total is not None:
-            shard.total_crashes = raw_total
         merged.merge(shard)
     return merged
 

@@ -44,7 +44,6 @@ class NetConfig:
     #: wall-clock wait for one response before treating it as silence
     #: (raw mode) — loopback envelope traffic never hits it
     timeout_ms: float = 1000.0
-    connect_timeout_ms: float = 5000.0
     #: reconnect attempts when the endpoint drops the connection
     #: mid-session (a crashed real server closes the socket)
     reconnect: int = 1
@@ -57,11 +56,8 @@ class NetConfig:
                              f"choices: {FRAMING_CHOICES}")
         if self.concurrency < 1:
             raise ValueError(f"concurrency {self.concurrency} < 1")
-        for name in ("timeout_ms", "connect_timeout_ms"):
-            # `not > 0` also refuses NaN
-            if not getattr(self, name) > 0:
-                raise ValueError(
-                    f"{name} {getattr(self, name)!r} is not > 0")
+        if not self.timeout_ms > 0:  # also refuses NaN
+            raise ValueError(f"timeout_ms {self.timeout_ms!r} is not > 0")
         if self.reconnect < 0:
             raise ValueError(f"reconnect {self.reconnect} < 0")
         if self.url != "loopback":

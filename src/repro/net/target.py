@@ -80,11 +80,9 @@ class _Connection:
         last_exc: Optional[BaseException] = None
         for _ in range(max(1, target.reconnect + 1)):
             try:
-                opening = asyncio.open_connection(*target.address)
-                if target.connect_timeout_ms is not None:
-                    opening = asyncio.wait_for(
-                        opening, target.connect_timeout_ms / 1000.0)
-                self.reader, self.writer = await opening
+                self.reader, self.writer = await asyncio.wait_for(
+                    asyncio.open_connection(*target.address),
+                    target.CONNECT_TIMEOUT_MS / 1000.0)
             except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
                 last_exc = exc
                 continue
@@ -120,6 +118,8 @@ class SocketTarget(Target):
     #: results carry the collector's own map, never a caller's, so the
     #: engine runs one iteration per batch and never calls ``run_into``
     supports_batch = False
+    #: wall-clock bound on one connection attempt
+    CONNECT_TIMEOUT_MS = 5000.0
 
     def __init__(self, address: Tuple[str, int], *,
                  loop: asyncio.AbstractEventLoop,
@@ -127,7 +127,6 @@ class SocketTarget(Target):
                  framing: str = "peachstar",
                  framer_name: str = "apci",
                  timeout_ms: Optional[float] = None,
-                 connect_timeout_ms: Optional[float] = 5000.0,
                  reconnect: int = 1,
                  concurrency: int = 1,
                  app=None, server=None):
@@ -138,7 +137,6 @@ class SocketTarget(Target):
         self.framing = framing
         self.framer_name = framer_name
         self.timeout_ms = timeout_ms
-        self.connect_timeout_ms = connect_timeout_ms
         self.reconnect = reconnect
         self.concurrency = max(1, concurrency)
         self.executions = 0
@@ -418,9 +416,8 @@ def make_loopback_target(spec, *, collector=None, channel=None,
     return SocketTarget(
         address, loop=loop, collector=collector, channel=channel,
         framing=net.framing, framer_name=spec.framing,
-        timeout_ms=timeout_ms, connect_timeout_ms=net.connect_timeout_ms,
-        reconnect=net.reconnect, concurrency=net.concurrency,
-        app=app, server=server)
+        timeout_ms=timeout_ms, reconnect=net.reconnect,
+        concurrency=net.concurrency, app=app, server=server)
 
 
 def make_net_target(spec, collector, channel,
@@ -440,9 +437,8 @@ def make_net_target(spec, collector, channel,
     return SocketTarget(
         address, loop=loop, collector=None, channel=channel,
         framing=net.framing, framer_name=spec.framing,
-        timeout_ms=net.timeout_ms,
-        connect_timeout_ms=net.connect_timeout_ms,
-        reconnect=net.reconnect, concurrency=net.concurrency)
+        timeout_ms=net.timeout_ms, reconnect=net.reconnect,
+        concurrency=net.concurrency)
 
 
 def make_socket_target(url: str, *, target_name: Optional[str] = None,

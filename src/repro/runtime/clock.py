@@ -8,8 +8,8 @@ execution a configurable cost (with separate surcharges for Peach*'s
 instrumentation feedback, cracking and fixup work, so the comparison does
 not hide Peach*'s overhead) and exposes a virtual "hours" axis.
 
-This is the substitution documented in DESIGN.md §2: deterministic
-execution budgets stand in for wall-clock budgets.
+This is the reproduction's one substitution for real time:
+deterministic execution budgets stand in for wall-clock budgets.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ class CostModel:
     model the paper's honest accounting: Peach* pays for coverage
     collection on every run and for crack/fixup work on valuable seeds.
 
-    The scale is deliberately compressed (DESIGN.md §2): one virtual
-    execution stands for a *batch* of real executions, so the paper's
-    24-hour budget corresponds to roughly 1.5k-2.5k virtual executions per
-    target — enough to drive every campaign in CI while preserving the
+    The scale is deliberately compressed: one virtual execution stands
+    for a *batch* of real executions, so the paper's 24-hour budget
+    corresponds to roughly 1.5k-2.5k virtual executions per target —
+    enough to drive every campaign in CI while preserving the
     relative cost structure (Peach*'s instrumentation surcharge included).
     """
 

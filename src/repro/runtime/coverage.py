@@ -198,11 +198,15 @@ class CoverageMap:
 class GlobalCoverage:
     """Accumulated bucketed coverage across the whole campaign."""
 
-    __slots__ = ("virgin", "edges_seen")
+    __slots__ = ("virgin",)
 
     def __init__(self):
         self.virgin = bytearray(MAP_SIZE)
-        self.edges_seen = 0
+
+    @property
+    def edges_seen(self) -> int:
+        """Distinct edges observed so far: the virgin map's nonzero bytes."""
+        return MAP_SIZE - self.virgin.count(0)
 
     def merge(self, execution_map: CoverageMap) -> bool:
         """Fold *execution_map* in; return True when new state was reached.
@@ -212,7 +216,6 @@ class GlobalCoverage:
         index is independent, so touch order does not affect the result).
         """
         new_bits = False
-        new_edges = 0
         virgin = self.virgin
         counts = execution_map.counts
         lut = BUCKET_LUT
@@ -220,33 +223,27 @@ class GlobalCoverage:
             seen = virgin[index]
             bit = lut[counts[index]]
             if seen & bit == 0:
-                if seen == 0:
-                    new_edges += 1
                 virgin[index] = seen | bit
                 new_bits = True
-        self.edges_seen += new_edges
         return new_bits
 
     def merge_bucketed(self, pairs: Iterable[Tuple[int, int]]) -> bool:
         """Fold already-bucketed ``(edge_index, bucket_bits)`` pairs in.
 
-        The corpus-exchange path of the fleet subsystem: imported seeds
-        travel as the bucketed sparse maps persisted in a sibling shard's
-        coverage journal, so the import merges bucket bits directly
-        instead of re-bucketing raw counts.  Returns True when the pairs
-        reached new state (same contract as :meth:`merge`).
+        The coverage journal's path: fleet imports travel as the
+        bucketed sparse maps persisted in a sibling shard's journal, and
+        a workspace restore replays its own journal, so both merge
+        bucket bits directly instead of re-bucketing raw counts.
+        Returns True when the pairs reached new state (same contract as
+        :meth:`merge`).
         """
         new_bits = False
-        new_edges = 0
         virgin = self.virgin
         for index, bucket in pairs:
             seen = virgin[index]
             if seen & bucket != bucket:
-                if seen == 0:
-                    new_edges += 1
                 virgin[index] = seen | bucket
                 new_bits = True
-        self.edges_seen += new_edges
         return new_bits
 
     def would_be_new(self, execution_map: CoverageMap) -> bool:
@@ -331,10 +328,10 @@ class VectorCoverageMap(CoverageMap):
 class VectorGlobalCoverage(GlobalCoverage):
     """Vectorized virgin map: same bytearray, numpy merge/decide path.
 
-    ``virgin`` stays the inherited bytearray so the workspace's
-    journal-replay restore (``virgin[index] |= bucket``) and the fleet's
-    ``merge_bucketed`` import path work unchanged; the view shares its
-    memory.  Sparse/dense execution maps degrade to the reference loop.
+    ``virgin`` stays the inherited bytearray so ``merge_bucketed`` (the
+    journal replay of restores and fleet imports) and ``edges_seen``
+    work unchanged; the view shares its memory.  Sparse/dense execution
+    maps degrade to the reference loop.
     """
 
     __slots__ = ("_virgin_np",)
@@ -357,10 +354,6 @@ class VectorGlobalCoverage(GlobalCoverage):
         bit = _BUCKET_LUT_NP[execution_map._counts_np[idx]]
         if not ((seen & bit) == 0).any():
             return False
-        # a journal entry has count >= 1, so its bucket bit is nonzero and
-        # seen == 0 implies seen & bit == 0: counting zero bytes matches
-        # the reference loop's new-edge accounting exactly
-        self.edges_seen += int(_np.count_nonzero(seen == 0))
         virgin[idx] = seen | bit
         return True
 

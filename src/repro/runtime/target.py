@@ -169,14 +169,14 @@ class Target:
         The instrumentation collector, or ``None`` for an uninstrumented
         baseline run (plain Peach collects no feedback during fuzzing —
         the paper adds the path-coverage *measurement* framework to both
-        tools, which :class:`repro.core.campaign.Campaign` models
-        separately).
+        tools, which :func:`repro.core.campaign.make_engine` attaches to
+        both engines).
     channel:
-        Optional :class:`repro.channel.faults.Channel` sitting between
-        the harness and the server.  ``None`` keeps today's path (the
-        packet itself is the delivered frame, zero overhead); a channel
-        is reset at each run/trace boundary and consulted per step for
-        the frames to actually deliver.
+        Optional :class:`repro.channel.faults.FaultingChannel` sitting
+        between the harness and the server.  ``None`` keeps today's
+        path (the packet itself is the delivered frame, zero overhead);
+        a channel is reset at each run/trace boundary and consulted per
+        step for the frames to actually deliver.
     """
 
     #: the in-process target records into a caller's map

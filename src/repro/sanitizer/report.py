@@ -121,7 +121,6 @@ class CrashDatabase:
         self._unique: Dict[tuple, CrashReport] = {}
         #: dedup key -> earliest simulated hours the bug was observed
         self.first_seen: Dict[tuple, float] = {}
-        self.total_crashes = 0
 
     def add(self, report: CrashReport,
             sim_hours: Optional[float] = None) -> bool:
@@ -131,7 +130,6 @@ class CrashDatabase:
         duplicate with an earlier time than the stored one rewinds
         ``first_seen`` and takes over as the representative report.
         """
-        self.total_crashes += 1
         key = report.dedup_key
         if key not in self._unique:
             self._unique[key] = report
@@ -164,9 +162,6 @@ class CrashDatabase:
         for key, report in other._unique.items():
             if self.add(report, other.first_seen.get(key)):
                 new_bugs += 1
-        # add() counted each unique report once; fold in the remainder of
-        # the shard's raw crash total so totals stay exact
-        self.total_crashes += other.total_crashes - len(other._unique)
         return new_bugs
 
     def unique_reports(self) -> List[CrashReport]:

@@ -123,9 +123,7 @@ class SessionFuzzer(PeachStar):
         # the observed responses and re-annotates the executed steps
         # with the observed states (hand-written models are a no-op) —
         # before the trace is encoded, so the corpus stores real states
-        observe = getattr(self.state_model, "observe", None)
-        if observe is not None:
-            observe(steps, result)
+        self.state_model.observe(steps, result)
         learned = getattr(self.state_model, "learned_state_count", None)
         if learned is not None:
             self.stats.learned_states = learned
@@ -150,7 +148,8 @@ class SessionFuzzer(PeachStar):
                             [(step.packet, step.tree) for step in steps],
                             frames_per_step)
 
-    def _on_valuable_seed(self, seed) -> None:
+    def _on_valuable_seed(self, seed, tree: Optional[InsTree] = None
+                          ) -> None:
         """Steered seeds and fleet imports may be encoded traces: those
         crack their decoded steps."""
         if is_trace_blob(seed.packet):
@@ -160,7 +159,7 @@ class SessionFuzzer(PeachStar):
                 return
             self._crack([(step.packet, step.tree) for step in steps])
         else:
-            super()._on_valuable_seed(seed)
+            super()._on_valuable_seed(seed, tree)
 
     # -- trace production ------------------------------------------------
 

@@ -551,11 +551,8 @@ class CampaignWorkspace:
         channel = engine.target.channel
         if channel is not None:
             # faulted campaigns: the channel RNG draws per frame, so its
-            # state must rewind with the engine RNG (stateless channels
-            # snapshot to None and are skipped)
-            snap = channel.snapshot()
-            if snap is not None:
-                state["channel"] = snap
+            # state must rewind with the engine RNG
+            state["channel"] = channel.snapshot()
         _atomic_write(self._state_path,
                       json.dumps(state, sort_keys=True) + "\n")
 
@@ -577,13 +574,13 @@ class CampaignWorkspace:
     # restore
     # ------------------------------------------------------------------
 
-    def restore(self, engine) -> Tuple[List[Tuple[float, int]],
-                                       Dict[tuple, float]]:
-        """Rewind *engine* to the last checkpoint; returns (series,
-        crash_times).
+    def restore(self, engine) -> List[Tuple[float, int]]:
+        """Rewind *engine* to the last checkpoint; returns the series.
 
         Append-only records past the checkpoint are pruned — the resumed
         loop re-executes that window and regenerates them identically.
+        The coverage journal must rebuild the checkpoint's edge count,
+        or the workspace is refused as corrupt.
         """
         from repro.core.seedpool import ValuableSeed  # late: avoid cycle
 
@@ -599,7 +596,6 @@ class CampaignWorkspace:
 
         # -- corpus, crash and divergence records ---------------------------
         pool = engine.seed_pool
-        crash_times: Dict[tuple, float] = {}
         for directory in (self.corpus_dir, self.crashes_dir,
                           self.divergences_dir):
             for meta in _load_entries(directory, exec_limit,
@@ -609,35 +605,33 @@ class CampaignWorkspace:
                     pool.seeds.append(ValuableSeed(
                         packet=blob,
                         model_name=meta["model_name"],
-                        tree=None,  # only consumed at crack time, done
                         execution_index=meta["execution_index"],
                         sim_time_ms=meta["sim_time_ms"],
                         edges_touched=meta["edges_touched"],
                         path_hash=meta["path_hash"],
                     ))
                 elif directory == self.crashes_dir:
-                    report = _report_from_meta(meta, blob)
-                    engine.crashes.add(report, meta["hours"])
-                    crash_times[report.dedup_key] = meta["hours"]
+                    engine.crashes.add(_report_from_meta(meta, blob),
+                                       meta["hours"])
                 else:
                     engine.divergences.add(_report_from_meta(meta, blob),
                                            meta["hours"])
-        engine.crashes.total_crashes = state["stats"]["crashes_total"]
-        engine.divergences.total_crashes = \
-            state["stats"].get("divergences_total", 0)
 
         # -- global coverage --------------------------------------------------
-        virgin = pool.coverage.virgin
+        coverage = pool.coverage
         for line in _prune_journal(self._coverage_path, exec_limit,
                                    self.synced_rounds):
-            for index, bucket in line["map"]:
-                virgin[index] |= bucket
-        pool.coverage.edges_seen = state["edges_seen"]
+            coverage.merge_bucketed(line["map"])
+        if coverage.edges_seen != state["edges_seen"]:
+            raise WorkspaceError(
+                f"{self._coverage_path} rebuilds {coverage.edges_seen} "
+                f"edges but the checkpoint recorded {state['edges_seen']}; "
+                "workspace is corrupt")
 
         # -- channel RNG -------------------------------------------------------
         if "channel" in state:
             channel = engine.target.channel
-            if channel is None or not hasattr(channel, "restore"):
+            if channel is None:
                 raise WorkspaceError(
                     "workspace checkpoints a faulting channel but the "
                     "rebuilt engine has none; workspace is corrupt or "
@@ -661,7 +655,6 @@ class CampaignWorkspace:
             engine.cracker.models_matched = state["cracker"]["models_matched"]
             engine.cracker.puzzles_deposited = \
                 state["cracker"]["puzzles_deposited"]
-            engine.stats.puzzles = corpus.puzzle_count()
             engine._pending.clear()
             engine._pending.extend(
                 _pending_from_json(state.get("pending"), engine.pit))
@@ -676,9 +669,8 @@ class CampaignWorkspace:
                     "workspace is corrupt or from an incompatible version")
             state_model.restore(state["learner"])
 
-        series = [(line["hours"], line["paths"])
-                  for line in _prune_journal(self._series_path, exec_limit)]
-        return series, crash_times
+        return [(line["hours"], line["paths"])
+                for line in _prune_journal(self._series_path, exec_limit)]
 
     # ------------------------------------------------------------------
     # readers (used by the fleet driver, triage and the analysis layer)

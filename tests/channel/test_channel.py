@@ -24,7 +24,7 @@ import random
 import pytest
 
 from repro.channel import (
-    FAULT_KINDS, Channel, FaultingChannel, make_oracle,
+    FAULT_KINDS, FaultingChannel, make_oracle,
 )
 from repro.channel.oracle import (
     KIND_CROSS_STACK, KIND_PARSE, DifferentialOracle,
@@ -196,11 +196,15 @@ class TestFaultingChannelDeterminism:
 
 
 class TestPassthroughChannel:
-    def test_passthrough_and_stateless_snapshot(self):
-        channel = Channel()
+    """A rate-0 faulting channel is the pinned passthrough."""
+
+    def test_passthrough_snapshot_counts_no_faults(self):
+        channel = FaultingChannel(0.0, random.Random(0))
         assert channel.transmit(0, WIRE) == [WIRE]
         assert channel.flush() == []
-        assert channel.snapshot() is None
+        snap = channel.snapshot()
+        assert snap["faults_injected"] == 0
+        assert not any(snap["fault_counts"].values())
 
     def test_target_run_matches_channel_less_path(self):
         spec = get_target("iec104")
@@ -208,7 +212,8 @@ class TestPassthroughChannel:
             spec.make_pit().model("iec104.startdt").build_default())
         plain = Target(spec.make_server, None).run(packet)
         piped = Target(spec.make_server, None,
-                       channel=Channel()).run(packet)
+                       channel=FaultingChannel(0.0, random.Random(0))
+                       ).run(packet)
         assert piped.delivered == [packet]
         assert plain.delivered is None
         assert (plain.response, plain.crashed, plain.hang) == \
@@ -380,7 +385,6 @@ class TestDivergenceReportSurface:
         assert database.add(report) is True
         assert database.add(report) is False
         assert database.unique_count() == 1
-        assert database.total_crashes == 2
 
     def test_reproducer_script_replays_the_oracle(self, tmp_path):
         from repro.triage.reproducer import reproducer_script

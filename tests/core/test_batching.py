@@ -318,7 +318,7 @@ class TestStatSatellites:
         # any seed is a hit, and each re-crack counts exactly one
         before = engine.cracker.cache_hits
         for count, seed in enumerate(seeds[:2], start=1):
-            engine.cracker.crack(seed.packet, seed.tree)
+            engine.cracker.crack(seed.packet)
             assert engine.cracker.cache_hits == before + count
         # a packet never seen is a miss, then a hit
         fresh = seeds[0].packet + b"\x00"

@@ -147,4 +147,3 @@ class TestAggregates:
         assert merged.first_seen[("SEGV", "x")] == 1.5
         # the representative report follows the earliest observation
         assert merged.unique_reports()[0].execution_index == 15
-        assert merged.total_crashes == 2

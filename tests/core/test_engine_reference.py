@@ -23,7 +23,10 @@ rows cover both engines, single-packet, hand-modelled and learned
 sessions, channel faults, differential oracles, divergence steering,
 workspaces, the loopback socket at concurrency 1 and 2, and a 2-shard
 ``--learn-states`` fleet whose imports are cracked through
-``_on_valuable_seed``.
+``_on_valuable_seed``.  Two crafted lib60870 rows pin what no campaign
+row tells apart: a valuable trace and a steered packet, each strictly
+rejected by its own model, are cracked with the trees they were built
+from.
 """
 
 import dataclasses
@@ -32,8 +35,11 @@ import random
 
 import pytest
 
+from repro.channel import FaultingChannel
 from repro.core import CampaignConfig, make_engine, run_campaign, run_fleet
 from repro.core.campaign import default_campaign_policy
+from repro.core.corpus import PuzzleCorpus
+from repro.core.cracker import FileCracker
 from repro.core.engine import GenerationFuzzer, IterationOutcome, PeachStar
 from repro.core.seedpool import SeedPool, ValuableSeed
 from repro.model.fields import ParseError
@@ -82,13 +88,12 @@ def reference_iteration(self, coverage_map):
     if result.coverage is not None and result.crash is None \
             and not result.hang:
         seed = self.seed_pool.consider(
-            packet, model.name, tree, result.coverage,
+            packet, model.name, result.coverage,
             self.stats.executions, self.clock.now_ms)
         if seed is not None:
             outcome.seed = seed
-            outcome.valuable = True
             self.stats.valuable_seeds += 1
-            self._on_valuable_seed(seed)
+            self._on_valuable_seed(seed, tree)
     if self.oracle is not None:
         delivered = result.delivered \
             if result.delivered is not None else [packet]
@@ -98,7 +103,7 @@ def reference_iteration(self, coverage_map):
     return reference_finish_outcome(self, outcome)
 
 
-def reference_base_on_valuable_seed(self, seed):
+def reference_base_on_valuable_seed(self, seed, tree=None):
     """The replaced ``GenerationFuzzer._on_valuable_seed``: a no-op."""
 
 
@@ -124,10 +129,10 @@ def reference_produce(self):
     return tree, packet, model, False
 
 
-def reference_star_on_valuable_seed(self, seed):
+def reference_star_on_valuable_seed(self, seed, tree=None):
     """The replaced ``PeachStar._on_valuable_seed``."""
     self.clock.charge_crack()
-    new_puzzles = self.cracker.crack(seed.packet, seed.tree)
+    new_puzzles = self.cracker.crack(seed.packet, tree)
     self.stats.puzzles = self.corpus.puzzle_count()
     if new_puzzles and self._pending and \
             len(self._pending) > 4 * self.generator.batch_limit:
@@ -143,7 +148,7 @@ def reference_crack_steps(self, steps):
     self.stats.puzzles = self.corpus.puzzle_count()
 
 
-def reference_session_on_valuable_seed(self, seed):
+def reference_session_on_valuable_seed(self, seed, tree=None):
     """The replaced ``SessionFuzzer._on_valuable_seed``."""
     if is_trace_blob(seed.packet):
         try:
@@ -152,7 +157,7 @@ def reference_session_on_valuable_seed(self, seed):
             return
         reference_crack_steps(self, steps)
     else:
-        reference_star_on_valuable_seed(self, seed)
+        reference_star_on_valuable_seed(self, seed, tree)
 
 
 def reference_produce_step(self, model):
@@ -203,11 +208,10 @@ def reference_session_iterate(self):
     if result.coverage is not None and result.crash is None \
             and not result.hang:
         seed = self.seed_pool.consider(
-            encoded, self.session_model_name, None, result.coverage,
+            encoded, self.session_model_name, result.coverage,
             self.stats.executions, self.clock.now_ms)
         if seed is not None:
             outcome.seed = seed
-            outcome.valuable = True
             self.stats.valuable_seeds += 1
             reference_crack_steps(self, steps)
     if self.oracle is not None:
@@ -221,7 +225,7 @@ def reference_session_iterate(self):
     return reference_finish_outcome(self, outcome)
 
 
-def reference_consider(self, packet, model_name, tree, coverage_map,
+def reference_consider(self, packet, model_name, coverage_map,
                        execution_index, sim_time_ms):
     """The replaced ``SeedPool.consider``, seed built inline."""
     if not self.coverage.merge(coverage_map):
@@ -229,7 +233,6 @@ def reference_consider(self, packet, model_name, tree, coverage_map,
     seed = ValuableSeed(
         packet=packet,
         model_name=model_name,
-        tree=tree,
         execution_index=execution_index,
         sim_time_ms=sim_time_ms,
         edges_touched=coverage_map.edge_count(),
@@ -428,6 +431,39 @@ def test_a_valuable_trace_cracks_its_live_trees(monkeypatch):
     _swap_in_references(monkeypatch)
     assert _crack_one_trace() == shared
     assert shared[2] > 0
+
+
+def _steer_one_packet():
+    """A coverage-stale packet steered in by the divergence it shows."""
+    engine = make_engine("peach-star", get_target("lib60870"), 1,
+                         CampaignConfig(steer_divergence=True))
+    step = _unparsable_step(engine.pit)
+    model = engine.pit.model(step.model_name)
+    engine._produce = lambda: (step.tree, step.packet, model, False)
+    # every frame faulted: this one arrives as a diverging frame
+    engine.target.channel = FaultingChannel(1.0, random.Random(0))
+    virgin = engine.seed_pool.coverage.virgin
+    virgin[:] = b"\xff" * len(virgin)  # no bucket is new any more
+    outcome = engine.iterate()
+    assert outcome.valuable and engine.stats.steered_seeds == 1
+    cracker = engine.cracker
+    return (engine.corpus._store, cracker.models_matched,
+            cracker.puzzles_deposited, engine.clock.now_ms)
+
+
+def test_a_steered_packet_cracks_its_live_tree(monkeypatch):
+    """A steered packet is cracked with the tree it was built from, so
+    a packet its own model rejects still deposits that tree."""
+    shared = _steer_one_packet()
+    _swap_in_references(monkeypatch)
+    assert _steer_one_packet() == shared
+    pit = get_target("lib60870").make_pit()
+    step = _unparsable_step(pit)
+
+    def fresh_crack(tree):
+        return FileCracker(pit, PuzzleCorpus()).crack(step.packet, tree)
+
+    assert shared[2] == fresh_crack(step.tree) != fresh_crack(None)
 
 
 def _fleet(root):

@@ -19,26 +19,26 @@ class TestSeedPool:
 
     def test_first_seed_valuable(self):
         pool = SeedPool()
-        seed = pool.consider(b"pkt", "m", None, self._map(1, 2), 1, 0.0)
+        seed = pool.consider(b"pkt", "m", self._map(1, 2), 1, 0.0)
         assert seed is not None
         assert pool.path_count == 1
 
     def test_duplicate_coverage_not_valuable(self):
         pool = SeedPool()
-        pool.consider(b"a", "m", None, self._map(1, 2), 1, 0.0)
-        assert pool.consider(b"b", "m", None, self._map(1, 2), 2, 1.0) is None
+        pool.consider(b"a", "m", self._map(1, 2), 1, 0.0)
+        assert pool.consider(b"b", "m", self._map(1, 2), 2, 1.0) is None
         assert pool.path_count == 1
 
     def test_new_edges_grow_pool_and_edge_count(self):
         pool = SeedPool()
-        pool.consider(b"a", "m", None, self._map(1), 1, 0.0)
-        pool.consider(b"b", "m", None, self._map(9), 2, 1.0)
+        pool.consider(b"a", "m", self._map(1), 1, 0.0)
+        pool.consider(b"b", "m", self._map(9), 2, 1.0)
         assert pool.path_count == 2
         assert pool.edge_count == 2
 
     def test_seeds_iterable_with_metadata(self):
         pool = SeedPool()
-        pool.consider(b"a", "model-x", None, self._map(1), 5, 123.0)
+        pool.consider(b"a", "model-x", self._map(1), 5, 123.0)
         seed = list(pool)[0]
         assert seed.model_name == "model-x"
         assert seed.execution_index == 5

@@ -121,13 +121,6 @@ class TestConstruct:
                                       pin_prob=0.0)
         assert generator.construct(_model()) == []
 
-    def test_seeds_generated_counter(self):
-        corpus = _corpus_with(address=[b"\x00\x01"])
-        generator = SemanticGenerator(corpus, random.Random(1),
-                                      pin_prob=1.0)
-        batch = generator.construct(_model())
-        assert generator.seeds_generated == len(batch)
-
     def test_deterministic_under_seed(self):
         def run():
             corpus = _corpus_with(rng=random.Random(9),

@@ -275,8 +275,7 @@ class TestReconnectRow:
         endpoint.server.close()
         endpoint.loop.run_until_complete(endpoint.server.wait_closed())
         target = SocketTarget(endpoint.address, loop=endpoint.loop,
-                              framing="peachstar",
-                              connect_timeout_ms=200.0, reconnect=1)
+                              framing="peachstar", reconnect=1)
         try:
             with pytest.raises(NetTargetError):
                 target.run(b"data")

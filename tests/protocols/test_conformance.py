@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.channel import Channel
+from repro.channel import FaultingChannel
 from repro.core import (
     CampaignConfig, make_engine, resume_campaign, run_campaign,
 )
@@ -176,14 +176,14 @@ def _campaign_signature(result):
 @pytest.mark.parametrize("target_name", TARGET_NAMES)
 def test_passthrough_channel_campaign_is_bit_identical(target_name):
     """The channel seam itself must not perturb anything: a campaign
-    through the pinned ``Channel`` passthrough is bit-identical to a
+    through a rate-0 faulting channel is bit-identical to a
     channel-less one, on every stack."""
     spec = get_target(target_name)
     config = CampaignConfig(budget_hours=24.0, max_executions=120,
                             record_every=20)
     plain = run_campaign("peach-star", spec, seed=42, config=config)
     engine = make_engine("peach-star", spec, 42, config)
-    engine.target.channel = Channel()
+    engine.target.channel = FaultingChannel(0.0, random.Random(0))
     piped = run_campaign("peach-star", spec, seed=42, config=config,
                          engine=engine)
     assert _campaign_signature(piped) == _campaign_signature(plain)

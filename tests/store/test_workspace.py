@@ -165,6 +165,9 @@ class TestKillAndResumeDeterminism:
             CampaignWorkspace(full_dir).corpus_path_hashes()
         assert CampaignWorkspace(killed_dir).crash_times() == \
             CampaignWorkspace(full_dir).crash_times()
+        # the result's crash times are the persisted crash ledger's
+        assert list(full.crash_times.items()) == \
+            list(CampaignWorkspace(full_dir).crash_times().items())
 
     def test_resume_matches_workspace_free_run(self, tmp_path):
         spec = get_target("lib60870")
@@ -219,11 +222,15 @@ class TestKillAndResumeDeterminism:
         resumed = resume_campaign(ws_dir)
         assert _signature(resumed) == _signature(full)
 
-    def test_net_manifest_with_shared_state_false_resumes_bit_identical(
-            self, tmp_path):
-        """The retired ``net.shared_state``: loopback serving shares one
-        server exactly when concurrency > 1, so older manifests resume
-        at ``false``."""
+    @pytest.mark.parametrize("retired", [
+        dict(shared_state=False), dict(connect_timeout_ms=5000.0),
+    ], ids=["shared_state", "connect_timeout_ms"])
+    def test_net_manifest_with_retired_keys_resumes_bit_identical(
+            self, tmp_path, retired):
+        """The retired net keys: loopback serving shares one server
+        exactly when concurrency > 1, so older manifests resume at
+        ``shared_state: false``, and every campaign connected with
+        ``SocketTarget.CONNECT_TIMEOUT_MS``."""
         spec = get_target("iec104")
         full = run_campaign("peach-star", spec, seed=7,
                             config=_config(sessions=True, net=NetConfig()))
@@ -233,8 +240,7 @@ class TestKillAndResumeDeterminism:
                                            workspace=ws_dir),
                             stop_after_executions=77) is None
         _rewrite_manifest(ws_dir, lambda manifest:
-                          manifest["config"]["net"].update(
-                              shared_state=False))
+                          manifest["config"]["net"].update(retired))
         resumed = resume_campaign(ws_dir)
         assert _signature(resumed) == _signature(full)
 
@@ -274,6 +280,9 @@ class TestHostileManifest:
         (_set_config(net={"shared_state": True}),
          r"key 'net' key 'shared_state' is True, but this version only "
          r"reproduces campaigns run with False"),
+        (_set_config(net={"connect_timeout_ms": 200.0}),
+         r"key 'net' key 'connect_timeout_ms' is 200\.0, but this version "
+         r"only reproduces campaigns run with 5000\.0"),
         (_set_config(record_every=0), r"record_every 0 < 1"),
         (_set_config(checkpoint_every=0), r"checkpoint_every 0 < 1"),
         (_set_config(budget_hours=0), r"budget_hours 0 is not > 0"),
@@ -295,7 +304,7 @@ class TestHostileManifest:
             "record_every-float", "pin_prob-bool", "sessions-int",
             "differential-str", "net-unknown-key", "net-str-int",
             "net-not-object", "net-timeout-negative", "net-url-no-port",
-            "net-shared_state",
+            "net-shared_state", "net-connect_timeout_ms",
             "record_every-0",
             "checkpoint_every-0", "budget_hours-0", "max_executions-negative",
             "channel_burst-negative", "channel_faults-above-1",
@@ -459,6 +468,35 @@ class TestDamagedRecords:
                                  "byte 0 does not decode"):
             resume_campaign(ws_dir)
         self._resume_exits_2(ws_dir, capsys, "coverage.jsonl is corrupt")
+
+    def test_coverage_journal_missing_a_line_fails_loudly(self, tmp_path,
+                                                          capsys):
+        """A journal that lost a line before the checkpoint rebuilds
+        fewer edges than the checkpoint recorded."""
+        ws_dir = str(tmp_path / "ws")
+        self._killed(ws_dir, 77)
+        journal = os.path.join(ws_dir, "coverage.jsonl")
+        with open(journal, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.writelines(lines[1:])
+        with pytest.raises(WorkspaceError,
+                           match=r"coverage\.jsonl rebuilds \d+ edges but "
+                                 r"the checkpoint recorded \d+"):
+            resume_campaign(ws_dir)
+        self._resume_exits_2(ws_dir, capsys, "coverage.jsonl rebuilds")
+
+    def test_edited_checkpoint_edge_count_fails_loudly(self, tmp_path,
+                                                       capsys):
+        ws_dir = str(tmp_path / "ws")
+        self._killed(ws_dir, 77)
+        state = _read_state(ws_dir)
+        state["edges_seen"] += 1
+        _write_state(ws_dir, state)
+        recorded = f"the checkpoint recorded {state['edges_seen']}"
+        with pytest.raises(WorkspaceError, match=recorded):
+            resume_campaign(ws_dir)
+        self._resume_exits_2(ws_dir, capsys, recorded)
 
     @pytest.mark.parametrize("journal,tail", [
         ("coverage.jsonl", '{"exec": 999, "path_hash": 1, "ma'),
