@@ -5,14 +5,16 @@
 #                      included), campaigns compressed to 2 simulated
 #                      hours / 1 repetition (claim gates skipped)
 #   make bench       — the evaluation benchmarks only (regenerates
-#                      BENCH_*.json)
+#                      the committed BENCH_*.json; other runs write
+#                      them under .benchmarks/)
 #   make test-matrix — the cross-protocol conformance matrix plus the
 #                      channel-fault/differential-oracle, live-network
 #                      (socket/serve), sparse-vs-vector coverage parity,
 #                      batch-size identity, one-pass-vs-reference packet
 #                      build parity, workspace and fleet store
 #                      (manifest/checkpoint compatibility, damaged
-#                      records, kill/resume), collector reset/arm
+#                      records, kill/resume, power loss at every
+#                      durable operation), collector reset/arm
 #                      contract, inline-update-vs-reference line
 #                      collector (settrace and monitoring),
 #                      inline-check-vs-reference heap,
@@ -44,7 +46,7 @@ smoke:
 	REPRO_BENCH_HOURS=2 REPRO_BENCH_REPS=1 $(PY) -m pytest $(PYTEST_ARGS)
 
 bench:
-	$(PY) -m pytest benchmarks $(PYTEST_ARGS)
+	REPRO_BENCH_ARTIFACT_DIR=$(CURDIR) $(PY) -m pytest benchmarks $(PYTEST_ARGS)
 
 test-matrix:
 	$(PY) -m pytest tests/protocols/test_conformance.py tests/channel \
@@ -58,6 +60,7 @@ test-matrix:
 		tests/core/test_engine_reference.py \
 		tests/sanitizer/test_heap_reference.py \
 		tests/store/test_workspace.py tests/store/test_fleet.py \
+		tests/store/test_power_loss.py \
 		$(PYTEST_ARGS)
 
 fleet-demo:

@@ -20,8 +20,11 @@ Smoke run for quick iteration / CI presubmit::
         PYTHONPATH=src python -m pytest benchmarks -q
 
 Benchmarks that produce machine-readable artifacts write them as
-``BENCH_<name>.json`` next to this file's parent (repo root) via
-:func:`write_artifact`; ``REPRO_BENCH_ARTIFACT_DIR`` redirects them.
+``BENCH_<name>.json`` into the gitignored ``.benchmarks/`` directory at
+the repo root via :func:`write_artifact`, so test runs leave the tracked
+tree alone; ``REPRO_BENCH_ARTIFACT_DIR`` redirects them (``make bench``
+points it at the repo root to refresh the committed
+``BENCH_throughput.json``).
 """
 
 from __future__ import annotations
@@ -57,13 +60,15 @@ def artifact_path(name: str) -> str:
     """Absolute path for a ``BENCH_<name>.json`` artifact."""
     root = os.environ.get(
         "REPRO_BENCH_ARTIFACT_DIR",
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), ".benchmarks"))
     return os.path.join(root, f"BENCH_{name}.json")
 
 
 def write_artifact(name: str, payload: dict) -> str:
     """Write a JSON benchmark artifact; returns the path written."""
     path = artifact_path(name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -4,7 +4,8 @@ fleet, socket, session and state-learning comparisons.
 Unlike the other benchmarks (which report the paper's *simulated-clock*
 artifacts), this one measures the harness itself: how many target
 executions per wall-clock second each engine sustains.  Results land in
-``BENCH_throughput.json``.  Rates here are single short campaigns and
+``.benchmarks/BENCH_throughput.json`` (``make bench`` refreshes the
+committed copy at the repo root).  Rates here are single short campaigns and
 are informational; wall-time regressions are gated by the campaign
 benchmark (``python -m benchmarks.perf run`` / ``compare``), which
 takes interleaved medians corrected for host speed.

@@ -533,8 +533,8 @@ def run_campaign(engine_name: str, target_spec, seed: int = 0,
     implementation through an otherwise identical campaign.
 
     With ``config.workspace`` set, the campaign persists itself to that
-    directory as it runs (seed corpus, crashes, coverage/series
-    journals, periodic state checkpoints) and a killed run can be
+    directory at every checkpoint (seed and series journals, crashes,
+    the engine state) and a killed run can be
     continued with :func:`resume_campaign`.  *stop_after_executions*
     simulates the kill (stop without finalizing; returns ``None``).
     """
@@ -569,8 +569,9 @@ def rebuild_workspace_engine(workspace: CampaignWorkspace):
     """Rebuild a persisted campaign's engine from its manifest.
 
     With checkpointed state the engine is rewound to it; a workspace
-    that was initialized but never driven gets the fresh-start records
-    instead.  Shared by :func:`resume_campaign` and the fleet shard
+    that was initialized but never checkpointed is emptied of whatever
+    an interrupted first checkpoint wrote and gets the fresh-start
+    records instead.  Shared by :func:`resume_campaign` and the fleet shard
     driver (which interposes corpus-sync imports before re-driving the
     loop).  Returns ``(manifest, config, target_spec, engine, series)``.
     """
@@ -594,6 +595,7 @@ def rebuild_workspace_engine(workspace: CampaignWorkspace):
     if workspace.has_state:
         series = workspace.restore(engine)
     else:
+        workspace.discard_uncommitted()
         series = _begin_workspace_records(workspace, engine)
     return manifest, config, target_spec, engine, series
 

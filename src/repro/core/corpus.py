@@ -38,8 +38,6 @@ class PuzzleCorpus:
         self.max_per_rule = max_per_rule
         # signature id -> {puzzle bytes: deposit count}
         self._store: Dict[int, Dict[bytes, int]] = {}
-        self.total_added = 0
-        self.total_reinforced = 0
 
     # ------------------------------------------------------------------
     # deposit
@@ -51,14 +49,12 @@ class PuzzleCorpus:
         bucket = self._store.setdefault(key, {})
         if puzzle in bucket:
             bucket[puzzle] += 1
-            self.total_reinforced += 1
             return False
         if len(bucket) >= self.max_per_rule:
             victim = min(bucket, key=lambda item: (bucket[item],
                                                    self.rng.random()))
             del bucket[victim]
         bucket[puzzle] = 1
-        self.total_added += 1
         return True
 
     def add_all(self, puzzles) -> int:

@@ -170,19 +170,17 @@ class _ShardSyncState:
         self.offset = 0
         #: accumulated bucketed map — the shard's virgin map as importer
         self.coverage = GlobalCoverage()
-        #: locally-discovered (meta, map) pairs — the shard as exporter
-        self.exports: List[tuple] = []
+        #: locally-discovered seed lines — the shard as exporter
+        self.exports: List[dict] = []
 
     def refresh(self, workspace: CampaignWorkspace) -> None:
         self.offset, lines = workspace.read_coverage_journal(self.offset)
         for line in lines:
             self.coverage.merge_bucketed(line["map"])
-            if "sync_round" in line:
-                continue  # imports are not relayed: every shard scans
-                # every sibling directly, so forwarding only duplicates
-            meta = workspace.corpus_entry(line["exec"])
-            if meta is not None:
-                self.exports.append((meta, line["map"]))
+            # imports are not relayed: every shard scans every sibling
+            # directly, so forwarding only duplicates
+            if "sync_round" not in line:
+                self.exports.append(line)
 
 
 def _sync_phase(fleet: FleetWorkspace, sync_round: int,
@@ -204,22 +202,24 @@ def _sync_phase(fleet: FleetWorkspace, sync_round: int,
         if workspace.load_result() is not None:
             continue  # finished shards never fuzz again: no inbox
         coverage = states[shard].coverage
-        for src, source in enumerate(workspaces):
+        for src in range(len(workspaces)):
             if src == shard:
                 continue
-            for meta, bucketed in states[src].exports:
-                if not coverage.merge_bucketed(bucketed):
+            for line in states[src].exports:
+                if not coverage.merge_bucketed(line["map"]):
                     continue
                 workspace.write_inbox_entry(
-                    sync_round, src, meta["execution_index"],
-                    source.read_blob(meta), {
+                    sync_round, src, line["exec"],
+                    bytes.fromhex(line["packet"]), {
                         "src_shard": src,
-                        "src_exec": meta["execution_index"],
-                        "model_name": meta["model_name"],
-                        "path_hash": meta["path_hash"],
-                        "edges_touched": meta["edges_touched"],
-                        "map": [list(pair) for pair in bucketed],
+                        "src_exec": line["exec"],
+                        "model_name": line["model_name"],
+                        "path_hash": line["path_hash"],
+                        "edges_touched": line["edges_touched"],
+                        "map": line["map"],
                     })
+        # the staged round must be durable before sync_state.json names it
+        workspace.sync_inbox_round(sync_round)
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,25 @@ Layout of a fleet directory::
         000/ … NNN/      one CampaignWorkspace per shard
 
 Each shard is an ordinary :class:`~repro.store.workspace.CampaignWorkspace`
-— the same corpus/crash/journal/checkpoint files, the same restore
+— the same journals, crash records and checkpoint, the same restore
 semantics — plus an ``inbox/`` of cross-shard seeds staged by the fleet
-driver's sync phases (AFL-style sync dirs, pure file-level exchange).
+driver's sync phases (AFL-style sync dirs, pure file-level exchange)::
+
+    <shard>/inbox/round_NNN/
+        s<src>_<exec>.bin + .json   one staged seed from shard <src>
+
 The fleet reads and writes shard files only through that shard's
 workspace, and its own files through the same record seam.
 
-``sync_state.json`` is the fleet-level recovery point: the driver bumps
-it atomically only after a sync phase has staged every shard's inbox, so
-a kill anywhere inside the phase makes the resumed driver redo the whole
-phase — inbox writes are deterministic and idempotent, which is what
-keeps a killed-and-resumed fleet bit-identical to an uninterrupted one.
+``sync_state.json`` is the fleet-level recovery point, under the same
+one durability rule as a shard's ``state.json``: nothing names what is
+not yet durable.  A sync phase stages every shard's inbox without fsync,
+then fsyncs each staged record with its ``round_NNN/`` directory, and
+only then does the driver bump ``sync_state.json`` atomically.  A kill
+or power loss anywhere inside the phase makes the resumed driver redo
+the whole phase — inbox writes are deterministic and idempotent, which
+is what keeps a killed-and-resumed fleet bit-identical to an
+uninterrupted one.
 """
 
 from __future__ import annotations

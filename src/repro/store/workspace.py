@@ -8,35 +8,49 @@ Layout of a workspace directory::
                       a killed socket campaign resumes with the exact
                       transport scenario it started with: url, framing,
                       timeout/reconnect axes, concurrency degree)
-      state.json      atomic checkpoint (RNG/clock/corpus/stats snapshot)
-      corpus/         one <exec>.bin + <exec>.json per valuable seed
+      state.json      the checkpoint: RNG/clock/corpus/stats snapshot,
+                      plus what it depends on — each journal's committed
+                      byte length and the crash/divergence record stems
+      coverage.jsonl  the seed journal: one line per valuable seed, its
+                      bucketed coverage map beside the packet (hex) and
+                      the seed metadata
+      series.jsonl    paths-over-time samples (the Fig. 4 series)
       crashes/        one <slug>.bin + <slug>.json per unique crash
       divergences/    one <slug>.bin + <slug>.json per unique
-                      differential-oracle finding (faulted campaigns)
-      coverage.jsonl  sparse coverage journal, one line per valuable seed
-      series.jsonl    paths-over-time samples (the Fig. 4 series)
+                      differential-oracle finding (empty unless the
+                      campaign runs an oracle)
       result.json     final summary, written when the campaign completes
       repro/          triage output (minimized reproducers), if any
 
-``state.json`` is the recovery point: it is rewritten atomically (tmp +
-rename) every ``checkpoint_every`` executions and captures *all* mutable
-engine state — main and corpus RNG states, the simulated clock, engine
-stats, the puzzle-corpus store (order-preserving: donor sampling and
-eviction tie-breaks are order-sensitive), cracker counters and the
-pending semantic queue.  The append-only files (corpus, crashes,
-coverage/series journals) may run ahead of the last checkpoint when the
-process is killed; :meth:`CampaignWorkspace.restore` prunes them back to
-the checkpoint and the resumed campaign deterministically regenerates
-the pruned tail, which is why a killed-and-resumed campaign finishes
-bit-identical to an uninterrupted one.
+One durability rule: :meth:`CampaignWorkspace.checkpoint` is the only
+durable point (group commit).  Between checkpoints, journal lines and
+crash/divergence records wait in memory, at most ``checkpoint_every``
+executions' worth.  A checkpoint appends each journal's waiting lines
+in one write, writes the waiting records, fsyncs every file it wrote and
+their directories, and only then atomically replaces ``state.json``.  A
+durable ``state.json`` therefore never names a byte or a record that a
+power loss can take away.
+
+``state.json`` captures *all* mutable engine state — main and corpus
+RNG states, the simulated clock, engine stats, the puzzle-corpus store
+(order-preserving: donor sampling and eviction tie-breaks are
+order-sensitive), cracker counters, the pending semantic queue — and
+:meth:`CampaignWorkspace.restore` rewinds to it: each journal is
+truncated to its committed length (dropping what a checkpoint that never
+completed appended, or a torn tail), record files the checkpoint does
+not name are deleted, and the resumed loop deterministically regenerates
+everything after the checkpoint, which is why a killed-and-resumed
+campaign finishes bit-identical to an uninterrupted one.
 
 Every file a campaign or fleet workspace writes or reads goes through
-the module-level record helpers below (the record seam): a *record* is
-a ``<stem>.bin`` blob plus its ``<stem>.json`` metadata, a *journal* an
+the module-level helpers below (the record seam): a *record* is a
+``<stem>.bin`` blob plus its ``<stem>.json`` metadata, a *journal* an
 append-only JSON-lines file, and the manifests and checkpoint are
 format-checked JSON.  Resume fails with :class:`WorkspaceError`, never
-a raw ``OSError``, when a record's blob is missing or a journal line
-other than a torn final one does not decode.
+a raw ``OSError``, when a journal is shorter than its committed length,
+a committed line does not decode or is not a seed, a named record is
+missing or does not decode, or the coverage journal does not rebuild
+the checkpointed edge count.
 
 This module deliberately imports nothing from :mod:`repro.core` at
 module level (the campaign driver imports it); engine classes are only
@@ -55,7 +69,13 @@ from repro.sanitizer.report import CrashReport
 from repro.util import fs_slug
 
 #: bump when the on-disk layout changes incompatibly
-STATE_FORMAT = 2
+STATE_FORMAT = 3
+
+#: the journals a checkpoint commits, by file name
+_JOURNALS = ("coverage.jsonl", "series.jsonl")
+
+#: the record directories whose stems a checkpoint names
+_RECORD_DIRS = ("crashes", "divergences")
 
 
 class WorkspaceError(RuntimeError):
@@ -63,6 +83,16 @@ class WorkspaceError(RuntimeError):
 
 
 # -- the record seam ----------------------------------------------------------
+
+def _fsync_path(path: str) -> None:
+    """fsync a file or directory by name: file data, or directory
+    entries (new files, renames)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
 
 def _atomic_write(path: str, payload: str) -> None:
     """Durably replace *path* with *payload*.
@@ -79,11 +109,7 @@ def _atomic_write(path: str, payload: str) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    _fsync_path(os.path.dirname(path) or ".")
 
 
 def _write_json(path: str, blob) -> None:
@@ -92,11 +118,20 @@ def _write_json(path: str, blob) -> None:
 
 
 def _write_record(stem: str, blob: bytes, meta: dict) -> None:
-    """Write one record: the ``.bin`` blob, then its ``.json`` metadata,
-    so a ``.json`` on disk names a blob that was written before it."""
+    """Write one record, ``.bin`` then ``.json``, without fsync: the
+    commit that names it (a checkpoint, a sync round) fsyncs it first."""
     with open(stem + ".bin", "wb") as handle:
         handle.write(blob)
-    _write_json(stem + ".json", meta)
+    with open(stem + ".json", "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+def _append_durably(path: str, data: bytes) -> None:
+    """Append *data* to a journal in one write and fsync it."""
+    with open(path, "ab") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def _load_json(path: str, label: Optional[str] = None):
@@ -112,9 +147,9 @@ def _load_json(path: str, label: Optional[str] = None):
         found = blob.get("format") if isinstance(blob, dict) else None
         if found != STATE_FORMAT:
             raise WorkspaceError(
-                f"{label} format {found!r} is not supported (expected "
-                f"{STATE_FORMAT}); it was written by an incompatible "
-                "version")
+                f"{path}: {label} format {found!r} is not supported "
+                f"(expected {STATE_FORMAT}); it was written by an "
+                "incompatible version")
     return blob
 
 
@@ -146,62 +181,33 @@ def _read_blob(meta: dict) -> bytes:
                              "corrupt") from None
 
 
-def _past(execution: int, record: dict, exec_limit: Optional[int],
-          sync_limit: Optional[int]) -> bool:
-    """True for a record written after the checkpoint: past
-    *exec_limit*, or from a sync round past *sync_limit*."""
-    return (exec_limit is not None and execution > exec_limit) or \
-        (sync_limit is not None and record.get("sync_round", 0) > sync_limit)
-
-
-def _load_entries(directory: str, exec_limit: Optional[int] = None,
-                  sync_limit: Optional[int] = None) -> List[dict]:
-    """The records of *directory* in discovery order.
-
-    Sorted by execution index: name order breaks ties, so a boundary
-    seed precedes the imports applied at the same index, and a
-    divergence's ``seq`` orders the findings of one execution.  Given
-    limits (restore), records past them are deleted instead — the
-    resumed loop regenerates them.
-    """
-    entries = []
-    for meta in _list_records(directory):
-        if _past(meta["execution_index"], meta, exec_limit, sync_limit):
-            os.unlink(meta["_stem"] + ".json")
-            if os.path.exists(meta["_stem"] + ".bin"):
-                os.unlink(meta["_stem"] + ".bin")
-            continue
-        entries.append(meta)
-    entries.sort(key=lambda meta: (meta["execution_index"],
-                                   meta.get("seq", 0)))
-    return entries
-
-
-def _append_line(path: str, record: dict) -> None:
-    """Append one record to a journal."""
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record) + "\n")
-
-
-def _read_journal(path: str, offset: int = 0) -> Tuple[int, List[dict]]:
+def _read_journal(path: str, offset: int = 0, end: Optional[int] = None
+                  ) -> Tuple[int, List[dict]]:
     """Journal records from byte *offset* on, and the offset after them.
 
-    Each append writes one whole line, so a SIGKILL landing mid-append
-    can tear only the final line: it has no newline yet, or it does not
-    decode.  That line is past the last checkpoint by construction, so
-    it is left unread (the resumed loop regenerates it).  An earlier
-    line that does not decode is corruption: :class:`WorkspaceError`.
+    Given the committed length as *end*, only bytes before it are read
+    and every whole line there must decode.  Without it the read runs
+    to the end of the file, past the last checkpoint, where a kill
+    landing mid-append can tear only the final line: it has no newline
+    yet, or it does not decode, and it is left unread.  An earlier line
+    that does not decode is corruption.  Either way:
+    :class:`WorkspaceError`.
     """
     if not os.path.exists(path):
         return offset, []
     with open(path, "rb") as handle:
         handle.seek(offset)
-        *lines, tail = handle.read().split(b"\n")
+        *lines, tail = handle.read(
+            -1 if end is None else end - offset).split(b"\n")
     records = []
     for number, raw in enumerate(lines):
         try:
             records.append(json.loads(raw))
         except ValueError:
+            if end is not None:
+                raise WorkspaceError(
+                    f"{path} is corrupt: the line at byte {offset} does "
+                    "not decode") from None
             if number == len(lines) - 1 and not tail:
                 break  # the torn final line
             raise WorkspaceError(
@@ -211,19 +217,51 @@ def _read_journal(path: str, offset: int = 0) -> Tuple[int, List[dict]]:
     return offset, records
 
 
-def _prune_journal(path: str, exec_limit: int,
-                   sync_limit: Optional[int] = None) -> List[dict]:
-    """Load a journal, drop records past the checkpoint (and a torn
-    final line), and rewrite it when anything was dropped."""
-    if not os.path.exists(path):
-        return []
-    end, records = _read_journal(path)
-    kept = [record for record in records
-            if not _past(record["exec"], record, exec_limit, sync_limit)]
-    if len(kept) < len(records) or end < os.path.getsize(path):
-        _atomic_write(path,
-                      "".join(json.dumps(record) + "\n" for record in kept))
-    return kept
+def _seed_from_line(line, where: str):
+    """The valuable seed the coverage-journal line *where* records."""
+    from repro.core.seedpool import ValuableSeed  # late: avoid cycle
+
+    keys = ("packet", "model_name", "exec", "sim_time_ms", "edges_touched",
+            "path_hash")
+    missing = [key for key in keys if key not in line] \
+        if isinstance(line, dict) else list(keys)
+    if missing:
+        raise WorkspaceError(f"{where} is not a seed line (no {missing[0]!r}"
+                             "); workspace is corrupt")
+    try:
+        packet = bytes.fromhex(line["packet"])
+    except (TypeError, ValueError):
+        raise WorkspaceError(f"{where} holds a packet that is not hex; "
+                             "workspace is corrupt") from None
+    return ValuableSeed(packet, *(line[key] for key in keys[1:]))
+
+
+def _is_stem(stem) -> bool:
+    """True for a record stem :meth:`CampaignWorkspace.record_crash`
+    can write: a slug, never a path or a dot name."""
+    return isinstance(stem, str) and fs_slug(stem) == stem \
+        and bool(stem.strip("."))
+
+
+def _commit_point(state: dict) -> Tuple[Dict[str, int], Dict[str, list]]:
+    """What a checkpoint depends on: committed journal lengths and the
+    record stems of each record directory, validated."""
+    journals, records = state.get("journals"), state.get("records")
+    if not (isinstance(journals, dict)
+            and sorted(journals) == sorted(_JOURNALS)
+            and all(type(length) is int and length >= 0
+                    for length in journals.values())):
+        raise WorkspaceError(
+            f"checkpoint journals {journals!r} are not the committed "
+            f"lengths of {', '.join(_JOURNALS)}; workspace is corrupt")
+    if not (isinstance(records, dict)
+            and sorted(records) == sorted(_RECORD_DIRS)
+            and all(isinstance(stems, list) and all(map(_is_stem, stems))
+                    for stems in records.values())):
+        raise WorkspaceError(
+            f"checkpoint records {records!r} do not name record stems of "
+            f"{', '.join(_RECORD_DIRS)}; workspace is corrupt")
+    return journals, records
 
 
 def bucketed_hits(coverage_map) -> List[List[int]]:
@@ -349,22 +387,28 @@ class CampaignWorkspace:
 
     def __init__(self, root: str):
         self.root = os.path.abspath(root)
-        self.corpus_dir = os.path.join(self.root, "corpus")
-        self.crashes_dir = os.path.join(self.root, "crashes")
-        self.divergences_dir = os.path.join(self.root, "divergences")
         self.repro_dir = os.path.join(self.root, "repro")
         self.inbox_dir = os.path.join(self.root, "inbox")
         self._config_path = os.path.join(self.root, "config.json")
         self._state_path = os.path.join(self.root, "state.json")
         self._coverage_path = os.path.join(self.root, "coverage.jsonl")
-        self._series_path = os.path.join(self.root, "series.jsonl")
         self._result_path = os.path.join(self.root, "result.json")
         #: fleet corpus-sync high-water mark: how many sync rounds this
-        #: campaign has *applied*.  Persisted with every checkpoint so a
+        #: campaign has *applied*.  Persisted with every checkpoint, so a
         #: kill between import application and the post-import checkpoint
-        #: replays the round instead of double-importing (restore prunes
-        #: the orphaned import records).  Always 0 outside a fleet.
+        #: replays the round instead of double-importing.  Always 0
+        #: outside a fleet.
         self.synced_rounds = 0
+        #: committed byte length of each journal (the last checkpoint's)
+        self._committed = {name: 0 for name in _JOURNALS}
+        #: record stems per record directory: committed, then waiting
+        self._stems: Dict[str, List[str]] = \
+            {name: [] for name in _RECORD_DIRS}
+        #: journal lines waiting for the next checkpoint, per journal
+        self._waiting_lines: Dict[str, List[str]] = \
+            {name: [] for name in _JOURNALS}
+        #: records waiting for the next checkpoint: (dir, stem, blob, meta)
+        self._waiting_records: List[Tuple[str, str, bytes, dict]] = []
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -376,13 +420,23 @@ class CampaignWorkspace:
 
     def initialize(self, engine_name: str, target_name: str, seed: int,
                    config_dict: dict) -> None:
-        """Create a fresh workspace; refuses to clobber an existing one."""
+        """Create a fresh workspace; refuses to clobber an existing one.
+
+        The empty journals and record directories are created before
+        the manifest, whose directory fsync makes them durable with it;
+        a workspace directory created here is then made durable in its
+        parent.
+        """
         if self.has_state:
             raise WorkspaceError(
                 f"workspace {self.root} already holds campaign state; "
                 "use `peachstar resume` (or a fresh directory) instead")
-        os.makedirs(self.corpus_dir, exist_ok=True)
-        os.makedirs(self.crashes_dir, exist_ok=True)
+        created = not os.path.isdir(self.root)
+        for name in _RECORD_DIRS:
+            os.makedirs(os.path.join(self.root, name), exist_ok=True)
+        for name in _JOURNALS:
+            with open(os.path.join(self.root, name), "wb"):
+                pass
         manifest = {
             "format": STATE_FORMAT,
             "engine": engine_name,
@@ -391,6 +445,8 @@ class CampaignWorkspace:
             "config": config_dict,
         }
         _write_json(self._config_path, manifest)
+        if created:
+            _fsync_path(os.path.dirname(self.root))
 
     def load_manifest(self) -> dict:
         if not os.path.exists(self._config_path):
@@ -399,48 +455,35 @@ class CampaignWorkspace:
         return _load_json(self._config_path, "workspace")
 
     # ------------------------------------------------------------------
-    # incremental records (append-only; may run ahead of the checkpoint)
+    # records (wait in memory until the next checkpoint commits them)
     # ------------------------------------------------------------------
 
     def record_sample(self, execution: int, hours: float,
                       paths: int) -> None:
-        _append_line(self._series_path,
-                     {"exec": execution, "hours": hours, "paths": paths})
+        self._waiting_lines["series.jsonl"].append(json.dumps(
+            {"exec": execution, "hours": hours, "paths": paths}) + "\n")
 
     def record_seed(self, seed, bucketed: List[List[int]],
                     sync: Optional[Tuple[int, int, int]] = None) -> None:
-        """Persist one valuable seed plus its coverage-journal line.
+        """Record one valuable seed as a coverage-journal line.
 
         *bucketed* is the seed's map as the journal stores it (see
-        :func:`bucketed_hits`).  A fleet-sync import passes *sync*, its
-        ``(sync_round, src_shard, src_exec)`` provenance: the keys ride
-        in the metadata (the round also in the journal line), and the
-        stem suffix sorts the import *after* a local seed of the same
-        execution index (``.`` < ``_``), matching the in-memory order: a
-        seed discovered at the round boundary precedes the imports
-        applied there.
+        :func:`bucketed_hits`); the packet (hex) and the seed metadata
+        ride beside it.  A fleet-sync import passes *sync*, its
+        ``(sync_round, src_shard, src_exec)`` provenance.  Lines keep
+        the seed pool's order, so restore rebuilds the pool from them.
         """
-        stem = f"{seed.execution_index:07d}"
-        meta = {
-            "execution_index": seed.execution_index,
-            "model_name": seed.model_name,
-            "sim_time_ms": seed.sim_time_ms,
-            "edges_touched": seed.edges_touched,
-            "path_hash": seed.path_hash,
-        }
         line = {"exec": seed.execution_index, "path_hash": seed.path_hash,
-                "map": bucketed}
+                "map": bucketed, "packet": seed.packet.hex(),
+                "model_name": seed.model_name,
+                "sim_time_ms": seed.sim_time_ms,
+                "edges_touched": seed.edges_touched}
         if sync is not None:
-            sync_round, src_shard, src_exec = sync
-            stem += f"_sync_r{sync_round:03d}_s{src_shard:03d}_{src_exec:07d}"
-            meta.update(sync_round=sync_round, src_shard=src_shard,
-                        src_exec=src_exec)
-            line["sync_round"] = sync_round
-        _write_record(os.path.join(self.corpus_dir, stem), seed.packet, meta)
-        _append_line(self._coverage_path, line)
+            line["sync_round"], line["src_shard"], line["src_exec"] = sync
+        self._waiting_lines["coverage.jsonl"].append(json.dumps(line) + "\n")
 
     def record_crash(self, report: CrashReport, hours: float) -> None:
-        """Persist one *new unique* finding: a crash in ``crashes/``, a
+        """Record one *new unique* finding: a crash in ``crashes/``, a
         differential-oracle divergence in ``divergences/``.
 
         The ``oracle`` meta key is what routes a divergence back to
@@ -456,7 +499,7 @@ class CampaignWorkspace:
         }
         oracle = getattr(report, "oracle", None)
         if oracle is None:
-            directory = self.crashes_dir
+            directory = "crashes"
             meta["call_sites"] = list(report.call_sites)
             if report.trace is not None:
                 # session crash: the provoking step is in .bin; the full
@@ -464,16 +507,12 @@ class CampaignWorkspace:
                 meta["trace"] = report.trace.hex()
                 meta["crash_step"] = report.crash_step
         else:
-            directory = self.divergences_dir
-            os.makedirs(directory, exist_ok=True)
+            directory = "divergences"
             meta["oracle"] = oracle
-            # one trace can surface several findings at the same
-            # execution index, so the index alone cannot reconstruct
-            # discovery order on restore; an explicit sequence number does
-            meta["seq"] = sum(1 for name in os.listdir(directory)
-                              if name.endswith(".json"))
-        stem = os.path.join(directory, fs_slug(f"{report.kind}_{report.site}"))
-        _write_record(stem, report.packet, meta)
+        stem = fs_slug(f"{report.kind}_{report.site}")
+        # the checkpoint's stem list keeps discovery order
+        self._stems[directory].append(stem)
+        self._waiting_records.append((directory, stem, report.packet, meta))
 
     # ------------------------------------------------------------------
     # fleet sync inbox (written by the fleet driver, consumed on resume)
@@ -488,13 +527,25 @@ class CampaignWorkspace:
         """Stage one selected cross-shard seed for the next round.
 
         Rewriting an entry is idempotent — a sync phase interrupted and
-        redone produces byte-identical files.
+        redone produces byte-identical files.  Nothing is fsynced here:
+        :meth:`sync_inbox_round` commits the staged round.
         """
         directory = self.inbox_round_dir(sync_round)
         os.makedirs(directory, exist_ok=True)
         _write_record(os.path.join(directory,
                                    f"s{src_shard:03d}_{src_exec:07d}"),
                       packet, meta)
+
+    def sync_inbox_round(self, sync_round: int) -> None:
+        """Make a staged round durable: every record in it, then its
+        directory and the directories that staging may have created."""
+        directory = self.inbox_round_dir(sync_round)
+        if not os.path.isdir(directory):
+            return
+        for name in sorted(os.listdir(directory)):
+            _fsync_path(os.path.join(directory, name))
+        for path in (directory, self.inbox_dir, self.root):
+            _fsync_path(path)
 
     def load_inbox_rounds(self, after: int,
                           through: int) -> List[Tuple[int, List[dict]]]:
@@ -511,8 +562,32 @@ class CampaignWorkspace:
     # checkpoints
     # ------------------------------------------------------------------
 
+    def _commit(self) -> None:
+        """Write everything waiting and make it durable: the records
+        and their directories, then one append per journal."""
+        directories = set()
+        for directory, stem, blob, meta in self._waiting_records:
+            stem = os.path.join(self.root, directory, stem)
+            _write_record(stem, blob, meta)
+            _fsync_path(stem + ".bin")
+            _fsync_path(stem + ".json")
+            directories.add(directory)
+        self._waiting_records.clear()
+        for directory in sorted(directories):
+            _fsync_path(os.path.join(self.root, directory))
+        for name, lines in self._waiting_lines.items():
+            if lines:
+                data = "".join(lines).encode("utf-8")
+                _append_durably(os.path.join(self.root, name), data)
+                self._committed[name] += len(data)
+                lines.clear()
+
     def checkpoint(self, engine) -> None:
-        """Atomically snapshot every piece of mutable engine state."""
+        """Group commit: make every record and journal line since the
+        last checkpoint durable, then atomically replace ``state.json``
+        with a snapshot of every piece of mutable engine state that
+        names them."""
+        self._commit()
         state = {
             "format": STATE_FORMAT,
             "synced_rounds": self.synced_rounds,
@@ -522,14 +597,14 @@ class CampaignWorkspace:
             "rng_state": _rng_state_to_json(engine.rng.getstate()),
             "stats": engine.stats.as_dict(),
             "edges_seen": engine.seed_pool.coverage.edges_seen,
+            "journals": dict(self._committed),
+            "records": {name: list(stems)
+                        for name, stems in self._stems.items()},
         }
         corpus = getattr(engine, "corpus", None)
         if corpus is not None:
             state["puzzle_corpus"] = {
                 "rng_state": _rng_state_to_json(corpus.rng.getstate()),
-                "max_per_rule": corpus.max_per_rule,
-                "total_added": corpus.total_added,
-                "total_reinforced": corpus.total_reinforced,
                 # order matters twice over: donor sampling walks buckets
                 # in insertion order and eviction ties consume RNG per
                 # entry visited, so the snapshot is a list, not a map
@@ -574,18 +649,50 @@ class CampaignWorkspace:
     # restore
     # ------------------------------------------------------------------
 
+    def _rewind(self, journals: Dict[str, int], records: Dict[str, list]
+                ) -> Dict[str, Tuple[int, int, list]]:
+        """Cut the files back to a commit point: truncate each journal
+        to its committed length and delete the record files it does not
+        name.  Returns each journal's ``(size, end, records)``: its
+        length, the byte after its last whole line, and its lines."""
+        self._committed = dict(journals)
+        self._stems = {name: list(stems) for name, stems in records.items()}
+        for name in _RECORD_DIRS:
+            directory = os.path.join(self.root, name)
+            if not os.path.isdir(directory):
+                continue
+            named = set(records[name])
+            for entry in sorted(os.listdir(directory)):
+                if os.path.splitext(entry)[0] not in named:
+                    os.unlink(os.path.join(directory, entry))
+        read = {}
+        for name, committed in journals.items():
+            path = os.path.join(self.root, name)
+            size = os.path.getsize(path) if os.path.exists(path) else 0
+            if size > committed:
+                os.truncate(path, committed)
+                size = committed
+            read[name] = (size, *_read_journal(path, end=committed))
+        return read
+
+    def discard_uncommitted(self) -> None:
+        """Rewind a workspace that has no checkpoint to empty: whatever
+        a first checkpoint that never completed left is dropped."""
+        self._rewind({name: 0 for name in _JOURNALS},
+                     {name: [] for name in _RECORD_DIRS})
+
     def restore(self, engine) -> List[Tuple[float, int]]:
         """Rewind *engine* to the last checkpoint; returns the series.
 
-        Append-only records past the checkpoint are pruned — the resumed
-        loop re-executes that window and regenerates them identically.
-        The coverage journal must rebuild the checkpoint's edge count,
-        or the workspace is refused as corrupt.
+        The files are cut back to what the checkpoint committed — the
+        resumed loop re-executes the window after it and regenerates the
+        rest identically.  The coverage journal must rebuild the
+        checkpoint's edge count, every journal must reach its committed
+        length, and every named record must load, or the workspace is
+        refused as corrupt.
         """
-        from repro.core.seedpool import ValuableSeed  # late: avoid cycle
-
         state = self.load_state()
-        exec_limit = state["executions"]
+        journals, records = _commit_point(state)
         self.synced_rounds = state.get("synced_rounds", 0)
 
         engine.rng.setstate(_rng_state_from_json(state["rng_state"]))
@@ -594,39 +701,42 @@ class CampaignWorkspace:
         for name, value in state["stats"].items():
             setattr(engine.stats, name, value)
 
-        # -- corpus, crash and divergence records ---------------------------
-        pool = engine.seed_pool
-        for directory in (self.corpus_dir, self.crashes_dir,
-                          self.divergences_dir):
-            for meta in _load_entries(directory, exec_limit,
-                                      self.synced_rounds):
-                blob = _read_blob(meta)
-                if directory == self.corpus_dir:
-                    pool.seeds.append(ValuableSeed(
-                        packet=blob,
-                        model_name=meta["model_name"],
-                        execution_index=meta["execution_index"],
-                        sim_time_ms=meta["sim_time_ms"],
-                        edges_touched=meta["edges_touched"],
-                        path_hash=meta["path_hash"],
-                    ))
-                elif directory == self.crashes_dir:
-                    engine.crashes.add(_report_from_meta(meta, blob),
-                                       meta["hours"])
-                else:
-                    engine.divergences.add(_report_from_meta(meta, blob),
-                                           meta["hours"])
+        read = self._rewind(journals, records)
 
-        # -- global coverage --------------------------------------------------
+        # -- crash and divergence records -----------------------------------
+        for name, database in (("crashes", engine.crashes),
+                               ("divergences", engine.divergences)):
+            for meta in self._named_records(name, records[name]):
+                database.add(_report_from_meta(meta, _read_blob(meta)),
+                             meta["hours"])
+
+        # -- seed pool and global coverage ----------------------------------
+        pool = engine.seed_pool
         coverage = pool.coverage
-        for line in _prune_journal(self._coverage_path, exec_limit,
-                                   self.synced_rounds):
-            coverage.merge_bucketed(line["map"])
+        for number, line in enumerate(read["coverage.jsonl"][2], 1):
+            where = f"{self._coverage_path} line {number}"
+            pool.seeds.append(_seed_from_line(line, where))
+            try:
+                coverage.merge_bucketed(line["map"])
+            except (KeyError, TypeError, ValueError, IndexError):
+                raise WorkspaceError(f"{where} holds no bucketed map; "
+                                     "workspace is corrupt") from None
         if coverage.edges_seen != state["edges_seen"]:
             raise WorkspaceError(
                 f"{self._coverage_path} rebuilds {coverage.edges_seen} "
                 f"edges but the checkpoint recorded {state['edges_seen']}; "
                 "workspace is corrupt")
+        for name, (size, end, _lines) in read.items():
+            path = os.path.join(self.root, name)
+            if size < journals[name]:
+                raise WorkspaceError(
+                    f"{path} is {size} bytes, shorter than the "
+                    f"{journals[name]} bytes the checkpoint committed; "
+                    "workspace is corrupt")
+            if end < size:
+                raise WorkspaceError(
+                    f"{path} is corrupt: the line at byte {end} has no "
+                    "newline")
 
         # -- channel RNG -------------------------------------------------------
         if "channel" in state:
@@ -643,9 +753,6 @@ class CampaignWorkspace:
         if corpus is not None and "puzzle_corpus" in state:
             snap = state["puzzle_corpus"]
             corpus.rng.setstate(_rng_state_from_json(snap["rng_state"]))
-            corpus.max_per_rule = snap["max_per_rule"]
-            corpus.total_added = snap["total_added"]
-            corpus.total_reinforced = snap["total_reinforced"]
             corpus._store = {
                 signature: {bytes.fromhex(puzzle): count
                             for puzzle, count in bucket}
@@ -670,41 +777,64 @@ class CampaignWorkspace:
             state_model.restore(state["learner"])
 
         return [(line["hours"], line["paths"])
-                for line in _prune_journal(self._series_path, exec_limit)]
+                for line in read["series.jsonl"][2]]
 
     # ------------------------------------------------------------------
     # readers (used by the fleet driver, triage and the analysis layer)
     # ------------------------------------------------------------------
+
+    def _named_records(self, name: str, stems: List[str]) -> List[dict]:
+        """The records of directory *name* a checkpoint names as
+        *stems*, in discovery order."""
+        metas = []
+        for stem in stems:
+            path = os.path.join(self.root, name, stem)
+            if not os.path.exists(path + ".json"):
+                raise WorkspaceError(
+                    f"the checkpoint names {path}.json, which is missing; "
+                    "workspace is corrupt")
+            metas.append(_load_record(path))
+        return metas
+
+    def _checkpointed_records(self, name: str) -> List[dict]:
+        """The records of directory *name* the checkpoint on disk names
+        (none before the first checkpoint)."""
+        if not self.has_state:
+            return []
+        return self._named_records(
+            name, _commit_point(self.load_state())[1][name])
 
     def read_coverage_journal(self, offset: int) -> Tuple[int, List[dict]]:
         """Coverage-journal records appended since byte *offset*, and the
         offset to read on from (see :func:`_read_journal`)."""
         return _read_journal(self._coverage_path, offset)
 
-    def corpus_entry(self, exec_index: int) -> Optional[dict]:
-        """The record of the local seed found at *exec_index*, if any."""
-        stem = os.path.join(self.corpus_dir, f"{exec_index:07d}")
-        if not os.path.exists(stem + ".json"):
-            return None
-        return _load_record(stem)
-
-    #: the blob of a record this workspace listed (inbox or corpus entry)
+    #: the blob of a record this workspace listed (an inbox entry)
     read_blob = staticmethod(_read_blob)
 
     def load_crash_reports(self) -> List[CrashReport]:
         """Every persisted unique finding in discovery order, crashes
         first, then divergences (the triage input)."""
         return [_report_from_meta(meta, _read_blob(meta))
-                for directory in (self.crashes_dir, self.divergences_dir)
-                for meta in _load_entries(directory)]
+                for name in _RECORD_DIRS
+                for meta in self._checkpointed_records(name)]
 
     def crash_times(self) -> Dict[tuple, float]:
         return {(meta["kind"], meta["site"]): meta["hours"]
-                for meta in _load_entries(self.crashes_dir)}
+                for meta in self._checkpointed_records("crashes")}
+
+    def _checkpointed_seed_lines(self) -> List[dict]:
+        """The coverage-journal lines the checkpoint on disk commits."""
+        if not self.has_state:
+            return []
+        committed = _commit_point(self.load_state())[0]["coverage.jsonl"]
+        return _read_journal(self._coverage_path, end=committed)[1]
 
     def corpus_path_hashes(self) -> List[int]:
         """path_hash of every persisted valuable seed, discovery order."""
-        return [meta["path_hash"] for meta in _load_entries(self.corpus_dir)]
+        return [line["path_hash"]
+                for line in self._checkpointed_seed_lines()]
 
     def corpus_packets(self) -> List[bytes]:
-        return [_read_blob(meta) for meta in _load_entries(self.corpus_dir)]
+        return [bytes.fromhex(line["packet"])
+                for line in self._checkpointed_seed_lines()]

@@ -37,7 +37,6 @@ from repro.state import (
 )
 from repro.state.learner import OVERFLOW_STATE, SILENT_STATE
 from repro.store import CampaignWorkspace
-from repro.store.workspace import _load_entries
 
 #: the targets whose hand-written models the learner is diffed against
 DIFFERENTIAL_TARGETS = ("iec104", "libmodbus", "opendnp3")
@@ -337,9 +336,9 @@ class TestLearnedCampaigns:
         for blob in packets:
             assert is_trace_blob(blob)
             assert decode_trace(blob)
-        metas = _load_entries(workspace.corpus_dir)
-        assert all(meta["model_name"] == "session:iec61850.learned"
-                   for meta in metas)
+        lines = workspace.read_coverage_journal(0)[1]
+        assert all(line["model_name"] == "session:iec61850.learned"
+                   for line in lines)
 
     @pytest.mark.parametrize("target_name", DIFFERENTIAL_TARGETS)
     def test_learned_automaton_covers_hand_written_states(self,

@@ -35,7 +35,6 @@ from repro.state import (
 )
 from repro.state.model import State, StateModel, Transition
 from repro.store import CampaignWorkspace
-from repro.store.workspace import _load_entries
 from repro.triage import CrashChecker, minimize_crash, triage_reports
 
 #: since PR 5 every target ships a hand-written state model
@@ -301,9 +300,9 @@ class TestSessionCampaign:
             assert is_trace_blob(blob)
             steps = decode_trace(blob)
             assert steps
-        metas = _load_entries(workspace.corpus_dir)
-        assert all(meta["model_name"] == "session:iec104.session"
-                   for meta in metas)
+        lines = workspace.read_coverage_journal(0)[1]
+        assert all(line["model_name"] == "session:iec104.session"
+                   for line in lines)
 
     def test_session_campaign_reaches_single_packet_unreachable_paths(self):
         """The acceptance gate: a seeded --sessions campaign on IEC 104

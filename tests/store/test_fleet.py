@@ -12,7 +12,6 @@ The acceptance gates of the fleet subsystem:
     cross-shard seed and its map absorbs the missing state.
 """
 
-import json
 import os
 import re
 import shutil
@@ -209,16 +208,15 @@ class TestCorpusSync:
         assert sum(fleet.imported_seeds) >= 1
         imported = []
         for shard in range(2):
-            corpus = os.path.join(ws_dir, "shards", f"{shard:03d}",
-                                  "corpus")
-            for name in sorted(os.listdir(corpus)):
-                if "_sync_" not in name or not name.endswith(".json"):
+            workspace = CampaignWorkspace(
+                os.path.join(ws_dir, "shards", f"{shard:03d}"))
+            for line in workspace.read_coverage_journal(0)[1]:
+                if "sync_round" not in line:
                     continue
-                with open(os.path.join(corpus, name)) as handle:
-                    meta = json.load(handle)
-                assert meta["src_shard"] != shard
-                assert meta["sync_round"] >= 1
-                imported.append(meta)
+                assert line["src_shard"] != shard
+                assert line["sync_round"] >= 1
+                assert bytes.fromhex(line["packet"])
+                imported.append(line)
         assert len(imported) == sum(fleet.imported_seeds)
 
     def test_torn_journal_tail_is_pruned_on_resume(self, tmp_path):

@@ -23,7 +23,6 @@ from repro.core.campaign import make_engine
 from repro.net.config import NetConfig
 from repro.protocols import get_target
 from repro.store import CampaignWorkspace, WorkspaceError
-from repro.store.workspace import _load_entries
 
 
 #: the CampaignConfig fields a manifest holds
@@ -81,9 +80,11 @@ class TestWorkspaceLifecycle:
         config = _config(workspace=ws_dir, max_executions=60)
         run_campaign("peach-star", get_target("libmodbus"), seed=3,
                      config=config)
-        for name in ("config.json", "state.json", "series.jsonl",
-                     "result.json", "corpus"):
+        for name in ("config.json", "state.json", "coverage.jsonl",
+                     "series.jsonl", "result.json", "crashes"):
             assert os.path.exists(os.path.join(ws_dir, name)), name
+        # seeds live in the coverage journal: no per-seed files
+        assert not os.path.exists(os.path.join(ws_dir, "corpus"))
         manifest = CampaignWorkspace(ws_dir).load_manifest()
         assert manifest["engine"] == "peach-star"
         assert manifest["target"] == "libmodbus"
@@ -116,20 +117,24 @@ class TestWorkspaceLifecycle:
                       dataclasses.fields(CampaignConfig)) == \
             sorted(KEPT_KNOBS)
 
-    def test_corpus_files_carry_coverage_metadata(self, tmp_path):
+    def test_seed_lines_carry_coverage_metadata(self, tmp_path):
         ws_dir = str(tmp_path / "ws")
-        run_campaign("peach-star", get_target("libmodbus"), seed=3,
-                     config=_config(workspace=ws_dir, max_executions=120))
+        result = run_campaign("peach-star", get_target("libmodbus"), seed=3,
+                              config=_config(workspace=ws_dir,
+                                             max_executions=120))
         workspace = CampaignWorkspace(ws_dir)
         hashes = workspace.corpus_path_hashes()
         assert hashes and all(isinstance(h, int) and h > 0 for h in hashes)
-        metas = _load_entries(workspace.corpus_dir)
-        assert all(meta["edges_touched"] > 0 for meta in metas)
-        # one coverage-journal line per valuable seed
+        # one coverage-journal line per valuable seed, the packet and
+        # the seed metadata beside its map
         with open(os.path.join(ws_dir, "coverage.jsonl")) as handle:
             lines = [json.loads(raw) for raw in handle if raw.strip()]
-        assert [line["exec"] for line in lines] == \
-            [meta["execution_index"] for meta in metas]
+        assert [line["path_hash"] for line in lines] == hashes == \
+            list(result.path_hashes)
+        assert all(line["edges_touched"] > 0 and line["map"]
+                   for line in lines)
+        assert [bytes.fromhex(line["packet"]) for line in lines] == \
+            workspace.corpus_packets()
 
 
 class TestKillAndResumeDeterminism:
@@ -357,9 +362,9 @@ class TestPendingRecipes:
 
     @pytest.mark.parametrize("corrupt,message", [
         (lambda state: state.update(format=1),
-         r"state format 1 is not supported \(expected 2\)"),
-        (lambda state: state.update(format=3),
-         r"state format 3 is not supported \(expected 2\)"),
+         r"state format 1 is not supported \(expected 3\)"),
+        (lambda state: state.update(format=4),
+         r"state format 4 is not supported \(expected 3\)"),
         (lambda state: state["pending"][0].update(model="modbus.bogus"),
          r"unknown model 'modbus\.bogus'"),
         (lambda state: state["pending"][0].update(seed=1 << 32),
@@ -375,7 +380,7 @@ class TestPendingRecipes:
          r"pending recipe 0 is malformed"),
         (lambda state: state.pop("pending"),
          r"pending queue is not a list"),
-    ], ids=["format-1", "format-3", "unknown-model", "seed-too-wide",
+    ], ids=["format-1", "format-4", "unknown-model", "seed-too-wide",
             "seed-str", "seed-float", "stray-path", "missing-seed",
             "no-queue"])
     def test_hostile_state_fails_loudly(self, tmp_path, corrupt, message):
@@ -407,7 +412,7 @@ class TestPendingRecipes:
         with open(path, "w") as handle:
             json.dump(manifest, handle)
         with pytest.raises(WorkspaceError,
-                           match=r"format 1 is not supported \(expected 2\)"):
+                           match=r"format 1 is not supported \(expected 3\)"):
             resume_campaign(ws_dir)
 
 
@@ -431,17 +436,90 @@ class TestDamagedRecords:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err
 
-    @pytest.mark.parametrize("directory,stop_after",
-                             [("corpus", 77), ("crashes", 177)])
+    @staticmethod
+    def _drop_first_packet(ws_dir):
+        """A seed line without its packet (the journal's missing blob)."""
+        journal = os.path.join(ws_dir, "coverage.jsonl")
+        _edit_first_line(journal, lambda line: line.pop("packet"))
+        return f"{journal} line 1 is not a seed line (no 'packet')"
+
+    @staticmethod
+    def _delete_crash_blob(ws_dir):
+        blob = sorted(glob.glob(os.path.join(ws_dir, "crashes", "*.bin")))[0]
+        os.unlink(blob)
+        return blob
+
+    @pytest.mark.parametrize("damage,stop_after", [
+        (_drop_first_packet, 77), (_delete_crash_blob, 177),
+    ], ids=["seed-line-77", "crashes-177"])
     def test_missing_record_blob_fails_loudly(self, tmp_path, capsys,
-                                              directory, stop_after):
+                                              damage, stop_after):
         ws_dir = str(tmp_path / "ws")
         self._killed(ws_dir, stop_after)
-        blob = sorted(glob.glob(os.path.join(ws_dir, directory, "*.bin")))[0]
-        os.unlink(blob)
-        with pytest.raises(WorkspaceError, match=re.escape(blob)):
+        needle = damage.__func__(ws_dir)
+        with pytest.raises(WorkspaceError, match=re.escape(needle)):
             resume_campaign(ws_dir)
-        self._resume_exits_2(ws_dir, capsys, blob)
+        self._resume_exits_2(ws_dir, capsys, needle)
+
+    def test_seed_line_packet_not_hex_fails_loudly(self, tmp_path, capsys):
+        ws_dir = str(tmp_path / "ws")
+        self._killed(ws_dir, 77)
+        journal = os.path.join(ws_dir, "coverage.jsonl")
+        # same length: only the hex check can catch it
+        _edit_first_line(journal, lambda line: line.update(
+            packet="zz" + line["packet"][2:]))
+        needle = f"{journal} line 1 holds a packet that is not hex"
+        with pytest.raises(WorkspaceError, match=re.escape(needle)):
+            resume_campaign(ws_dir)
+        self._resume_exits_2(ws_dir, capsys, needle)
+
+    def test_journal_shorter_than_committed_fails_loudly(self, tmp_path,
+                                                         capsys):
+        """A journal that lost committed lines (series.jsonl has no edge
+        count to catch it) names both lengths."""
+        ws_dir = str(tmp_path / "ws")
+        self._killed(ws_dir, 77)
+        journal = os.path.join(ws_dir, "series.jsonl")
+        committed = _read_state(ws_dir)["journals"]["series.jsonl"]
+        assert os.path.getsize(journal) == committed
+        with open(journal, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.writelines(lines[:-1])
+        needle = (f"{journal} is {committed - len(lines[-1])} bytes, "
+                  f"shorter than the {committed} bytes the checkpoint "
+                  "committed")
+        with pytest.raises(WorkspaceError, match=re.escape(needle)):
+            resume_campaign(ws_dir)
+        self._resume_exits_2(ws_dir, capsys, needle)
+
+    def test_checkpoint_naming_missing_crash_record_fails_loudly(
+            self, tmp_path, capsys):
+        ws_dir = str(tmp_path / "ws")
+        self._killed(ws_dir, 177)
+        [stem] = _read_state(ws_dir)["records"]["crashes"]
+        record = os.path.join(ws_dir, "crashes", stem)
+        os.unlink(record + ".json")
+        os.unlink(record + ".bin")
+        needle = f"the checkpoint names {record}.json, which is missing"
+        with pytest.raises(WorkspaceError, match=re.escape(needle)):
+            resume_campaign(ws_dir)
+        self._resume_exits_2(ws_dir, capsys, needle)
+
+    def test_format_2_workspace_fails_loudly(self, tmp_path, capsys):
+        """Workspaces of the per-seed ``corpus/`` layout are refused,
+        never migrated."""
+        ws_dir = str(tmp_path / "ws")
+        self._killed(ws_dir, 77)
+        _rewrite_manifest(ws_dir, lambda manifest: manifest.update(format=2))
+        state = _read_state(ws_dir)
+        state["format"] = 2
+        _write_state(ws_dir, state)
+        needle = (f"{os.path.join(ws_dir, 'config.json')}: workspace format "
+                  "2 is not supported (expected 3)")
+        with pytest.raises(WorkspaceError, match=re.escape(needle)):
+            resume_campaign(ws_dir)
+        self._resume_exits_2(ws_dir, capsys, needle)
 
     def test_missing_inbox_blob_fails_loudly(self, tmp_path):
         workspace = CampaignWorkspace(str(tmp_path / "shard"))
@@ -498,6 +576,22 @@ class TestDamagedRecords:
             resume_campaign(ws_dir)
         self._resume_exits_2(ws_dir, capsys, recorded)
 
+    def test_readers_skip_lines_past_the_committed_length(self, tmp_path):
+        """Whole lines an interrupted checkpoint appended are not part
+        of the workspace until a checkpoint names them."""
+        ws_dir = str(tmp_path / "ws")
+        self._killed(ws_dir, 77)
+        workspace = CampaignWorkspace(ws_dir)
+        hashes = workspace.corpus_path_hashes()
+        assert hashes
+        journal = os.path.join(ws_dir, "coverage.jsonl")
+        with open(journal, encoding="utf-8") as handle:
+            first = handle.readline()
+        with open(journal, "a", encoding="utf-8") as handle:
+            handle.write(first)
+        assert workspace.corpus_path_hashes() == hashes
+        assert len(workspace.corpus_packets()) == len(hashes)
+
     @pytest.mark.parametrize("journal,tail", [
         ("coverage.jsonl", '{"exec": 999, "path_hash": 1, "ma'),
         ("coverage.jsonl", '{"exec": 999, "path_hash": 1, "ma\n'),
@@ -521,6 +615,17 @@ class TestDamagedRecords:
             with open(os.path.join(killed_dir, name), "rb") as resumed, \
                     open(os.path.join(full_dir, name), "rb") as clean:
                 assert resumed.read() == clean.read()
+
+
+def _edit_first_line(journal, edit):
+    """Apply *edit* to the first line of a JSON-lines journal."""
+    with open(journal, encoding="utf-8") as handle:
+        lines = handle.readlines()
+    line = json.loads(lines[0])
+    edit(line)
+    lines[0] = json.dumps(line) + "\n"
+    with open(journal, "w", encoding="utf-8") as handle:
+        handle.writelines(lines)
 
 
 def _rewrite_manifest(ws_dir, edit):
