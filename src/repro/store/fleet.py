@@ -22,13 +22,15 @@ workspace, and its own files through the same record seam.
 
 ``sync_state.json`` is the fleet-level recovery point, under the same
 one durability rule as a shard's ``state.json``: nothing names what is
-not yet durable.  A sync phase stages every shard's inbox without fsync,
-then fsyncs each staged record with its ``round_NNN/`` directory, and
-only then does the driver bump ``sync_state.json`` atomically.  A kill
-or power loss anywhere inside the phase makes the resumed driver redo
-the whole phase — inbox writes are deterministic and idempotent, which
-is what keeps a killed-and-resumed fleet bit-identical to an
-uninterrupted one.
+not yet durable.  The fleet directory, its ``shards/`` and each shard
+directory (with any missing ancestor) are made durable in their parents
+as they are created.  A sync phase stages every shard's inbox without
+fsync, then fsyncs each staged record with its ``round_NNN/`` directory
+and the directories above it, and only then does the driver bump
+``sync_state.json`` atomically.  A kill or power loss anywhere inside
+the phase makes the resumed driver redo the whole phase — inbox writes
+are deterministic and idempotent, which is what keeps a
+killed-and-resumed fleet bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import List
 
 from repro.store.workspace import (
     STATE_FORMAT, CampaignWorkspace, WorkspaceError, _atomic_write,
-    _load_json, _write_json,
+    _load_json, _make_dirs, _write_json,
 )
 
 
@@ -77,7 +79,7 @@ class FleetWorkspace:
             raise WorkspaceError("a fleet needs at least one shard")
         if sync_every < 1:
             raise WorkspaceError("sync_every must be >= 1 execution")
-        os.makedirs(self.shards_dir, exist_ok=True)
+        _make_dirs(self.shards_dir)
         manifest = {
             "format": STATE_FORMAT,
             "engine": engine_name,

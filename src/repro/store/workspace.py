@@ -29,7 +29,9 @@ executions' worth.  A checkpoint appends each journal's waiting lines
 in one write, writes the waiting records, fsyncs every file it wrote and
 their directories, and only then atomically replaces ``state.json``.  A
 durable ``state.json`` therefore never names a byte or a record that a
-power loss can take away.
+power loss can take away.  The workspace directory itself, and any
+ancestor that :meth:`CampaignWorkspace.initialize` creates, is made
+durable in its parent before the manifest is written.
 
 ``state.json`` captures *all* mutable engine state — main and corpus
 RNG states, the simulated clock, engine stats, the puzzle-corpus store
@@ -92,6 +94,18 @@ def _fsync_path(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def _make_dirs(path: str) -> None:
+    """``os.makedirs`` that makes each directory it creates durable: a
+    new directory is an entry in its parent, so the parent is fsynced
+    after each one (ancestors first)."""
+    if os.path.isdir(path):
+        return
+    parent = os.path.dirname(path)
+    _make_dirs(parent)
+    os.mkdir(path)
+    _fsync_path(parent)
 
 
 def _atomic_write(path: str, payload: str) -> None:
@@ -181,40 +195,37 @@ def _read_blob(meta: dict) -> bytes:
                              "corrupt") from None
 
 
-def _read_journal(path: str, offset: int = 0, end: Optional[int] = None
-                  ) -> Tuple[int, List[dict]]:
-    """Journal records from byte *offset* on, and the offset after them.
+def _read_journal(path: str, end: int, offset: int = 0) -> List[dict]:
+    """The journal records between byte *offset* and the committed
+    length *end*.
 
-    Given the committed length as *end*, only bytes before it are read
-    and every whole line there must decode.  Without it the read runs
-    to the end of the file, past the last checkpoint, where a kill
-    landing mid-append can tear only the final line: it has no newline
-    yet, or it does not decode, and it is left unread.  An earlier line
-    that does not decode is corruption.  Either way:
-    :class:`WorkspaceError`.
+    Bytes past *end* are not part of the workspace and are never read.
+    The file must reach *end*, the last byte before it must end a line,
+    and every line must decode, or :class:`WorkspaceError`.
     """
-    if not os.path.exists(path):
-        return offset, []
+    size = os.path.getsize(path) if os.path.exists(path) else 0
+    if size < end:
+        raise WorkspaceError(
+            f"{path} is {size} bytes, shorter than the {end} bytes the "
+            "checkpoint committed; workspace is corrupt")
+    if offset == end:
+        return []
     with open(path, "rb") as handle:
         handle.seek(offset)
-        *lines, tail = handle.read(
-            -1 if end is None else end - offset).split(b"\n")
+        *lines, tail = handle.read(end - offset).split(b"\n")
+    if tail:
+        raise WorkspaceError(f"{path} is corrupt: the line at byte "
+                             f"{end - len(tail)} has no newline")
     records = []
-    for number, raw in enumerate(lines):
+    for raw in lines:
         try:
             records.append(json.loads(raw))
         except ValueError:
-            if end is not None:
-                raise WorkspaceError(
-                    f"{path} is corrupt: the line at byte {offset} does "
-                    "not decode") from None
-            if number == len(lines) - 1 and not tail:
-                break  # the torn final line
             raise WorkspaceError(
                 f"{path} is corrupt: the line at byte {offset} does not "
-                "decode and is not the last one") from None
+                "decode") from None
         offset += len(raw) + 1
-    return offset, records
+    return records
 
 
 def _seed_from_line(line, where: str):
@@ -422,16 +433,16 @@ class CampaignWorkspace:
                    config_dict: dict) -> None:
         """Create a fresh workspace; refuses to clobber an existing one.
 
-        The empty journals and record directories are created before
-        the manifest, whose directory fsync makes them durable with it;
-        a workspace directory created here is then made durable in its
-        parent.
+        The workspace directory, and any missing ancestor, is made
+        durable as it is created.  The empty journals and record
+        directories are created before the manifest, whose directory
+        fsync makes them durable with it.
         """
         if self.has_state:
             raise WorkspaceError(
                 f"workspace {self.root} already holds campaign state; "
                 "use `peachstar resume` (or a fresh directory) instead")
-        created = not os.path.isdir(self.root)
+        _make_dirs(self.root)
         for name in _RECORD_DIRS:
             os.makedirs(os.path.join(self.root, name), exist_ok=True)
         for name in _JOURNALS:
@@ -445,8 +456,6 @@ class CampaignWorkspace:
             "config": config_dict,
         }
         _write_json(self._config_path, manifest)
-        if created:
-            _fsync_path(os.path.dirname(self.root))
 
     def load_manifest(self) -> dict:
         if not os.path.exists(self._config_path):
@@ -591,7 +600,6 @@ class CampaignWorkspace:
         state = {
             "format": STATE_FORMAT,
             "synced_rounds": self.synced_rounds,
-            "executions": engine.stats.executions,
             "target_executions": engine.target.executions,
             "clock_ms": engine.clock.now_ms,
             "rng_state": _rng_state_to_json(engine.rng.getstate()),
@@ -650,11 +658,10 @@ class CampaignWorkspace:
     # ------------------------------------------------------------------
 
     def _rewind(self, journals: Dict[str, int], records: Dict[str, list]
-                ) -> Dict[str, Tuple[int, int, list]]:
+                ) -> Dict[str, List[dict]]:
         """Cut the files back to a commit point: truncate each journal
         to its committed length and delete the record files it does not
-        name.  Returns each journal's ``(size, end, records)``: its
-        length, the byte after its last whole line, and its lines."""
+        name.  Returns each journal's committed lines."""
         self._committed = dict(journals)
         self._stems = {name: list(stems) for name, stems in records.items()}
         for name in _RECORD_DIRS:
@@ -668,11 +675,9 @@ class CampaignWorkspace:
         read = {}
         for name, committed in journals.items():
             path = os.path.join(self.root, name)
-            size = os.path.getsize(path) if os.path.exists(path) else 0
-            if size > committed:
+            if os.path.exists(path) and os.path.getsize(path) > committed:
                 os.truncate(path, committed)
-                size = committed
-            read[name] = (size, *_read_journal(path, end=committed))
+            read[name] = _read_journal(path, committed)
         return read
 
     def discard_uncommitted(self) -> None:
@@ -686,9 +691,9 @@ class CampaignWorkspace:
 
         The files are cut back to what the checkpoint committed — the
         resumed loop re-executes the window after it and regenerates the
-        rest identically.  The coverage journal must rebuild the
-        checkpoint's edge count, every journal must reach its committed
-        length, and every named record must load, or the workspace is
+        rest identically.  Every journal must reach its committed
+        length, every named record must load, and the coverage journal
+        must rebuild the checkpoint's edge count, or the workspace is
         refused as corrupt.
         """
         state = self.load_state()
@@ -713,7 +718,7 @@ class CampaignWorkspace:
         # -- seed pool and global coverage ----------------------------------
         pool = engine.seed_pool
         coverage = pool.coverage
-        for number, line in enumerate(read["coverage.jsonl"][2], 1):
+        for number, line in enumerate(read["coverage.jsonl"], 1):
             where = f"{self._coverage_path} line {number}"
             pool.seeds.append(_seed_from_line(line, where))
             try:
@@ -726,17 +731,6 @@ class CampaignWorkspace:
                 f"{self._coverage_path} rebuilds {coverage.edges_seen} "
                 f"edges but the checkpoint recorded {state['edges_seen']}; "
                 "workspace is corrupt")
-        for name, (size, end, _lines) in read.items():
-            path = os.path.join(self.root, name)
-            if size < journals[name]:
-                raise WorkspaceError(
-                    f"{path} is {size} bytes, shorter than the "
-                    f"{journals[name]} bytes the checkpoint committed; "
-                    "workspace is corrupt")
-            if end < size:
-                raise WorkspaceError(
-                    f"{path} is corrupt: the line at byte {end} has no "
-                    "newline")
 
         # -- channel RNG -------------------------------------------------------
         if "channel" in state:
@@ -777,7 +771,7 @@ class CampaignWorkspace:
             state_model.restore(state["learner"])
 
         return [(line["hours"], line["paths"])
-                for line in read["series.jsonl"][2]]
+                for line in read["series.jsonl"]]
 
     # ------------------------------------------------------------------
     # readers (used by the fleet driver, triage and the analysis layer)
@@ -804,10 +798,15 @@ class CampaignWorkspace:
         return self._named_records(
             name, _commit_point(self.load_state())[1][name])
 
-    def read_coverage_journal(self, offset: int) -> Tuple[int, List[dict]]:
-        """Coverage-journal records appended since byte *offset*, and the
-        offset to read on from (see :func:`_read_journal`)."""
-        return _read_journal(self._coverage_path, offset)
+    def read_coverage_journal(self, offset: int = 0
+                              ) -> Tuple[int, List[dict]]:
+        """The coverage-journal lines from byte *offset* up to the
+        length the checkpoint on disk commits, and that length, the
+        offset to read on from (no lines before the first checkpoint)."""
+        end = 0
+        if self.has_state:
+            end = _commit_point(self.load_state())[0]["coverage.jsonl"]
+        return end, _read_journal(self._coverage_path, end, offset)
 
     #: the blob of a record this workspace listed (an inbox entry)
     read_blob = staticmethod(_read_blob)
@@ -823,18 +822,11 @@ class CampaignWorkspace:
         return {(meta["kind"], meta["site"]): meta["hours"]
                 for meta in self._checkpointed_records("crashes")}
 
-    def _checkpointed_seed_lines(self) -> List[dict]:
-        """The coverage-journal lines the checkpoint on disk commits."""
-        if not self.has_state:
-            return []
-        committed = _commit_point(self.load_state())[0]["coverage.jsonl"]
-        return _read_journal(self._coverage_path, end=committed)[1]
-
     def corpus_path_hashes(self) -> List[int]:
         """path_hash of every persisted valuable seed, discovery order."""
         return [line["path_hash"]
-                for line in self._checkpointed_seed_lines()]
+                for line in self.read_coverage_journal()[1]]
 
     def corpus_packets(self) -> List[bytes]:
         return [bytes.fromhex(line["packet"])
-                for line in self._checkpointed_seed_lines()]
+                for line in self.read_coverage_journal()[1]]

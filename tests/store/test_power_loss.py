@@ -121,6 +121,11 @@ class _Recorder:
         if self._rel(path) is not None:
             self.ops.append(("unlink", self._rel(path)))
 
+    def mkdir(self, path, *args):
+        os.mkdir(path, *args)
+        if self._rel(path) is not None:
+            self.ops.append(("mkdir", self._rel(path)))
+
     def makedirs(self, path, exist_ok=False):
         missing = []
         head = os.path.abspath(path)
@@ -204,6 +209,20 @@ def _durable_disk(ops, k):
             for path, inode in durable.items() if reachable(path)}
 
 
+def _tree(root):
+    """The real files and directories under *root*, in the form
+    :func:`_durable_disk` returns."""
+    tree = {}
+    for directory, dirs, files in os.walk(root):
+        for name in dirs:
+            tree[os.path.relpath(os.path.join(directory, name), root)] = _DIR
+        for name in files:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                tree[os.path.relpath(path, root)] = handle.read()
+    return tree
+
+
 def _materialize(disk, root):
     os.makedirs(root)
     for path in sorted(disk, key=lambda rel: rel.count(os.sep)):
@@ -235,23 +254,30 @@ def _journals_and_records(root):
     return files
 
 
-@pytest.mark.parametrize("target_name,overrides", [
-    ("libmodbus", dict(max_executions=200)),
-    ("iec104", dict(max_executions=200, learn_states=True)),
-], ids=["libmodbus", "iec104-learn-states"])
+@pytest.mark.parametrize("target_name,overrides,ws", [
+    ("libmodbus", dict(max_executions=200), "."),
+    ("iec104", dict(max_executions=200, learn_states=True), "."),
+    ("libmodbus", dict(max_executions=200), os.path.join("new", "ws")),
+], ids=["libmodbus", "iec104-learn-states", "libmodbus-new-root"])
 def test_resume_after_power_loss_at_every_operation(
-        tmp_path, monkeypatch, target_name, overrides):
+        tmp_path, monkeypatch, target_name, overrides, ws):
+    """*ws* is the workspace inside the recorded disk: the disk itself,
+    or a root whose parent does not exist yet either, so the campaign
+    creates both."""
     spec = get_target(target_name)
-    root = str(tmp_path / "ws")
-    os.makedirs(root)
+    disk_root = str(tmp_path / "disk")
+    os.makedirs(disk_root)
+    root = os.path.normpath(os.path.join(disk_root, ws))
     config = CampaignConfig(budget_hours=24.0, record_every=10,
                             checkpoint_every=50, workspace=root,
                             **overrides)
-    recorder = _record(monkeypatch, root)
+    recorder = _record(monkeypatch, disk_root)
     full = run_campaign("peach-star", spec, seed=7, config=config)
     monkeypatch.undo()
     ops = recorder.ops
     assert sum(op == "fsync" for op, *_ in ops) >= 10
+    # a finished campaign is durable whole, its directories included
+    assert _durable_disk(ops, len(ops)) == _tree(disk_root)
     expected = (_signature(full), _journals_and_records(root))
 
     seen = set()
@@ -263,8 +289,9 @@ def test_resume_after_power_loss_at_every_operation(
         seen.add(key)
         crashed = str(tmp_path / f"crash{k:04d}")
         _materialize(disk, crashed)
+        crashed = os.path.normpath(os.path.join(crashed, ws))
         where = f"power loss before operation {k} {ops[k:k + 1]}"
-        if "config.json" not in disk:
+        if os.path.normpath(os.path.join(ws, "config.json")) not in disk:
             with pytest.raises(WorkspaceError, match="no config.json"):
                 resume_campaign(crashed)
             continue
@@ -279,18 +306,21 @@ def test_sync_round_is_durable_before_sync_state_names_it(tmp_path,
                                                          monkeypatch):
     """A sync phase fsyncs every inbox record it staged, and the
     directories above it, before ``sync_state.json`` names the round:
-    a power loss just before that rename keeps the whole round."""
-    root = str(tmp_path / "fleet")
-    os.makedirs(root)
-    recorder = _record(monkeypatch, root)
+    a power loss just before that rename keeps the whole round.  The
+    fleet creates its root and the root's parent, which stay durable."""
+    disk_root = str(tmp_path / "disk")
+    os.makedirs(disk_root)
+    root = os.path.join(disk_root, "new", "fleet")
+    recorder = _record(monkeypatch, disk_root)
     run_fleet("peach-star", get_target("libmodbus"), workspace_dir=root,
               shards=2, seed=5, sync_every=80, max_workers=1,
               config=CampaignConfig(budget_hours=24.0, max_executions=250,
                                     record_every=10, checkpoint_every=50))
     monkeypatch.undo()
     ops = recorder.ops
+    sync_state = os.path.join("new", "fleet", "sync_state.json")
     bumps = [k for k, (op, *args) in enumerate(ops)
-             if op == "rename" and args[1] == "sync_state.json"]
+             if op == "rename" and args[1] == sync_state]
     assert len(bumps) == 3
     staged = 0
     for sync_round, k in enumerate(bumps, 1):
@@ -299,7 +329,7 @@ def test_sync_round_is_durable_before_sync_state_names_it(tmp_path,
                 root, "shards", "*", "inbox", f"round_{sync_round:03d}",
                 "*")):
             with open(path, "rb") as handle:
-                assert disk.get(os.path.relpath(path, root)) == \
+                assert disk.get(os.path.relpath(path, disk_root)) == \
                     handle.read(), (sync_round, path)
             staged += 1
     assert staged > 0

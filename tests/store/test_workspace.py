@@ -339,7 +339,7 @@ class TestPendingRecipes:
                             stop_after_executions=137) is None
         assert len(engine._pending) > 0
         state = _read_state(ws_dir)
-        assert state["executions"] < 137
+        assert state["stats"]["executions"] < 137
         assert state["pending"]
         return state
 
@@ -473,14 +473,14 @@ class TestDamagedRecords:
             resume_campaign(ws_dir)
         self._resume_exits_2(ws_dir, capsys, needle)
 
+    @pytest.mark.parametrize("name", ["coverage.jsonl", "series.jsonl"])
     def test_journal_shorter_than_committed_fails_loudly(self, tmp_path,
-                                                         capsys):
-        """A journal that lost committed lines (series.jsonl has no edge
-        count to catch it) names both lengths."""
+                                                         capsys, name):
+        """A journal that lost committed lines names both lengths."""
         ws_dir = str(tmp_path / "ws")
         self._killed(ws_dir, 77)
-        journal = os.path.join(ws_dir, "series.jsonl")
-        committed = _read_state(ws_dir)["journals"]["series.jsonl"]
+        journal = os.path.join(ws_dir, name)
+        committed = _read_state(ws_dir)["journals"][name]
         assert os.path.getsize(journal) == committed
         with open(journal, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -538,7 +538,10 @@ class TestDamagedRecords:
         with open(journal, encoding="utf-8") as handle:
             lines = handle.readlines()
         assert len(lines) > 2
-        lines[0] = lines[0][:len(lines[0]) // 2] + "\n"
+        # cut in half, padded back to its length: the committed length
+        # holds, so only the line check can catch it
+        half = len(lines[0]) // 2
+        lines[0] = lines[0][:half] + " " * (len(lines[0]) - half - 1) + "\n"
         with open(journal, "w", encoding="utf-8") as handle:
             handle.writelines(lines)
         with pytest.raises(WorkspaceError,
@@ -549,14 +552,16 @@ class TestDamagedRecords:
 
     def test_coverage_journal_missing_a_line_fails_loudly(self, tmp_path,
                                                           capsys):
-        """A journal that lost a line before the checkpoint rebuilds
-        fewer edges than the checkpoint recorded."""
+        """A journal that lost a line before the checkpoint but kept its
+        committed length (the next line padded with JSON whitespace)
+        rebuilds fewer edges than the checkpoint recorded."""
         ws_dir = str(tmp_path / "ws")
         self._killed(ws_dir, 77)
         journal = os.path.join(ws_dir, "coverage.jsonl")
         with open(journal, encoding="utf-8") as handle:
             lines = handle.readlines()
         with open(journal, "w", encoding="utf-8") as handle:
+            handle.write(" " * len(lines[0]))
             handle.writelines(lines[1:])
         with pytest.raises(WorkspaceError,
                            match=r"coverage\.jsonl rebuilds \d+ edges but "
@@ -618,12 +623,14 @@ class TestDamagedRecords:
 
 
 def _edit_first_line(journal, edit):
-    """Apply *edit* to the first line of a JSON-lines journal."""
+    """Apply *edit* to the first line of a JSON-lines journal, padding
+    a shorter line with JSON whitespace: the journal keeps its committed
+    length, so the check under test, not the length check, catches it."""
     with open(journal, encoding="utf-8") as handle:
         lines = handle.readlines()
     line = json.loads(lines[0])
     edit(line)
-    lines[0] = json.dumps(line) + "\n"
+    lines[0] = json.dumps(line).ljust(len(lines[0]) - 1) + "\n"
     with open(journal, "w", encoding="utf-8") as handle:
         handle.writelines(lines)
 
