@@ -25,6 +25,10 @@
 #                      shared-vs-per-engine record/crack/splice step
 #                      suites, plus the session and state-learning
 #                      suites (tests/state)
+#   make test-net-dev — the live-network suite (tests/net) under
+#                      python -X dev with ResourceWarning and
+#                      unraisable-exception warnings as errors, so an
+#                      unclosed socket, selector or connection fails
 #   make fleet-demo  — a small synced 4-shard fleet in /tmp, rendered
 #                      with the per-shard/merged summary table
 #   make sessions-demo — the stateful session-fuzzing walkthrough
@@ -37,7 +41,7 @@ SESSIONS_DEMO_HOURS ?= 8
 
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test smoke bench test-matrix fleet-demo sessions-demo
+.PHONY: test smoke bench test-matrix test-net-dev fleet-demo sessions-demo
 
 test:
 	$(PY) -m pytest $(PYTEST_ARGS)
@@ -61,6 +65,11 @@ test-matrix:
 		tests/sanitizer/test_heap_reference.py \
 		tests/store/test_workspace.py tests/store/test_fleet.py \
 		tests/store/test_power_loss.py \
+		$(PYTEST_ARGS)
+
+test-net-dev:
+	$(PY) -X dev -m pytest -W error::ResourceWarning \
+		-W error::pytest.PytestUnraisableExceptionWarning tests/net \
 		$(PYTEST_ARGS)
 
 fleet-demo:

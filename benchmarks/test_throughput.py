@@ -49,13 +49,14 @@ FLEET_SYNC_EVERY = 400
 FLEET_RATIO_FLOOR = 0.35
 #: floor gate on socket_vs_inprocess.execs_per_sec_ratio: driving the
 #: headline campaign through the loopback socket harness (peachstar
-#: envelope framing, one event-loop pass per execution with the session
-#: reset and the first frame in one write, coverage armed around the
-#: served dispatch only) may not drag throughput below this fraction of
-#: the in-process rate.  The committed artifact records ~0.67; the floor
-#: leaves the same headroom the fleet gate does for machine-to-machine
-#: scheduler variance.
-SOCKET_RATIO_FLOOR = 0.2
+#: envelope framing; per execution the session reset and the first
+#: frame go out in one write and the served connection is stepped from
+#: the client's own selector wait, in one thread; coverage armed around
+#: the served dispatch only) may not drag throughput below this fraction
+#: of the in-process rate.  Over 10 seeds this configuration measured
+#: about 0.8 (0.6 with the asyncio transport it replaced); the floor
+#: leaves headroom for machine-to-machine scheduler variance.
+SOCKET_RATIO_FLOOR = 0.4
 
 _CACHE = {}
 

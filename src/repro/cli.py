@@ -117,8 +117,9 @@ def _add_net_args(parser: argparse.ArgumentParser) -> None:
                         help="reconnect attempts when a socket endpoint "
                              "drops the connection mid-session")
     parser.add_argument("--concurrency", type=int, default=1, metavar="N",
-                        help="interleave N sessions round-robin over one "
-                             "event loop against a shared-state server "
+                        help="interleave N sessions round-robin, one "
+                             "connection each, against a shared-state "
+                             "server "
                              "(session mode only; implies --target-url "
                              "loopback when none is given)")
 

@@ -414,7 +414,7 @@ def _drive_campaign(engine_name: str, target_spec, seed: int,
             series, stop_after_executions, pause_after_executions)
     finally:
         # a SocketTarget closes its connections, served loopback and
-        # event loop; the in-process Target no-ops.  Runs on completion,
+        # selector; the in-process Target no-ops.  Runs on completion,
         # kill and pause alike — every re-entry path rebuilds the engine
         # from the workspace.
         engine.target.close()

@@ -33,7 +33,7 @@ class NetConfig:
     ephemeral port and fuzz it through a real socket) or
     ``"tcp://host:port"`` (drive a live endpoint; coverage feedback is
     unavailable there — black-box fuzzing).  ``concurrency > 1``
-    interleaves N sessions round-robin over one event loop against a
+    interleaves N sessions round-robin, one connection each, against a
     shared-state server (step *i* of a trace runs on connection
     ``i % N``); loopback serving shares one server exactly then.  It
     requires session mode.

@@ -22,7 +22,6 @@ Framer choice is keyed by :attr:`repro.protocols.TargetSpec.framing`
 
 from __future__ import annotations
 
-import asyncio
 import struct
 from typing import List, Optional, Tuple
 
@@ -55,21 +54,26 @@ def encode_envelope(kind: bytes, payload: bytes = b"") -> bytes:
     return kind + _HEADER.pack(len(payload)) + payload
 
 
-async def read_envelope(reader: asyncio.StreamReader
-                        ) -> Optional[Tuple[bytes, bytes]]:
-    """Read one envelope; ``None`` on a clean EOF at a message boundary."""
-    try:
-        header = await reader.readexactly(5)
-    except (asyncio.IncompleteReadError, ConnectionError):
+def take_envelope(buffer: bytearray) -> Optional[Tuple[bytes, bytes]]:
+    """Remove the envelope at the head of one connection's received
+    bytes and return it as ``(kind, payload)``.
+
+    ``None`` while the head envelope is incomplete; its bytes stay in
+    *buffer*.  A header announcing more than :data:`MAX_ENVELOPE` bytes
+    raises :class:`EnvelopeError`: the stream cannot be resynchronized
+    past it.
+    """
+    if len(buffer) < 5:
         return None
-    kind, length = header[:1], _HEADER.unpack(header[1:])[0]
+    length = _HEADER.unpack_from(buffer, 1)[0]
     if length > MAX_ENVELOPE:
         raise EnvelopeError(f"envelope length {length} exceeds bound")
-    try:
-        payload = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError):
+    end = 5 + length
+    if len(buffer) < end:
         return None
-    return kind, payload
+    message = bytes(buffer[:1]), bytes(buffer[5:end])
+    del buffer[:end]
+    return message
 
 
 # -- raw stream framers -------------------------------------------------------

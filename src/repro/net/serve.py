@@ -1,7 +1,7 @@
 """``peachstar serve``: expose a simulated protocol server on a TCP port.
 
 The labrad device-server idiom — many concurrent sessions multiplexed
-over one event loop, one server process — applied to the six protocol
+over one thread, one server process — applied to the six protocol
 targets.  Each accepted connection is one *session*: it gets a private
 :class:`~repro.runtime.target.Session` (server instance and simulated
 heap, so sessions are isolated, like per-connection state in a real
@@ -21,26 +21,48 @@ Two dialects per port:
   the connection, the way a crashed real server drops its clients; a
   hang simply never answers.
 
-The app object is the asyncio plumbing and the envelope encoding only.
+Serving is plain non-blocking sockets in one :mod:`selectors`
+selector:
+
+* a :class:`Stream` is one socket with its received and unsent bytes,
+  stepped by its selector callback;
+* each accepted connection is a Stream whose state machine, for either
+  dialect, turns received bytes into the bytes to send back through
+  :meth:`ServeApp._dispatch`;
+* a :class:`Listener` is the listening socket and those connections,
+  registered in a caller's selector;
+* :func:`serve_forever` is the ``peachstar serve`` loop over that
+  selector.  A loopback :class:`~repro.net.target.SocketTarget`
+  registers its listener in its own selector instead and steps it from
+  the same wait as its client connections.
+
 A frame runs through the in-process harness's own
 :class:`~repro.runtime.target.Session` and
 :func:`~repro.runtime.target.dispatch_armed`: the collector is armed
 around ``handle_packet`` alone, so a loopback campaign observes
 coverage and crash reports identical to the in-process path while the
-event loop and the framing run uninstrumented.
+sockets and the framing run uninstrumented.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-from typing import Optional, Tuple
+import selectors
+import socket
+from typing import Optional, Set, Tuple
 
 from repro.net.framing import (
     MSG_ACK, MSG_CRASH, MSG_DATA, MSG_HANG, MSG_NONE, MSG_RESET,
-    MSG_RESPONSE, EnvelopeError, encode_envelope, framer_for, read_envelope,
+    MSG_RESPONSE, EnvelopeError, encode_envelope, framer_for, take_envelope,
 )
 from repro.runtime.target import Session, dispatch_armed
+
+#: bytes asked of the kernel per receive call (a larger request costs
+#: an mmap of the buffer on every call)
+RECV_SIZE = 1 << 16
+#: a served connection is not read while more unsent output than this
+#: waits (a client that sends without reading gets no further replies)
+OUTPUT_BOUND = 1 << 16
 
 
 class ServeApp:
@@ -96,109 +118,237 @@ class ServeApp:
             return MSG_NONE, b""
         return MSG_RESPONSE, response
 
-    # -- connection handlers ----------------------------------------------
-
-    async def handle_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        """Serve one connection until the peer hangs up, the session is
-        dropped, or the event loop shuts down.
-
-        A loop that shuts down cancels a handler still waiting for a
-        frame; that ends the session like a hang-up.  Returning instead
-        of re-raising matters: asyncio.streams' done-callback calls
-        ``task.exception()``, which raises on a cancelled task and gets
-        logged as an error.
-        """
-        self.connections += 1
-        try:
-            if self.framing == "raw":
-                await self._raw_session(reader, writer)
-            else:
-                await self._envelope_session(reader, writer)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
     def _session(self) -> Session:
         if self._shared is not None:
             return self._shared
         return Session(self.spec.make_server)
 
-    async def _envelope_session(self, reader, writer) -> None:
-        session = self._session()
-        while True:
+
+class Stream:
+    """A non-blocking TCP socket in a selector: the bytes it received
+    and nobody has taken yet, and the bytes it has still to send.
+
+    :meth:`step` is its selector callback: it reads what has arrived,
+    lets :meth:`process` turn that into output, and sends what the
+    socket takes.  The registration follows the state: the socket is
+    read until EOF while :meth:`reading` allows, and written while
+    output waits (a peer that stops sending may still read).  Both
+    ends of a loopback exchange are Streams: the served connection and
+    each client lane.
+    """
+
+    __slots__ = ("selector", "sock", "received", "unsent", "eof",
+                 "events")
+
+    def __init__(self, selector: selectors.BaseSelector,
+                 sock: socket.socket):
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.selector = selector
+        self.sock = sock
+        self.received = bytearray()
+        self.unsent = bytearray()
+        #: nothing more will arrive: the peer closed, or this end did
+        self.eof = False
+        #: the selector events the socket is registered for (0: none)
+        self.events = 0
+        self._watch()
+
+    def send(self, data: bytes) -> None:
+        """Send *data*, or as much as the socket takes now; later steps
+        send the rest.  A broken connection raises ``OSError``."""
+        self.unsent += data
+        self._flush()
+        self._watch()
+
+    def step(self, mask: int) -> None:
+        if mask & selectors.EVENT_READ:
             try:
-                message = await read_envelope(reader)
-            except EnvelopeError:
-                return  # an oversized envelope: drop the session
+                data = self.sock.recv(RECV_SIZE)
+            except BlockingIOError:
+                data = None
+            except OSError:  # reset by the peer
+                data = b""
+            if data:
+                self.received += data
+            elif data is not None:
+                self.eof = True
+            self.process()
+        if self.unsent:
+            try:
+                self._flush()
+            except OSError:  # the peer is gone
+                self.eof = True
+                self.unsent.clear()
+        self._watch()
+
+    def process(self) -> None:
+        """Turn received bytes into output (the served side does)."""
+
+    def reading(self) -> bool:
+        return not self.eof
+
+    def _flush(self) -> None:
+        try:
+            del self.unsent[:self.sock.send(self.unsent)]
+        except BlockingIOError:
+            pass
+
+    def _watch(self) -> None:
+        events = selectors.EVENT_READ if self.reading() else 0
+        if self.unsent:
+            events |= selectors.EVENT_WRITE
+        if events == self.events:
+            return
+        if not self.events:
+            self.selector.register(self.sock, events, self.step)
+        elif not events:
+            self.selector.unregister(self.sock)
+        else:
+            self.selector.modify(self.sock, events, self.step)
+        self.events = events
+
+    def close(self) -> None:
+        self.eof = True
+        if self.events:
+            self.selector.unregister(self.sock)
+            self.events = 0
+        self.sock.close()
+
+
+class _Connection(Stream):
+    """One accepted connection: a :class:`Stream` whose received bytes
+    run through the app in either dialect, and whose replies go back.
+
+    :meth:`process` is the connection's state machine.  The session
+    *ends* when the peer speaks something that is not the envelope, or
+    when a raw-dialect frame crashes the server.  The connection then
+    reads nothing more, and closes once its output is sent, as it does
+    when the peer hangs up.  It is not read while more than
+    :data:`OUTPUT_BOUND` bytes wait unsent.
+    """
+
+    __slots__ = ("listener", "session", "framer", "ended")
+
+    def __init__(self, listener: "Listener", sock: socket.socket):
+        app = listener.app
+        app.connections += 1
+        self.listener = listener
+        self.session = app._session()
+        self.framer = framer_for(app.spec.framing) \
+            if app.framing == "raw" else None
+        self.ended = False
+        super().__init__(listener.selector, sock)
+
+    def process(self) -> None:
+        """Dispatch every complete envelope (or raw frame) received and
+        queue the replies; an incomplete envelope stays received."""
+        dispatch = self.listener.app._dispatch
+        if self.framer is not None:
+            frames = self.framer.feed(bytes(self.received))
+            self.received.clear()
+            for frame in frames:
+                kind, payload = dispatch(self.session, frame)
+                if kind == MSG_CRASH:
+                    # a crashed server drops its clients mid-session
+                    self.ended = True
+                    return
+                if kind == MSG_RESPONSE:
+                    self.unsent += payload
+                # MSG_NONE / MSG_HANG: a real server just stays silent
+            return
+        while not self.ended:
+            try:
+                message = take_envelope(self.received)
+            except EnvelopeError:  # oversized: drop the session
+                self.ended = True
+                return
             if message is None:
                 return
             kind, payload = message
             if kind == MSG_RESET:
-                session.reset()
-                writer.write(encode_envelope(MSG_ACK))
+                self.session.reset()
+                self.unsent += encode_envelope(MSG_ACK)
             elif kind == MSG_DATA:
-                out_kind, out_payload = self._dispatch(session, payload)
-                writer.write(encode_envelope(out_kind, out_payload))
+                self.unsent += encode_envelope(*dispatch(self.session,
+                                                         payload))
             else:
-                return  # protocol violation: drop the session
-            await writer.drain()
+                self.ended = True  # protocol violation: drop the session
 
-    async def _raw_session(self, reader, writer) -> None:
-        session = self._session()
-        framer = framer_for(self.spec.framing)
-        while True:
-            data = await reader.read(4096)
-            if not data:
-                return
-            for frame in framer.feed(data):
-                kind, payload = self._dispatch(session, frame)
-                if kind == MSG_CRASH:
-                    # a crashed server drops its clients mid-session
-                    return
-                if kind == MSG_RESPONSE:
-                    writer.write(payload)
-                    await writer.drain()
-                # MSG_NONE / MSG_HANG: a real server just stays silent
+    def reading(self) -> bool:
+        return not (self.eof or self.ended) \
+            and len(self.unsent) <= OUTPUT_BOUND
+
+    def step(self, mask: int) -> None:
+        super().step(mask)
+        if (self.eof or self.ended) and not self.unsent:
+            self.close()
+
+    def close(self) -> None:
+        super().close()
+        self.listener.served.discard(self)
 
 
-async def start_serving(spec, host: str = "127.0.0.1", port: int = 0, *,
-                        collector=None, shared_state: bool = False,
-                        framing: str = "peachstar"
-                        ) -> Tuple[ServeApp, asyncio.AbstractServer]:
-    """Bind *spec*'s server on (host, port); port 0 picks an ephemeral one."""
-    app = ServeApp(spec, collector=collector, shared_state=shared_state,
-                   framing=framing)
-    server = await asyncio.start_server(app.handle_connection, host, port)
-    return app, server
+class Listener:
+    """A listening socket and the connections it accepted for one app.
 
+    Everything is non-blocking.  :meth:`register` puts the listening
+    socket in a caller's selector, and each accepted connection follows
+    it there, with the callback that steps it as the registration's
+    data: ``for key, mask in selector.select(): key.data(mask)`` is one
+    turn of the server.
+    """
 
-def bound_address(server: asyncio.AbstractServer) -> Tuple[str, int]:
-    host, port = server.sockets[0].getsockname()[:2]
-    return host, port
+    def __init__(self, app: ServeApp, host: str = "127.0.0.1",
+                 port: int = 0):
+        family, _, _, _, address = socket.getaddrinfo(
+            host, port, type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE)[0]
+        self.app = app
+        self.sock = socket.create_server(address, family=family)
+        self.sock.setblocking(False)
+        #: the bound (host, port); port 0 picks an ephemeral one
+        self.address: Tuple[str, int] = self.sock.getsockname()[:2]
+        self.selector: Optional[selectors.BaseSelector] = None
+        self.served: Set[_Connection] = set()
+
+    def register(self, selector: selectors.BaseSelector) -> None:
+        self.selector = selector
+        selector.register(self.sock, selectors.EVENT_READ, self._accept)
+
+    def _accept(self, mask: int) -> None:
+        try:
+            sock, _ = self.sock.accept()
+        except (BlockingIOError, ConnectionError):
+            return  # the peer gave up before we got to it
+        self.served.add(_Connection(self, sock))
+
+    def close(self) -> None:
+        """Close every served connection, then the listening socket."""
+        for connection in list(self.served):
+            connection.close()
+        if self.selector is not None:
+            self.selector.unregister(self.sock)
+        self.sock.close()
 
 
 def serve_forever(spec, host: str = "127.0.0.1", port: int = 2404, *,
                   shared_state: bool = False,
                   framing: str = "peachstar") -> None:
     """Blocking entry point for ``peachstar serve`` (Ctrl-C to stop)."""
-
-    async def _main() -> None:
-        app, server = await start_serving(
-            spec, host, port, shared_state=shared_state, framing=framing)
-        bind_host, bind_port = bound_address(server)
-        mode = "shared-state" if shared_state else "per-connection"
-        print(f"serving {spec.name} on tcp://{bind_host}:{bind_port} "
-              f"(framing={framing}, sessions={mode})")
-        async with server:
-            await server.serve_forever()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        print("serve stopped")
+    app = ServeApp(spec, shared_state=shared_state, framing=framing)
+    with selectors.DefaultSelector() as selector:
+        listener = Listener(app, host, port)
+        try:
+            listener.register(selector)
+            bind_host, bind_port = listener.address
+            mode = "shared-state" if shared_state else "per-connection"
+            print(f"serving {spec.name} on tcp://{bind_host}:{bind_port} "
+                  f"(framing={framing}, sessions={mode})", flush=True)
+            while True:
+                for key, mask in selector.select():
+                    key.data(mask)
+        except KeyboardInterrupt:
+            print("serve stopped")
+        finally:
+            listener.close()

@@ -2,16 +2,19 @@
 
 A subclass of the in-process ``Target`` that changes only how a step's
 frames reach the server: the trace loop, the channel step and the
-result shapes are inherited, and delivery happens over sockets on a
-private event loop:
+result shapes are inherited, and delivery happens over non-blocking
+sockets that one :mod:`selectors` wait steps in the caller's thread
+(:meth:`SocketTarget._wait`):
 
 * against a **loopback** served target (:func:`make_loopback_target`)
-  the client and the asyncio server share one process, one event loop
-  and one instrumentation collector: the client resets it per
-  execution and the served app arms it around each dispatch only, so
-  coverage, blocks and crash call-sites are identical to the
-  in-process path (the pinned parity claim) while the event loop, the
-  framing and this module run uninstrumented;
+  the target owns the listening socket and the served connections
+  (:class:`~repro.net.serve.Listener`) and steps them from that same
+  wait, so client and server share one thread and one instrumentation
+  collector: the client resets it per execution and the served app
+  arms it around each dispatch only, so coverage, blocks and crash
+  call-sites are identical to the in-process path (the pinned parity
+  claim) while the sockets, the framing and this module run
+  uninstrumented;
 * against an **external** endpoint (``tcp://host:port``) the target is
   a black box: no coverage feedback, per-protocol raw framing if asked,
   wall-clock timeouts and reconnect-on-drop as scenario axes, and a
@@ -21,10 +24,10 @@ private event loop:
 The channel seam composes unchanged: the channel decides *which*
 frames to put on the wire, the socket decides *how* they travel.
 
-A single-packet execution is one event-loop pass.  With envelope
-framing the session RESET and frame 0's DATA go out in one write; the
-ACK and frame 0's reply are then read in order, and any further frames
-(a faulting channel duplicates and fragments) take one round trip each.
+With envelope framing the session RESET and frame 0's DATA go out in
+one write; the ACK and frame 0's reply are then read in order, and any
+further frames (a faulting channel duplicates and fragments) take one
+round trip each.
 
 Concurrency dealing: with ``concurrency=N`` (shared-state serving) a
 trace's step *i* is delivered on connection ``i % N`` — N interleaved
@@ -34,21 +37,26 @@ corpus entry so workspaces, fleets and triage compose unchanged.
 
 from __future__ import annotations
 
-import asyncio
 import json
-from typing import Optional, Sequence, Tuple
+import selectors
+import socket
+import time
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.net.config import NetConfig, parse_tcp_url
 from repro.net.framing import (
     MSG_ACK, MSG_CRASH, MSG_DATA, MSG_HANG, MSG_NONE, MSG_RESET,
-    MSG_RESPONSE, EnvelopeError, encode_envelope, framer_for, read_envelope,
+    MSG_RESPONSE, EnvelopeError, encode_envelope, framer_for, take_envelope,
 )
-from repro.net.serve import bound_address, start_serving
+from repro.net.serve import Listener, ServeApp, Stream
 from repro.runtime.target import ExecResult, Target
 from repro.sanitizer.report import CrashReport
 
 #: dedup site of the synthesized crash for a dropped connection
 DROP_SITE = "net:session"
+
+#: what :meth:`SocketTarget._wait` returns when its timeout ran out
+_TIMEOUT = "timeout"
 
 
 class NetTargetError(Exception):
@@ -56,36 +64,47 @@ class NetTargetError(Exception):
     or does not speak the peachstar envelope."""
 
 
-class _Connection:
-    """One TCP lane of a SocketTarget (its own stream framer in raw mode)."""
+def _take_all(received: bytearray) -> Optional[bytes]:
+    """Everything received so far (raw framing reads by the chunk)."""
+    if not received:
+        return None
+    data = bytes(received)
+    received.clear()
+    return data
 
-    __slots__ = ("target", "reader", "writer", "framer", "ever_connected")
+
+class _Lane:
+    """One TCP connection of a SocketTarget: its :class:`Stream` while
+    connected, and its own stream framer in raw mode."""
+
+    __slots__ = ("target", "stream", "framer", "ever_connected")
 
     def __init__(self, target: "SocketTarget"):
         self.target = target
-        self.reader: Optional[asyncio.StreamReader] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
+        self.stream: Optional[Stream] = None
         self.framer = framer_for(target.framer_name) \
             if target.framing == "raw" else None
         self.ever_connected = False
 
     @property
     def open(self) -> bool:
-        return self.writer is not None and not self.writer.is_closing()
+        return self.stream is not None
 
-    async def ensure(self) -> None:
-        if self.open:
+    def ensure(self) -> None:
+        if self.stream is not None:
             return
         target = self.target
+        if target._closed:
+            raise NetTargetError("SocketTarget is closed")
         last_exc: Optional[BaseException] = None
         for _ in range(max(1, target.reconnect + 1)):
             try:
-                self.reader, self.writer = await asyncio.wait_for(
-                    asyncio.open_connection(*target.address),
-                    target.CONNECT_TIMEOUT_MS / 1000.0)
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+                sock = socket.create_connection(
+                    target.address, target.CONNECT_TIMEOUT_MS / 1000.0)
+            except OSError as exc:
                 last_exc = exc
                 continue
+            self.stream = Stream(target._selector, sock)
             if self.framer is not None:
                 self.framer.reset()
             if self.ever_connected:
@@ -96,15 +115,10 @@ class _Connection:
             f"cannot connect to {target.address[0]}:{target.address[1]}"
             f" ({last_exc})")
 
-    async def close(self) -> None:
-        if self.writer is None:
-            return
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-        self.reader = self.writer = None
+    def close(self) -> None:
+        if self.stream is not None:
+            self.stream.close()
+            self.stream = None
 
 
 class SocketTarget(Target):
@@ -112,7 +126,7 @@ class SocketTarget(Target):
 
     Build via :func:`make_loopback_target` / :func:`make_net_target` /
     :func:`make_socket_target` rather than directly — they own the
-    event-loop and serve-app lifecycle.
+    listener and serve-app lifecycle.
     """
 
     #: results carry the collector's own map, never a caller's, so the
@@ -122,14 +136,13 @@ class SocketTarget(Target):
     CONNECT_TIMEOUT_MS = 5000.0
 
     def __init__(self, address: Tuple[str, int], *,
-                 loop: asyncio.AbstractEventLoop,
                  collector=None, channel=None,
                  framing: str = "peachstar",
                  framer_name: str = "apci",
                  timeout_ms: Optional[float] = None,
                  reconnect: int = 1,
                  concurrency: int = 1,
-                 app=None, server=None):
+                 listener: Optional[Listener] = None):
         # no Target.__init__: the session lives behind the socket
         self.address = address
         self.collector = collector
@@ -144,11 +157,15 @@ class SocketTarget(Target):
         #: envelope path; the engine folds deltas into its stats)
         self.net_timeouts = 0
         self.net_reconnects = 0
-        #: the served app when this target owns a loopback server
-        self.app = app
-        self._server = server
-        self._loop = loop
-        self._lanes = [_Connection(self) for _ in range(self.concurrency)]
+        self._selector = selectors.DefaultSelector()
+        #: the served app when this target owns a loopback listener,
+        #: which then turns in the same wait as the lanes
+        self.app: Optional[ServeApp] = None
+        self._listener = listener
+        if listener is not None:
+            self.app = listener.app
+            listener.register(self._selector)
+        self._lanes = [_Lane(self) for _ in range(self.concurrency)]
         self._closed = False
 
     # -- stats ------------------------------------------------------------
@@ -172,70 +189,83 @@ class SocketTarget(Target):
             collector.begin()
         return self._exec_result(
             None if collector is None else collector.map, frames,
-            self._sync(self._run_session(self._lanes[0], frames,
-                                         model_name)))
+            self._run_session(self._lanes[0], frames, model_name))
 
     def _begin_trace(self) -> None:
         """Open every lane and reset its remote session once."""
-        self._sync(self._reset_lanes())
+        for lane in self._lanes:
+            self._begin_session(lane)
 
     def _deliver(self, index: int, frames: Sequence[bytes],
                  model_name: Optional[str]):
         """Step *index* travels on lane ``index % concurrency``."""
         lane = self._lanes[index % len(self._lanes)]
-        return self._sync(self._deliver_frames(lane, frames, model_name))
+        return self._deliver_frames(lane, frames, model_name)
 
     def close(self) -> None:
-        """Tear down lanes, the owned loopback server, and the loop."""
+        """Close the lanes, the owned loopback listener and the
+        selector."""
         if self._closed:
             return
         self._closed = True
+        for lane in self._lanes:
+            lane.close()
+        if self._listener is not None:
+            self._listener.close()
+        self._selector.close()
 
-        async def _shutdown() -> None:
-            for lane in self._lanes:
-                await lane.close()
-            if self._server is not None:
-                self._server.close()
-                await self._server.wait_closed()
-            # the lanes are closed, so served connection handlers see
-            # EOF and return on their own — wait rather than cancel
-            # (cancelling trips asyncio.streams' connection_made
-            # callback into logging spurious CancelledErrors)
-            for _ in range(5):
-                stragglers = [task for task in asyncio.all_tasks()
-                              if task is not asyncio.current_task()]
-                if not stragglers:
-                    break
-                await asyncio.wait(stragglers, timeout=0.2)
+    # -- the wait ---------------------------------------------------------
 
-        if not self._loop.is_closed():
-            self._loop.run_until_complete(_shutdown())
-            self._loop.close()
+    def _wait(self, lane: _Lane, take: Callable[[bytearray], object],
+              timeout: Optional[float]):
+        """Turn the transport until *take* finds a message in what
+        *lane* received.
 
-    # -- async delivery ---------------------------------------------------
+        Returns the message, ``None`` when nothing more can arrive on
+        *lane* (its peer closed), or :data:`_TIMEOUT` when *timeout*
+        seconds passed first (``None``: no bound).
+        """
+        stream = lane.stream
+        deadline = None
+        while True:
+            message = take(stream.received)
+            if message is not None:
+                return message
+            if stream.eof:
+                return None
+            remaining = None
+            if timeout is not None:
+                now = time.monotonic()
+                if deadline is None:
+                    deadline = now + timeout
+                remaining = deadline - now
+                if remaining <= 0:
+                    return _TIMEOUT
+            self._turn(remaining)
 
-    def _sync(self, coro):
-        if self._closed:
-            coro.close()
-            raise NetTargetError("SocketTarget is closed")
-        return self._loop.run_until_complete(coro)
+    def _turn(self, timeout: Optional[float]) -> None:
+        """One transport turn: wait up to *timeout* seconds for a socket
+        to be ready, then step each ready lane and, on loopback, each
+        ready served connection or the listener."""
+        for key, mask in self._selector.select(timeout):
+            key.data(mask)
 
-    async def _run_session(self, lane: _Connection,
-                           frames: Sequence[bytes],
-                           model_name: Optional[str]):
-        """Reset *lane*'s session and deliver *frames* in one pass.
+    # -- delivery ---------------------------------------------------------
+
+    def _run_session(self, lane: _Lane, frames: Sequence[bytes],
+                     model_name: Optional[str]):
+        """Reset *lane*'s session and deliver *frames*.
 
         With envelope framing frame 0 rides in the reset's write; an
         execution whose frames the channel all dropped still resets.
         """
         pipelined = self.framing != "raw" and bool(frames)
         head = encode_envelope(MSG_DATA, frames[0]) if pipelined else b""
-        await self._begin_session(lane, head)
-        return await self._deliver_frames(lane, frames, model_name,
-                                          head_sent=pipelined)
+        self._begin_session(lane, head)
+        return self._deliver_frames(lane, frames, model_name,
+                                    head_sent=pipelined)
 
-    async def _begin_session(self, lane: _Connection,
-                             head: bytes = b"") -> None:
+    def _begin_session(self, lane: _Lane, head: bytes = b"") -> None:
         """Start a fresh remote session on one lane.
 
         *head* (envelope framing only) is written right behind the
@@ -244,50 +274,41 @@ class SocketTarget(Target):
         if self.framing == "raw":
             # a raw endpoint has no reset verb: cycle the connection,
             # which is a fresh session for any per-connection server
-            await lane.close()
-            await lane.ensure()
+            lane.close()
+            lane.ensure()
         else:
-            await lane.ensure()
-            await self._envelope_reset(lane, head)
+            lane.ensure()
+            self._envelope_reset(lane, head)
 
-    async def _reset_lanes(self) -> None:
-        for lane in self._lanes:
-            await self._begin_session(lane)
-
-    async def _envelope_reset(self, lane: _Connection,
-                              head: bytes = b"") -> None:
+    def _envelope_reset(self, lane: _Lane, head: bytes = b"") -> None:
         try:
-            lane.writer.write(encode_envelope(MSG_RESET) + head)
-            await lane.writer.drain()
-        except (ConnectionError, OSError):
+            lane.stream.send(encode_envelope(MSG_RESET) + head)
+        except OSError:
             message = None
         else:
-            message = await self._read_reply(lane)
-        if message is None or message[0] != MSG_ACK:
-            await lane.close()
+            message = self._read_reply(lane)
+        if message is None or message is _TIMEOUT \
+                or message[0] != MSG_ACK:
+            lane.close()
             raise NetTargetError(
                 f"endpoint at {self.address} did not ack a session reset "
                 "(not a peachstar-framing endpoint?)")
 
-    async def _read_reply(self, lane: _Connection):
-        reading = read_envelope(lane.reader)
+    def _read_reply(self, lane: _Lane):
+        timeout = None if self.timeout_ms is None \
+            else self.timeout_ms / 1000.0
         try:
-            if self.timeout_ms is None:
-                return await reading
-            return await asyncio.wait_for(reading, self.timeout_ms / 1000.0)
-        except asyncio.TimeoutError:
-            return "timeout"
+            return self._wait(lane, take_envelope, timeout)
         except EnvelopeError as exc:
             # the stream cannot be resynchronized past a bad header
-            await lane.close()
+            lane.close()
             raise NetTargetError(
                 f"endpoint at {self.address} sent a malformed envelope "
                 f"({exc})") from exc
 
-    async def _deliver_frames(self, lane: _Connection,
-                              frames: Sequence[bytes],
-                              model_name: Optional[str],
-                              head_sent: bool = False):
+    def _deliver_frames(self, lane: _Lane, frames: Sequence[bytes],
+                        model_name: Optional[str],
+                        head_sent: bool = False):
         """``Target._deliver`` over the wire, on *lane*.
 
         *head_sent*: frame 0 already went out with the session reset,
@@ -298,40 +319,36 @@ class SocketTarget(Target):
         response = None
         for index, frame in enumerate(frames):
             if head_sent and index == 0:
-                crash, hang, response = await self._envelope_outcome(
+                crash, hang, response = self._envelope_outcome(
+                    lane, frame, model_name)
+            elif self.framing == "raw":
+                crash, hang, response = self._deliver_raw(
                     lane, frame, model_name)
             else:
-                crash, hang, response = await self._deliver_one(
+                crash, hang, response = self._deliver_envelope(
                     lane, frame, model_name)
             if crash is not None or hang:
                 break
         return crash, hang, response
 
-    async def _deliver_one(self, lane: _Connection, frame: bytes,
-                           model_name: Optional[str]):
-        if self.framing == "raw":
-            return await self._deliver_raw(lane, frame, model_name)
-        return await self._deliver_envelope(lane, frame, model_name)
-
-    async def _deliver_envelope(self, lane: _Connection, frame: bytes,
-                                model_name: Optional[str]):
+    def _deliver_envelope(self, lane: _Lane, frame: bytes,
+                          model_name: Optional[str]):
         try:
-            await lane.ensure()
-            lane.writer.write(encode_envelope(MSG_DATA, frame))
-            await lane.writer.drain()
-        except (ConnectionError, OSError):
+            lane.ensure()
+            lane.stream.send(encode_envelope(MSG_DATA, frame))
+        except OSError:
             return self._dropped(lane, frame, model_name)
-        return await self._envelope_outcome(lane, frame, model_name)
+        return self._envelope_outcome(lane, frame, model_name)
 
-    async def _envelope_outcome(self, lane: _Connection, frame: bytes,
-                                model_name: Optional[str]):
+    def _envelope_outcome(self, lane: _Lane, frame: bytes,
+                          model_name: Optional[str]):
         """Read and decode the reply to *frame*'s DATA envelope."""
-        message = await self._read_reply(lane)
-        if message == "timeout":
+        message = self._read_reply(lane)
+        if message is _TIMEOUT:
             # the reply may still arrive later and desync the stream:
             # poison the lane and report the execution as a hang
             self.net_timeouts += 1
-            await lane.close()
+            lane.close()
             return None, True, None
         if message is None:
             return self._dropped(lane, frame, model_name)
@@ -353,38 +370,32 @@ class SocketTarget(Target):
             return report, False, None
         raise NetTargetError(f"unexpected envelope {kind!r} from endpoint")
 
-    async def _deliver_raw(self, lane: _Connection, frame: bytes,
-                           model_name: Optional[str]):
+    def _deliver_raw(self, lane: _Lane, frame: bytes,
+                     model_name: Optional[str]):
         try:
-            await lane.ensure()
-            lane.writer.write(frame)
-            await lane.writer.drain()
-        except (ConnectionError, OSError):
+            lane.ensure()
+            lane.stream.send(frame)
+        except OSError:
             return self._dropped(lane, frame, model_name)
         timeout = (self.timeout_ms or 1000.0) / 1000.0
         while True:
-            try:
-                data = await asyncio.wait_for(lane.reader.read(4096),
-                                              timeout)
-            except asyncio.TimeoutError:
+            # each chunk gets the whole timeout, as a per-read wait does
+            data = self._wait(lane, _take_all, timeout)
+            if data is _TIMEOUT:
                 # silence: either the server had nothing to say or it
                 # hung — indistinguishable from outside
                 self.net_timeouts += 1
                 return None, False, None
-            except (ConnectionError, OSError):
-                data = b""
-            if not data:
+            if data is None:
                 return self._dropped(lane, frame, model_name)
             responses = lane.framer.feed(data)
             if responses:
                 return None, False, responses[0]
 
-    def _dropped(self, lane: _Connection, frame: bytes,
+    def _dropped(self, lane: _Lane, frame: bytes,
                  model_name: Optional[str]):
         """The endpoint closed on us mid-execution: that's a crash."""
-        if lane.writer is not None:
-            lane.writer.close()
-            lane.reader = lane.writer = None
+        lane.close()
         report = CrashReport(
             kind="connection-dropped", site=DROP_SITE,
             detail=f"endpoint {self.address[0]}:{self.address[1]} closed "
@@ -400,24 +411,22 @@ def make_loopback_target(spec, *, collector=None, channel=None,
                          net: Optional[NetConfig] = None) -> SocketTarget:
     """Serve *spec* on an ephemeral loopback port and target it.
 
-    Server and client share one private event loop (and, crucially, the
-    *collector*), so a campaign through this target observes coverage
-    and crash context identical to the in-process path while every byte
-    still crosses a real TCP socket.
+    Server and client share one thread and one wait (and, crucially,
+    the *collector*), so a campaign through this target observes
+    coverage and crash context identical to the in-process path while
+    every byte still crosses a real TCP socket.
     """
     net = net if net is not None else NetConfig()
     net.validate()
-    loop = asyncio.new_event_loop()
-    app, server = loop.run_until_complete(start_serving(
-        spec, "127.0.0.1", 0, collector=collector,
-        shared_state=net.concurrency > 1, framing=net.framing))
-    address = bound_address(server)
+    listener = Listener(ServeApp(
+        spec, collector=collector, shared_state=net.concurrency > 1,
+        framing=net.framing))
     timeout_ms = None if net.framing == "peachstar" else net.timeout_ms
     return SocketTarget(
-        address, loop=loop, collector=collector, channel=channel,
+        listener.address, collector=collector, channel=channel,
         framing=net.framing, framer_name=spec.framing,
         timeout_ms=timeout_ms, reconnect=net.reconnect,
-        concurrency=net.concurrency, app=app, server=server)
+        concurrency=net.concurrency, listener=listener)
 
 
 def make_net_target(spec, collector, channel,
@@ -432,10 +441,8 @@ def make_net_target(spec, collector, channel,
     if net.is_loopback:
         return make_loopback_target(spec, collector=collector,
                                     channel=channel, net=net)
-    address = parse_tcp_url(net.url)
-    loop = asyncio.new_event_loop()
     return SocketTarget(
-        address, loop=loop, collector=None, channel=channel,
+        parse_tcp_url(net.url), collector=None, channel=channel,
         framing=net.framing, framer_name=spec.framing,
         timeout_ms=net.timeout_ms, reconnect=net.reconnect,
         concurrency=net.concurrency)

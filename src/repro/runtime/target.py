@@ -10,8 +10,8 @@ deterministic function of the packet.
 Coverage is charged only at the target's own code: the collector is
 reset once per execution (``begin()``, or ``begin_step()`` for a trace
 step) and armed around each ``handle_packet`` call alone
-(:func:`dispatch_armed`), so neither the harness nor an event loop runs
-instrumented.
+(:func:`dispatch_armed`), so neither the harness nor a socket transport
+runs instrumented.
 
 One harness serves every transport.  :class:`Target` owns the trace
 loop, the channel step and the result shapes;
@@ -197,8 +197,8 @@ class Target:
         """Release transport resources (none in-process).
 
         The campaign driver closes every target when a campaign ends;
-        SocketTarget closes its connections, its served loopback server
-        and its event loop here.
+        SocketTarget closes its connections, its served loopback
+        listener and its selector here.
         """
 
     def run(self, packet: bytes, model_name: Optional[str] = None) -> ExecResult:

@@ -51,8 +51,9 @@ append-only JSON-lines file, and the manifests and checkpoint are
 format-checked JSON.  Resume fails with :class:`WorkspaceError`, never
 a raw ``OSError``, when a journal is shorter than its committed length,
 a committed line does not decode or is not a seed, a named record is
-missing or does not decode, or the coverage journal does not rebuild
-the checkpointed edge count.
+missing or does not decode, a record's blob is not the length its
+metadata recorded, or the coverage journal does not rebuild the
+checkpointed edge count.
 
 This module deliberately imports nothing from :mod:`repro.core` at
 module level (the campaign driver imports it); engine classes are only
@@ -70,8 +71,9 @@ from repro.runtime.coverage import BUCKET_LUT
 from repro.sanitizer.report import CrashReport
 from repro.util import fs_slug
 
-#: bump when the on-disk layout changes incompatibly
-STATE_FORMAT = 3
+#: bump when the on-disk layout changes incompatibly (4: every record's
+#: ``.json`` holds its blob's byte length)
+STATE_FORMAT = 4
 
 #: the journals a checkpoint commits, by file name
 _JOURNALS = ("coverage.jsonl", "series.jsonl")
@@ -133,9 +135,12 @@ def _write_json(path: str, blob) -> None:
 
 def _write_record(stem: str, blob: bytes, meta: dict) -> None:
     """Write one record, ``.bin`` then ``.json``, without fsync: the
-    commit that names it (a checkpoint, a sync round) fsyncs it first."""
+    commit that names it (a checkpoint, a sync round) fsyncs it first.
+    The ``.json`` holds the blob's byte length (``blob_length``), which
+    :func:`_read_blob` checks."""
     with open(stem + ".bin", "wb") as handle:
         handle.write(blob)
+    meta = dict(meta, blob_length=len(blob))
     with open(stem + ".json", "w", encoding="utf-8") as handle:
         handle.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -184,15 +189,21 @@ def _list_records(directory: str) -> List[dict]:
 
 
 def _read_blob(meta: dict) -> bytes:
-    """The ``.bin`` blob of a listed record."""
+    """The ``.bin`` blob of a listed record, refused unless it has the
+    byte length its ``.json`` recorded (an emptied or torn blob)."""
     path = meta["_stem"] + ".bin"
     try:
         with open(path, "rb") as handle:
-            return handle.read()
+            blob = handle.read()
     except OSError as exc:
         raise WorkspaceError(f"cannot read record blob {path} "
                              f"({exc.strerror}); workspace is "
                              "corrupt") from None
+    if len(blob) != meta.get("blob_length"):
+        raise WorkspaceError(
+            f"record blob {path} is {len(blob)} bytes but its record "
+            f"says {meta.get('blob_length')}; workspace is corrupt")
+    return blob
 
 
 def _read_journal(path: str, end: int, offset: int = 0) -> List[dict]:

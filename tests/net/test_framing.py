@@ -1,12 +1,10 @@
 """Wire framing: the peachstar envelope codec and the raw stream framers."""
 
-import asyncio
-
 import pytest
 
 from repro.net.framing import (
     EnvelopeError, MSG_DATA, MSG_RESPONSE, MAX_ENVELOPE,
-    encode_envelope, framer_for, read_envelope,
+    encode_envelope, framer_for, take_envelope,
 )
 from repro.protocols import all_targets, get_target
 
@@ -22,21 +20,29 @@ def default_wires(spec, limit=None):
 
 # -- envelope ----------------------------------------------------------------
 
+def take_all(buffer):
+    """Every complete envelope at the head of *buffer*, in order."""
+    out = []
+    while True:
+        message = take_envelope(buffer)
+        if message is None:
+            return out
+        out.append(message)
+
+
 class TestEnvelope:
     def roundtrip(self, *messages):
-        """Encode messages into one stream, read them all back."""
-        async def drive():
-            reader = asyncio.StreamReader()
-            for kind, payload in messages:
-                reader.feed_data(encode_envelope(kind, payload))
-            reader.feed_eof()
-            out = []
-            while True:
-                message = await read_envelope(reader)
-                if message is None:
-                    return out
-                out.append(message)
-        return asyncio.run(drive())
+        """Encode messages into one stream and decode them back from a
+        connection buffer that receives it a few bytes at a time."""
+        stream = b"".join(encode_envelope(kind, payload)
+                          for kind, payload in messages)
+        buffer = bytearray()
+        out = []
+        for start in range(0, len(stream), 7):
+            buffer += stream[start:start + 7]
+            out.extend(take_all(buffer))
+        assert buffer == b""
+        return out
 
     def test_roundtrip(self):
         messages = [(MSG_DATA, b"\x68\x04\x07\x00\x00\x00"),
@@ -50,24 +56,22 @@ class TestEnvelope:
         evil = b"\x68\xff\xff\xff" * 100
         assert self.roundtrip((MSG_DATA, evil)) == [(MSG_DATA, evil)]
 
-    def test_truncated_stream_is_clean_eof(self):
-        async def drive():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_envelope(MSG_DATA, b"abc")[:3])
-            reader.feed_eof()
-            return await read_envelope(reader)
-        assert asyncio.run(drive()) is None
+    def test_truncated_stream_is_incomplete(self):
+        # a stream cut mid-envelope yields nothing and keeps its bytes
+        buffer = bytearray(encode_envelope(MSG_DATA, b"abc")[:3])
+        assert take_envelope(buffer) is None
+        assert buffer == encode_envelope(MSG_DATA, b"abc")[:3]
+        buffer = bytearray(encode_envelope(MSG_DATA, b"abc")[:7])
+        assert take_envelope(buffer) is None
+        assert len(buffer) == 7
 
     def test_oversized_length_rejected(self):
         with pytest.raises(EnvelopeError):
             encode_envelope(MSG_DATA, b"\x00" * (MAX_ENVELOPE + 1))
-
-        async def drive():
-            reader = asyncio.StreamReader()
-            reader.feed_data(MSG_DATA + (MAX_ENVELOPE + 1).to_bytes(4, "big"))
-            return await read_envelope(reader)
+        # the header alone is refused: nothing waits for 16 MiB to arrive
+        buffer = bytearray(MSG_DATA + (MAX_ENVELOPE + 1).to_bytes(4, "big"))
         with pytest.raises(EnvelopeError):
-            asyncio.run(drive())
+            take_envelope(buffer)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(EnvelopeError):

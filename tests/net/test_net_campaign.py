@@ -9,7 +9,14 @@ The ISSUE pins three behaviors:
   mid-run and resumed is bit-identical to an uninterrupted one;
 * **shared-state concurrency** — two sessions interleaved against one
   shared-state server reach edges no single session can.
+
+A fresh interpreter that runs an in-process and a loopback campaign
+imports neither ``asyncio`` nor ``ssl``: the transport is plain sockets.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -177,3 +184,28 @@ class TestSharedStateConcurrency:
         with pytest.raises(ValueError):
             run_campaign("peach-star", spec, seed=0,
                          config=_config(net=NetConfig(concurrency=2)))
+
+
+SRC_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..",
+                                        "src"))
+
+_IMPORT_PROBE = """
+import sys
+import repro
+from repro.core import CampaignConfig, run_campaign
+from repro.net import NetConfig
+from repro.protocols import get_target
+for net in (None, NetConfig()):
+    result = run_campaign("peach-star", get_target("iec104"), seed=1,
+                          config=CampaignConfig(max_executions=60, net=net))
+    assert result.executions == 60
+print(sorted(name for name in ("asyncio", "ssl") if name in sys.modules))
+"""
+
+
+def test_campaigns_import_neither_asyncio_nor_ssl():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC_ROOT))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -3,7 +3,8 @@
 One row per protocol family and transport axis:
 
 * **round-trip** — envelope loopback executions observe the same
-  response/coverage/crash surface as the in-process ``Target``;
+  response/coverage/crash surface as the in-process ``Target``, a
+  frame larger than the socket buffers included;
 * **raw round-trip** — the protocol's own stream framing carries the
   same responses an in-process run produces;
 * **timeout** — a black-hole endpoint (accepts, never answers) surfaces
@@ -12,21 +13,26 @@ One row per protocol family and transport axis:
 * **reconnect** — an endpoint that drops mid-session synthesizes a
   ``connection-dropped`` crash and the reconnect budget re-opens the
   lane, counted in ``net_reconnects``;
-* **uninstrumented loop** — no event-loop turn of a loopback run or
-  trace runs with line instrumentation on: only the served dispatch is
-  armed;
+* **uninstrumented transport** — no transport turn of a loopback run
+  or trace runs with line instrumentation on: only the served dispatch
+  is armed;
 * **reproducers** — exported single-packet and session crash scripts
   replay over a loopback socket, and in-process, to the same crash.
 
-Everything binds port 0: the matrix never collides with a busy port.
+The scripted endpoints of the failure rows are asyncio servers on their
+own event loop in a background thread.  Everything binds port 0: the
+matrix never collides with a busy port.
 """
 
 import asyncio
+import contextlib
 import os
+import signal
 import socket
 import struct
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -36,7 +42,7 @@ from repro.net import (
 )
 from repro.net.framing import (
     MAX_ENVELOPE, MSG_ACK, MSG_DATA, MSG_RESET, MSG_RESPONSE,
-    encode_envelope, read_envelope,
+    encode_envelope, take_envelope,
 )
 from repro.protocols import all_targets, get_target
 from repro.runtime.instrument import (
@@ -49,6 +55,8 @@ from repro.triage.reproducer import export_reproducer
 
 TARGET_NAMES = [spec.name for spec in all_targets()]
 BACKENDS = ["settrace"] + (["monitoring"] if monitoring_available() else [])
+#: seconds an endpoint's thread gets to start, finish or stop
+WAIT_S = 10.0
 
 
 def _collector():
@@ -71,17 +79,73 @@ def _surface(result):
 # -- scripted endpoints for the failure rows ----------------------------------
 
 class _Endpoint:
-    """A scripted asyncio endpoint on the SocketTarget's own loop."""
+    """A scripted asyncio endpoint on its own loop in a background
+    thread; the SocketTarget under test runs in the test's thread."""
 
     def __init__(self, handler):
         self.loop = asyncio.new_event_loop()
         self.server = self.loop.run_until_complete(
             asyncio.start_server(handler, "127.0.0.1", 0))
         self.address = self.server.sockets[0].getsockname()[:2]
+        self.thread = threading.Thread(target=self.loop.run_forever,
+                                       daemon=True)
+        self.thread.start()
 
     def target(self, **kwargs):
-        return SocketTarget(self.address, loop=self.loop,
-                            server=self.server, **kwargs)
+        return SocketTarget(self.address, **kwargs)
+
+    def _call(self, coro):
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(
+            WAIT_S)
+
+    async def _stop_listening(self):
+        self.server.close()
+        await self.server.wait_closed()
+
+    def stop_listening(self):
+        """Close the listening socket: the port refuses connections."""
+        self._call(self._stop_listening())
+
+    async def _shutdown(self):
+        await self._stop_listening()
+        # the targets have closed their lanes, so every handler sees
+        # EOF and returns on its own
+        handlers = asyncio.all_tasks() - {asyncio.current_task()}
+        if handlers:
+            await asyncio.wait(handlers, timeout=WAIT_S)
+        await asyncio.sleep(0)  # closed transports finish closing
+
+    def close(self):
+        self._call(self._shutdown())
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self.thread.join(timeout=WAIT_S)
+        assert not self.thread.is_alive(), "the endpoint loop did not stop"
+        self.loop.close()
+
+
+@pytest.fixture
+def scripted():
+    """Start scripted endpoints; each is stopped after the test."""
+    started = []
+
+    def start(handler):
+        started.append(_Endpoint(handler))
+        return started[-1]
+
+    yield start
+    for each in started:
+        each.close()
+
+
+async def read_envelope(reader):
+    """One envelope from an asyncio stream; None at EOF."""
+    try:
+        buffer = bytearray(await reader.readexactly(5))
+        buffer += await reader.readexactly(
+            int.from_bytes(buffer[1:], "big"))
+    except (asyncio.IncompleteReadError, ConnectionError):
+        return None
+    return take_envelope(buffer)
 
 
 async def _black_hole(reader, writer):
@@ -126,6 +190,21 @@ async def _oversized_reply(reader, writer):
     writer.close()
 
 
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Fail, rather than hang, a block that outlives *seconds*."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # -- round-trip rows ----------------------------------------------------------
 
 class TestEnvelopeRoundTrip:
@@ -144,6 +223,33 @@ class TestEnvelopeRoundTrip:
         finally:
             socket_target.close()
         assert socket_target.take_net_counters() == (0, 0)
+
+    def test_a_frame_larger_than_the_socket_buffers_round_trips(self):
+        """Client and served connection share one thread: a frame that
+        fills the client's send buffer and the server's receive buffer
+        goes out in pieces between served reads, not in one blocking
+        write that nobody drains."""
+        spec = get_target("iec104")
+        model_name, wire = default_wires(spec)[0]
+        frame = wire + bytes(8 << 20)
+        assert len(frame) < MAX_ENVELOPE
+        socket_target = make_loopback_target(spec, collector=_collector(),
+                                             net=NetConfig())
+        try:
+            with _alarm(60):
+                socket_target._begin_trace()  # connect lane 0
+                [served] = socket_target._listener.served
+                buffers = (socket_target._lanes[0].stream.sock.getsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF)
+                    + served.sock.getsockopt(socket.SOL_SOCKET,
+                                             socket.SO_RCVBUF))
+                over_socket = socket_target.run(frame, model_name)
+        finally:
+            socket_target.close()
+        assert len(frame) > buffers
+        in_process = Target(spec.make_server, _collector()).run(
+            frame, model_name)
+        assert _surface(over_socket) == _surface(in_process)
 
     def test_closed_target_refuses_to_run(self):
         spec = get_target("iec104")
@@ -178,10 +284,10 @@ class TestRawRoundTrip:
 
 class TestTimeoutRow:
     @pytest.mark.parametrize("name", TARGET_NAMES)
-    def test_raw_silence_is_none_response(self, name):
+    def test_raw_silence_is_none_response(self, name, scripted):
         spec = get_target(name)
-        endpoint = _Endpoint(_black_hole)
-        target = endpoint.target(framing="raw", framer_name=spec.framing,
+        server = scripted(_black_hole)
+        target = server.target(framing="raw", framer_name=spec.framing,
                                  timeout_ms=100.0, reconnect=0)
         try:
             result = target.run(b"\x00\x01\x02\x03")
@@ -191,9 +297,9 @@ class TestTimeoutRow:
         finally:
             target.close()
 
-    def test_envelope_timeout_poisons_the_lane_as_a_hang(self):
-        endpoint = _Endpoint(_black_hole)
-        target = endpoint.target(framing="peachstar", timeout_ms=100.0,
+    def test_envelope_timeout_poisons_the_lane_as_a_hang(self, scripted):
+        server = scripted(_black_hole)
+        target = server.target(framing="peachstar", timeout_ms=100.0,
                                  reconnect=0)
         try:
             # the black hole never ACKs the session reset
@@ -202,7 +308,7 @@ class TestTimeoutRow:
         finally:
             target.close()
 
-    def test_envelope_data_timeout_is_a_hang(self):
+    def test_envelope_data_timeout_is_a_hang(self, scripted):
         async def ack_then_sleep(reader, writer):
             while True:
                 message = await read_envelope(reader)
@@ -214,8 +320,8 @@ class TestTimeoutRow:
                 # DATA: never answer — a remotely hung server
             writer.close()
 
-        endpoint = _Endpoint(ack_then_sleep)
-        target = endpoint.target(framing="peachstar", timeout_ms=100.0,
+        server = scripted(ack_then_sleep)
+        target = server.target(framing="peachstar", timeout_ms=100.0,
                                  reconnect=0)
         try:
             result = target.run(b"data")
@@ -229,10 +335,11 @@ class TestTimeoutRow:
 
 class TestReconnectRow:
     @pytest.mark.parametrize("name", TARGET_NAMES)
-    def test_raw_drop_synthesizes_a_crash_and_reconnects(self, name):
+    def test_raw_drop_synthesizes_a_crash_and_reconnects(self, name,
+                                                         scripted):
         spec = get_target(name)
-        endpoint = _Endpoint(_slam_shut)
-        target = endpoint.target(framing="raw", framer_name=spec.framing,
+        server = scripted(_slam_shut)
+        target = server.target(framing="raw", framer_name=spec.framing,
                                  timeout_ms=100.0, reconnect=2)
         try:
             first = target.run(b"\x00\x01\x02\x03")
@@ -246,9 +353,9 @@ class TestReconnectRow:
         finally:
             target.close()
 
-    def test_envelope_drop_mid_session_synthesizes_a_crash(self):
-        endpoint = _Endpoint(_ack_then_drop)
-        target = endpoint.target(framing="peachstar", timeout_ms=500.0,
+    def test_envelope_drop_mid_session_synthesizes_a_crash(self, scripted):
+        server = scripted(_ack_then_drop)
+        target = server.target(framing="peachstar", timeout_ms=500.0,
                                  reconnect=2)
         try:
             result = target.run(b"data")
@@ -258,9 +365,9 @@ class TestReconnectRow:
         finally:
             target.close()
 
-    def test_malformed_envelope_is_a_net_target_error(self):
-        endpoint = _Endpoint(_oversized_reply)
-        target = endpoint.target(framing="peachstar", timeout_ms=500.0,
+    def test_malformed_envelope_is_a_net_target_error(self, scripted):
+        server = scripted(_oversized_reply)
+        target = server.target(framing="peachstar", timeout_ms=500.0,
                                  reconnect=0)
         try:
             with pytest.raises(NetTargetError):
@@ -269,13 +376,12 @@ class TestReconnectRow:
         finally:
             target.close()
 
-    def test_unreachable_endpoint_exhausts_the_budget(self):
+    def test_unreachable_endpoint_exhausts_the_budget(self, scripted):
         # bind a port, then close it: nothing listens there any more
-        endpoint = _Endpoint(_black_hole)
-        endpoint.server.close()
-        endpoint.loop.run_until_complete(endpoint.server.wait_closed())
-        target = SocketTarget(endpoint.address, loop=endpoint.loop,
-                              framing="peachstar", reconnect=1)
+        server = scripted(_black_hole)
+        server.stop_listening()
+        target = SocketTarget(server.address, framing="peachstar",
+                              reconnect=1)
         try:
             with pytest.raises(NetTargetError):
                 target.run(b"data")
@@ -330,26 +436,25 @@ def _armed(collector):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-class TestEventLoopUninstrumented:
+class TestTransportUninstrumented:
     def teardown_method(self):
         MonitoringCollector.release()
 
-    def test_no_loop_turn_runs_armed(self, backend):
+    def test_no_transport_turn_runs_armed(self, backend):
         spec = get_target("iec104")
         collector = make_line_collector(("repro/protocols",),
                                         backend=backend)
         target = make_loopback_target(spec, collector=collector,
                                       net=NetConfig())
-        loop = target._loop
-        run_once = loop._run_once
+        turn = target._turn
         turns = []
 
-        def watched_run_once():
+        def watched_turn(timeout):
             turns.append(_armed(collector))
-            run_once()
+            turn(timeout)
             turns.append(_armed(collector))
 
-        loop._run_once = watched_run_once
+        target._turn = watched_turn
         steps = [(wire, model_name)
                  for model_name, wire in default_wires(spec)]
         try:
@@ -357,10 +462,9 @@ class TestEventLoopUninstrumented:
                          for wire, model_name in steps)
             trace = target.run_trace(steps)
         finally:
-            del loop._run_once
             target.close()
         assert turns and not any(turns)
-        # the served dispatches did run armed
+        # the served dispatches, stepped from those turns, did run armed
         assert blocks > 0 and trace.blocks_executed > 0
 
 

@@ -14,9 +14,10 @@ import re
 
 import pytest
 
+import repro.core.fleet as fleet_driver
 from repro.core import (
     CampaignConfig, config_from_dict, config_to_dict, resume_campaign,
-    run_campaign,
+    resume_fleet, run_campaign, run_fleet,
 )
 from repro.cli import main
 from repro.core.campaign import make_engine
@@ -47,6 +48,10 @@ RETIRED_KNOB_DEFAULTS = {
     "crack_enabled": True,
     "coverage_backend": "auto",
 }
+
+
+class _SimulatedKill(Exception):
+    """Stands in for a SIGKILL at a chosen point of a run."""
 
 
 def _set_config(**values):
@@ -362,9 +367,9 @@ class TestPendingRecipes:
 
     @pytest.mark.parametrize("corrupt,message", [
         (lambda state: state.update(format=1),
-         r"state format 1 is not supported \(expected 3\)"),
-        (lambda state: state.update(format=4),
-         r"state format 4 is not supported \(expected 3\)"),
+         r"state format 1 is not supported \(expected 4\)"),
+        (lambda state: state.update(format=5),
+         r"state format 5 is not supported \(expected 4\)"),
         (lambda state: state["pending"][0].update(model="modbus.bogus"),
          r"unknown model 'modbus\.bogus'"),
         (lambda state: state["pending"][0].update(seed=1 << 32),
@@ -380,7 +385,7 @@ class TestPendingRecipes:
          r"pending recipe 0 is malformed"),
         (lambda state: state.pop("pending"),
          r"pending queue is not a list"),
-    ], ids=["format-1", "format-4", "unknown-model", "seed-too-wide",
+    ], ids=["format-1", "format-5", "unknown-model", "seed-too-wide",
             "seed-str", "seed-float", "stray-path", "missing-seed",
             "no-queue"])
     def test_hostile_state_fails_loudly(self, tmp_path, corrupt, message):
@@ -412,7 +417,7 @@ class TestPendingRecipes:
         with open(path, "w") as handle:
             json.dump(manifest, handle)
         with pytest.raises(WorkspaceError,
-                           match=r"format 1 is not supported \(expected 3\)"):
+                           match=r"format 1 is not supported \(expected 4\)"):
             resume_campaign(ws_dir)
 
 
@@ -506,19 +511,83 @@ class TestDamagedRecords:
             resume_campaign(ws_dir)
         self._resume_exits_2(ws_dir, capsys, needle)
 
-    def test_format_2_workspace_fails_loudly(self, tmp_path, capsys):
-        """Workspaces of the per-seed ``corpus/`` layout are refused,
-        never migrated."""
+    @pytest.mark.parametrize("old_format", [2, 3], ids=["format-2",
+                                                       "format-3"])
+    def test_older_format_workspace_fails_loudly(self, tmp_path, capsys,
+                                                 old_format):
+        """Workspaces of the per-seed ``corpus/`` layout (format 2) and
+        those whose records do not hold their blob lengths (format 3)
+        are refused, never migrated."""
         ws_dir = str(tmp_path / "ws")
         self._killed(ws_dir, 77)
-        _rewrite_manifest(ws_dir, lambda manifest: manifest.update(format=2))
+        _rewrite_manifest(ws_dir,
+                          lambda manifest: manifest.update(format=old_format))
         state = _read_state(ws_dir)
-        state["format"] = 2
+        state["format"] = old_format
         _write_state(ws_dir, state)
         needle = (f"{os.path.join(ws_dir, 'config.json')}: workspace format "
-                  "2 is not supported (expected 3)")
+                  f"{old_format} is not supported (expected 4)")
         with pytest.raises(WorkspaceError, match=re.escape(needle)):
             resume_campaign(ws_dir)
+        self._resume_exits_2(ws_dir, capsys, needle)
+
+    @staticmethod
+    def _truncate_blob(blob, length):
+        """Cut a record blob to *length* bytes; the expected message."""
+        size = os.path.getsize(blob)
+        assert length < size
+        with open(blob, "r+b") as handle:
+            handle.truncate(length)
+        return (f"record blob {blob} is {length} bytes but its record says "
+                f"{size}")
+
+    def test_emptied_crash_blob_fails_loudly(self, tmp_path, capsys):
+        """An emptied ``crashes/<slug>.bin`` would resume with the
+        unique crash's packet as ``b""``."""
+        ws_dir = str(tmp_path / "ws")
+        self._killed(ws_dir, 177)
+        [stem] = _read_state(ws_dir)["records"]["crashes"]
+        needle = self._truncate_blob(
+            os.path.join(ws_dir, "crashes", stem + ".bin"), 0)
+        with pytest.raises(WorkspaceError, match=re.escape(needle)):
+            resume_campaign(ws_dir)
+        self._resume_exits_2(ws_dir, capsys, needle)
+
+    def test_shortened_divergence_blob_fails_loudly(self, tmp_path, capsys):
+        """A faulted iec104 campaign killed at 77: its checkpoint at 50
+        names one divergence, whose frame is cut in half."""
+        ws_dir = str(tmp_path / "ws")
+        assert run_campaign("peach-star", get_target("iec104"), seed=7,
+                            config=_config(workspace=ws_dir,
+                                           channel_faults=0.25),
+                            stop_after_executions=77) is None
+        [stem] = _read_state(ws_dir)["records"]["divergences"]
+        blob = os.path.join(ws_dir, "divergences", stem + ".bin")
+        needle = self._truncate_blob(blob, os.path.getsize(blob) // 2)
+        with pytest.raises(WorkspaceError, match=re.escape(needle)):
+            resume_campaign(ws_dir)
+        self._resume_exits_2(ws_dir, capsys, needle)
+
+    def test_emptied_inbox_blob_fails_loudly(self, tmp_path, capsys,
+                                             monkeypatch):
+        """A 2-shard fleet killed after its first sync phase staged the
+        inboxes and before either shard absorbed them."""
+        ws_dir = str(tmp_path / "fleet")
+
+        def killed(*args):
+            raise _SimulatedKill()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fleet_driver, "_absorb_imports", killed)
+            with pytest.raises(_SimulatedKill):
+                run_fleet("peach-star", get_target("libmodbus"),
+                          workspace_dir=ws_dir, shards=2, seed=5,
+                          sync_every=80, config=_config(), max_workers=1)
+        blob = sorted(glob.glob(os.path.join(
+            ws_dir, "shards", "000", "inbox", "round_001", "*.bin")))[0]
+        needle = self._truncate_blob(blob, 0)
+        with pytest.raises(WorkspaceError, match=re.escape(needle)):
+            resume_fleet(ws_dir, max_workers=1)
         self._resume_exits_2(ws_dir, capsys, needle)
 
     def test_missing_inbox_blob_fails_loudly(self, tmp_path):
