@@ -9,9 +9,9 @@
 #                      them under .benchmarks/)
 #   make test-matrix — the cross-protocol conformance matrix plus the
 #                      channel-fault/differential-oracle, live-network
-#                      (socket/serve), sparse-vs-vector coverage parity,
-#                      batch-size identity, one-pass-vs-reference packet
-#                      build parity, workspace and fleet store
+#                      (socket/serve), campaign-import probe,
+#                      batch-size identity, one-pass-vs-reference
+#                      packet build parity, workspace and fleet store
 #                      (manifest/checkpoint compatibility, damaged
 #                      records, kill/resume, power loss at every
 #                      durable operation), collector reset/arm
@@ -54,7 +54,7 @@ bench:
 
 test-matrix:
 	$(PY) -m pytest tests/protocols/test_conformance.py tests/channel \
-		tests/net tests/runtime/test_vector_parity.py \
+		tests/net tests/core/test_campaign_imports.py \
 		tests/runtime/test_instrument.py tests/runtime/test_backends.py \
 		tests/runtime/test_collector_reference.py \
 		tests/core/test_batching.py tests/model/test_build_reference.py \

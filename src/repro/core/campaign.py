@@ -21,11 +21,9 @@ from typing import (
 )
 
 from repro.core.engine import GenerationFuzzer, PeachStar
-from repro.core.seedpool import SeedPool
 from repro.model.mutators import GenerationPolicy
 from repro.net.config import NetConfig
 from repro.runtime.clock import SimulatedClock
-from repro.runtime.coverage import make_coverage_map, make_global_coverage
 from repro.runtime.instrument import HANG_BUDGET, make_line_collector
 from repro.runtime.target import Target
 from repro.sanitizer.report import CrashReport
@@ -171,7 +169,7 @@ def _retired_keys() -> Dict[type, Dict[str, object]]:
             "max_trace_steps": SessionFuzzer.MAX_TRACE_STEPS,
             "crack_enabled": True,
             # campaign-neutral: parity-pinned backends, any batch size
-            # and either coverage-map implementation give the same
+            # and the retired vector coverage maps give the same
             # campaign
             "coverage_backend": _ANY_VALUE,
             "batch_size": _ANY_VALUE,
@@ -319,8 +317,7 @@ def make_engine(engine_name: str, target_spec, seed: int,
     validate_campaign_config(engine_name, target_spec, config)
     from repro.protocols import PROTOCOLS_PATH_PREFIX  # late: layering
     rng = random.Random(seed)
-    collector = make_line_collector((PROTOCOLS_PATH_PREFIX,),
-                                    coverage_map=make_coverage_map())
+    collector = make_line_collector((PROTOCOLS_PATH_PREFIX,))
     channel = None
     if config.channel_faults > 0.0:
         # the extra seed draw happens only on faulted campaigns, so
@@ -382,9 +379,6 @@ def make_engine(engine_name: str, target_spec, seed: int,
                            semantic_enabled=config.semantic_enabled,
                            oracle=oracle,
                            steer_divergence=config.steer_divergence)
-    # the virgin map matches the collector's map implementation, so
-    # merge/would_be_new take the vectorized fast path end to end
-    engine.seed_pool = SeedPool(make_global_coverage())
     return engine
 
 

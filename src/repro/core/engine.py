@@ -264,7 +264,8 @@ class GenerationFuzzer:
                 and target.collector is not None)
 
     def _batch_map_pool(self):
-        """The retained-coverage map pool (type-matched, never shrunk).
+        """The retained-coverage map pool (never shrunk), of the
+        collector map's type.
 
         The batch loop runs every execution into ``pool[i]`` and only
         advances ``i`` past maps whose coverage must outlive the batch
@@ -275,8 +276,6 @@ class GenerationFuzzer:
         """
         maps = self._batch_maps
         template = type(self.target.collector.map)
-        if maps and type(maps[0]) is not template:
-            maps.clear()  # the collector's map impl was swapped
         if not maps:
             maps.append(template())
         return maps, template

@@ -77,14 +77,16 @@ class _Lane:
     """One TCP connection of a SocketTarget: its :class:`Stream` while
     connected, and its own stream framer in raw mode."""
 
-    __slots__ = ("target", "stream", "framer", "ever_connected")
+    __slots__ = ("target", "stream", "framer", "lost")
 
     def __init__(self, target: "SocketTarget"):
         self.target = target
         self.stream: Optional[Stream] = None
         self.framer = framer_for(target.framer_name) \
             if target.framing == "raw" else None
-        self.ever_connected = False
+        #: the last close was not a deliberate session cycle (a drop, a
+        #: timeout or a protocol error), so the next open is a reconnect
+        self.lost = False
 
     @property
     def open(self) -> bool:
@@ -107,18 +109,22 @@ class _Lane:
             self.stream = Stream(target._selector, sock)
             if self.framer is not None:
                 self.framer.reset()
-            if self.ever_connected:
+            if self.lost:
                 target.net_reconnects += 1
-            self.ever_connected = True
+                self.lost = False
             return
         raise NetTargetError(
             f"cannot connect to {target.address[0]}:{target.address[1]}"
             f" ({last_exc})")
 
-    def close(self) -> None:
+    def close(self, cycle: bool = False) -> None:
+        """Close the connection; *cycle* marks the deliberate close that
+        starts a fresh raw session, after which reopening is no
+        reconnect."""
         if self.stream is not None:
             self.stream.close()
             self.stream = None
+            self.lost = not cycle
 
 
 class SocketTarget(Target):
@@ -274,7 +280,7 @@ class SocketTarget(Target):
         if self.framing == "raw":
             # a raw endpoint has no reset verb: cycle the connection,
             # which is a fresh session for any per-connection server
-            lane.close()
+            lane.close(cycle=True)
             lane.ensure()
         else:
             lane.ensure()

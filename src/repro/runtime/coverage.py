@@ -24,32 +24,16 @@ the line collectors of :mod:`repro.runtime.instrument` inline in their
 trace callbacks; writing ``counts`` any other way desynchronizes the
 journal.
 
-Two implementations share that model:
-
-* the **sparse** reference — pure-Python journal walks, the pinned
-  behavioural baseline;
-* the **vector** backend — :class:`VectorCoverageMap`/
-  :class:`VectorGlobalCoverage` keep the same bytearrays (so the visit
-  hot path and the workspace's virgin-map replay are untouched) but run
-  ``merge``/``would_be_new``/``fast_reset`` as numpy
-  fancy-index operations over zero-copy ``frombuffer`` views.
-
-:func:`resolve_coverage_impl` picks the vector backend whenever numpy
-imports; the parity suite in ``tests/runtime/test_vector_parity.py``
-pins the two bit-for-bit equal.
-Both memoize the sorted journal (keyed by a generation counter plus the
-journal length — within one generation the journal only grows) so
-``path_hash`` and ``iter_hits`` never re-sort what they already sorted.
+This is the one map implementation: campaigns, restores and fleet
+imports all use these two classes.  Both memoize the sorted journal
+(keyed by a generation counter plus the journal length — within one
+generation the journal only grows) so ``path_hash`` and ``iter_hits``
+never re-sort what they already sorted.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Tuple
-
-try:  # the vector backend is optional; without numpy maps are sparse
-    import numpy as _np
-except ImportError:  # pragma: no cover - container always ships numpy
-    _np = None
 
 MAP_SIZE_POW2 = 16
 MAP_SIZE = 1 << MAP_SIZE_POW2
@@ -58,12 +42,6 @@ _MAP_MASK = MAP_SIZE - 1
 #: journals longer than this zero faster via the template slice-assign
 _SPARSE_RESET_LIMIT = MAP_SIZE // 16
 
-#: below this journal length the pure-Python walks beat numpy — the
-#: ``np.array(journal)`` build dominates fancy-indexing's win (measured
-#: crossover ~130 on CPython 3.11 / numpy 2.4); the vector classes
-#: degrade to the inherited reference loops there, which is why they
-#: stay bit-identical by construction
-_VECTOR_MIN_JOURNAL = 128
 
 def bucket_count(count: int) -> int:
     """Map a raw edge hit count onto its AFL bucket bit.
@@ -93,9 +71,6 @@ def bucket_count(count: int) -> int:
 #: AFL's count_class_lookup as a flat table: one C-level index replaces
 #: the eight-way Python branch chain on every merged edge.
 BUCKET_LUT = bytes(bucket_count(count) for count in range(256))
-
-_BUCKET_LUT_NP = _np.frombuffer(BUCKET_LUT, dtype=_np.uint8) \
-    if _np is not None else None
 
 _ZERO_TEMPLATE = bytes(MAP_SIZE)
 
@@ -261,134 +236,22 @@ class GlobalCoverage:
         return self.edges_seen
 
 
-class VectorCoverageMap(CoverageMap):
-    """Numpy-vectorized execution map; bit-for-bit equal to the sparse one.
-
-    ``counts`` stays the inherited bytearray — the collectors' per-line
-    update and everything that persists raw bytes are untouched — but
-    a writable zero-copy ``frombuffer`` view powers the batch
-    operations.  The journal likewise stays a Python list (a list
-    ``append`` beats ``array``/ndarray growth by 3x); it is converted to
-    an index vector at most once per (generation, length) and the
-    conversion is shared by ``merge``/``would_be_new``/``fast_reset``/
-    ``path_hash`` on the same execution.  Journals shorter than
-    ``_VECTOR_MIN_JOURNAL`` take the inherited pure-Python walks, which
-    beat the ``np.array`` build below the measured crossover — the
-    kernels are hybrid, the *results* identical either way.
-    """
-
-    __slots__ = ("_counts_np", "_idx", "_idx_key")
-
-    def __init__(self):
-        if _np is None:  # pragma: no cover - factory gates on numpy
-            raise RuntimeError("the vector coverage impl needs numpy")
-        super().__init__()
-        self._counts_np = _np.frombuffer(self.counts, dtype=_np.uint8)
-        self._idx = _np.empty(0, dtype=_np.int64)
-        self._idx_key = (0, 0)
-
-    def _indices(self):
-        """The journal as an int64 index vector (memoized like the sort)."""
-        key = (self._gen, len(self.journal))
-        if self._idx_key != key:
-            self._idx = _np.array(self.journal, dtype=_np.int64)
-            self._idx_key = key
-        return self._idx
-
-    def fast_reset(self) -> None:
-        journal = self.journal
-        if journal:
-            if len(journal) > _SPARSE_RESET_LIMIT:
-                self.counts[:] = _ZERO_TEMPLATE
-            elif len(journal) < _VECTOR_MIN_JOURNAL:
-                counts = self.counts
-                for index in journal:
-                    counts[index] = 0
-            else:
-                self._counts_np[self._indices()] = 0
-            journal.clear()
-        self._prev = 0
-        self._gen += 1
-
-    def path_hash(self) -> int:
-        journal = self.journal
-        if not journal:
-            return 0xCBF29CE484222325
-        if len(journal) < _VECTOR_MIN_JOURNAL:
-            return super().path_hash()
-        idx = _np.sort(self._indices())
-        terms = ((idx << 8) |
-                 _BUCKET_LUT_NP[self._counts_np[idx]]).tolist()
-        acc = 0xCBF29CE484222325
-        for term in terms:
-            acc = ((acc ^ term) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        return acc
-
+# -- names the benchmark harness still reads (ROADMAP item 1) --------------
 
 class VectorGlobalCoverage(GlobalCoverage):
-    """Vectorized virgin map: same bytearray, numpy merge/decide path.
+    """Retired vector virgin map, kept as a bare subclass only because
+    ``benchmarks/perf/tracer.py`` patches its ``merge``/``would_be_new``
+    through the class ``__dict__``; nothing in ``src/`` constructs it.
+    Binding the base functions here keeps those patches from wrapping
+    ``GlobalCoverage``'s twice.  Goes with ROADMAP item 1's benchmark
+    side."""
 
-    ``virgin`` stays the inherited bytearray so ``merge_bucketed`` (the
-    journal replay of restores and fleet imports) and ``edges_seen``
-    work unchanged; the view shares its memory.  Sparse/dense execution
-    maps degrade to the reference loop.
-    """
+    merge = GlobalCoverage.merge
+    would_be_new = GlobalCoverage.would_be_new
 
-    __slots__ = ("_virgin_np",)
-
-    def __init__(self):
-        if _np is None:  # pragma: no cover - factory gates on numpy
-            raise RuntimeError("the vector coverage impl needs numpy")
-        super().__init__()
-        self._virgin_np = _np.frombuffer(self.virgin, dtype=_np.uint8)
-
-    def merge(self, execution_map: CoverageMap) -> bool:
-        if not isinstance(execution_map, VectorCoverageMap) \
-                or len(execution_map.journal) < _VECTOR_MIN_JOURNAL:
-            return super().merge(execution_map)
-        if not execution_map.journal:
-            return False
-        idx = execution_map._indices()
-        virgin = self._virgin_np
-        seen = virgin[idx]
-        bit = _BUCKET_LUT_NP[execution_map._counts_np[idx]]
-        if not ((seen & bit) == 0).any():
-            return False
-        virgin[idx] = seen | bit
-        return True
-
-    def would_be_new(self, execution_map: CoverageMap) -> bool:
-        if not isinstance(execution_map, VectorCoverageMap) \
-                or len(execution_map.journal) < _VECTOR_MIN_JOURNAL:
-            return super().would_be_new(execution_map)
-        if not execution_map.journal:
-            return False
-        idx = execution_map._indices()
-        bit = _BUCKET_LUT_NP[execution_map._counts_np[idx]]
-        return bool(((self._virgin_np[idx] & bit) == 0).any())
-
-
-# -- implementation selection -------------------------------------------------
 
 def resolve_coverage_impl() -> str:
-    """``"vector"`` when numpy imports, else ``"sparse"``.
-
-    The two are pinned bit-for-bit equal, so this is a speed choice
-    only; below ``_VECTOR_MIN_JOURNAL`` the vector kernels already fall
-    back to the sparse walks.
-    """
-    return "vector" if _np is not None else "sparse"
-
-
-def make_coverage_map() -> CoverageMap:
-    """An execution map of the resolved implementation."""
-    if resolve_coverage_impl() == "vector":
-        return VectorCoverageMap()
-    return CoverageMap()
-
-
-def make_global_coverage() -> GlobalCoverage:
-    """A virgin map of the resolved implementation."""
-    if resolve_coverage_impl() == "vector":
-        return VectorGlobalCoverage()
-    return GlobalCoverage()
+    """Always ``"sparse"``: the one map implementation.  Kept only for
+    ``benchmarks/perf/child.py``'s environment record (ROADMAP item
+    1)."""
+    return "sparse"

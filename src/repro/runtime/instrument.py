@@ -538,7 +538,6 @@ class MonitoringCollector(_LineCollector):
 
 
 def make_line_collector(module_prefixes: Iterable[str], *,
-                        coverage_map: Optional[CoverageMap] = None,
                         hang_budget: int = HANG_BUDGET,
                         backend: str = "auto") -> _LineCollector:
     """Build the fastest line-granularity collector for this interpreter.
@@ -564,8 +563,5 @@ def make_line_collector(module_prefixes: Iterable[str], *,
                 f"sys.monitoring tool id {tool_id} is held by "
                 f"{_MONITORING.get_tool(tool_id)!r}; "
                 "use REPRO_COVERAGE_BACKEND=settrace")
-        return MonitoringCollector(module_prefixes,
-                                   coverage_map=coverage_map,
-                                   hang_budget=hang_budget)
-    return TracingCollector(module_prefixes, coverage_map=coverage_map,
-                            hang_budget=hang_budget)
+        return MonitoringCollector(module_prefixes, hang_budget=hang_budget)
+    return TracingCollector(module_prefixes, hang_budget=hang_budget)

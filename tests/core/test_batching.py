@@ -6,10 +6,9 @@ outcomes' coverage alive until the campaign driver reads it.  Grouping
 iterations must be invisible: the outcome stream, RNG trajectory,
 simulated clock, series, stats, crash ledger and kill/resume behaviour
 are bit-for-bit identical whatever ``repro.core.campaign.BATCH_SIZE``
-is, on both coverage implementations, with channel faults, the
-differential oracle and divergence steering too.  Session engines and
-targets that cannot record into a caller's map get one outcome per
-call.
+is, with channel faults, the differential oracle and divergence
+steering too.  Session engines and targets that cannot record into a
+caller's map get one outcome per call.
 
 The stat/triage satellites ride along: ``EngineStats.as_dict`` is
 derived from the dataclass fields, the ``channel_faults`` counter is
@@ -27,13 +26,8 @@ from repro.core.campaign import (
 )
 from repro.core.engine import EngineStats
 from repro.protocols import get_target
-from repro.runtime.coverage import (
-    CoverageMap, GlobalCoverage, resolve_coverage_impl,
-)
 
 BATCH_SIZES = (1, 2, 5, 16, 64)
-COVERAGE_IMPLS = ("sparse",) + (
-    ("vector",) if resolve_coverage_impl() == "vector" else ())
 
 #: single-packet modes whose channel/oracle work runs inside the
 #: iteration body; steering rides on faults so it actually steers
@@ -64,40 +58,28 @@ def _signature(result):
     )
 
 
-def _run(monkeypatch, batch_size, engine_name, spec, seed, config,
-         impl=None):
-    """One campaign with the driver's batch size set to *batch_size*.
-
-    *impl* ``"sparse"`` injects the pure-Python maps into the engine;
-    ``None``/``"vector"`` keep what ``make_engine`` picked.
-    """
+def _run(monkeypatch, batch_size, engine_name, spec, seed, config):
+    """One campaign with the driver's batch size set to *batch_size*."""
     monkeypatch.setattr(campaign, "BATCH_SIZE", batch_size)
-    engine = None
-    if impl == "sparse":
-        engine = make_engine(engine_name, spec, seed, config)
-        engine.target.collector.map = CoverageMap()
-        engine.seed_pool.coverage = GlobalCoverage()
-    return run_campaign(engine_name, spec, seed=seed, config=config,
-                        engine=engine)
+    return run_campaign(engine_name, spec, seed=seed, config=config)
 
 
 class TestBatchSizeInvariance:
     """Any batch size produces the exact same campaign."""
 
-    @pytest.mark.parametrize("impl", COVERAGE_IMPLS)
     @pytest.mark.parametrize("target_name", ("libmodbus", "iec104"))
     def test_campaigns_identical_across_batch_sizes(self, monkeypatch,
-                                                    target_name, impl):
+                                                    target_name):
         spec = get_target(target_name)
         reference = None
         for batch_size in BATCH_SIZES:
             result = _run(monkeypatch, batch_size, "peach-star", spec, 7,
-                          _config(), impl=impl)
+                          _config())
             signature = _signature(result)
             if reference is None:
                 reference = signature
             else:
-                assert signature == reference, (batch_size, impl)
+                assert signature == reference, batch_size
 
     def test_baseline_engine_identical_across_batch_sizes(self,
                                                           monkeypatch):

@@ -347,9 +347,9 @@ class TestReconnectRow:
             assert first.crash.dedup_key == ("connection-dropped", DROP_SITE)
             second = target.run(b"\x00\x01\x02\x03")
             assert second.crash is not None
-            # the second session re-opened a lane that had already been
-            # connected once: that is a counted reconnect
-            assert target.net_reconnects >= 1
+            # the second session re-opened the lane the drop closed:
+            # that is a counted reconnect
+            assert target.net_reconnects == 1
         finally:
             target.close()
 

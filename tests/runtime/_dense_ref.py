@@ -1,15 +1,11 @@
 """Reference dense coverage implementation (the pre-sparse seed code).
 
 This is the original O(MAP_SIZE) coverage pipeline, kept verbatim as a
-drop-in behavioural oracle: every operation scans (or reallocates) the
-full 65,536-entry map instead of walking the touched-edge journal.  The
-equivalence tests run whole campaigns against both implementations and
-require bit-for-bit identical valuable-seed decisions, path counts and
-hashes; the throughput benchmark uses it as the baseline the sparse
-pipeline must beat.
-
-Not part of the public API — import from :mod:`repro.runtime.coverage`
-for real work.
+test-only behavioural oracle: every operation scans (or reallocates)
+the full 65,536-entry map instead of walking the touched-edge journal.
+``test_sparse_equivalence.py`` runs maps and whole campaigns against
+both implementations and requires bit-for-bit identical valuable-seed
+decisions, path counts and hashes.
 """
 
 from __future__ import annotations

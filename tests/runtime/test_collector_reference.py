@@ -28,7 +28,7 @@ from repro.core import CampaignConfig, make_engine, run_campaign
 from repro.model.generation import choose_model, generate_packet
 from repro.net.target import make_loopback_target
 from repro.protocols import PROTOCOLS_PATH_PREFIX, all_targets, get_target
-from repro.runtime.coverage import CoverageMap, make_coverage_map
+from repro.runtime.coverage import CoverageMap
 from repro.runtime.instrument import (
     HANG_BUDGET, Collector, HangBudgetExceeded, MonitoringCollector,
     make_line_collector,
@@ -227,7 +227,7 @@ def test_run_into_alternating_maps_records_like_the_reference():
     spec = get_target("libmodbus")
     reference, target = _targets(spec.make_server)
     expected_maps = (CoverageMap(), CoverageMap())
-    maps = (make_coverage_map(), make_coverage_map())
+    maps = (CoverageMap(), CoverageMap())
     for index, (packet, model_name) in enumerate(_packets(spec, PACKETS)):
         mine, other = index % 2, (index + 1) % 2
         expected = reference.run_into(packet, model_name,

@@ -1,8 +1,40 @@
-"""Unit tests for the AFL-style coverage map and global virgin map."""
+"""Unit tests for the AFL-style coverage map and global virgin map.
 
+Property-style invariants ride along: ``path_hash``/``iter_hits`` and
+merge decisions do not depend on the order edges were first touched,
+``fast_reset`` is indistinguishable from ``reset`` on both sides of the
+slice-assign threshold, and the memoized sorted journal never leaks
+state across reset generations.
+"""
+
+import random
+
+import pytest
+
+from repro.core.campaign import CampaignConfig, make_engine
+from repro.protocols import get_target
 from repro.runtime.coverage import (
-    MAP_SIZE, CoverageMap, GlobalCoverage, bucket_count,
+    _SPARSE_RESET_LIMIT, MAP_SIZE, CoverageMap, GlobalCoverage,
+    bucket_count,
 )
+
+#: journal lengths on both sides of the slice-assign reset branch
+RESET_LENGTHS = (0, 3, 60, 400, _SPARSE_RESET_LIMIT - 1,
+                 _SPARSE_RESET_LIMIT, _SPARSE_RESET_LIMIT + 1,
+                 2 * _SPARSE_RESET_LIMIT)
+
+
+def _random_blocks(rng, length):
+    return [rng.randrange(1 << 20) for _ in range(length)]
+
+
+def _touch_distinct(coverage_map, edges, rng):
+    """Visit each of *edges* one to five times from ``prev = 0``, so the
+    journal holds exactly one entry per edge."""
+    for edge in edges:
+        for _ in range(rng.choice((1, 2, 3, 5))):
+            coverage_map._prev = 0
+            coverage_map.visit(edge)
 
 
 class TestBucketing:
@@ -76,6 +108,91 @@ class TestCoverageMap:
 
         assert run() == run()
 
+    def test_path_hash_memo_survives_reset_generations(self):
+        """Each generation touches as many edges as the last, so a memo
+        keyed on the journal length alone would hand back the previous
+        generation's sort."""
+        rng = random.Random(5)
+        reused = CoverageMap()
+        for generation in range(4):
+            edges = rng.sample(range(MAP_SIZE), 200)
+            fresh = CoverageMap()
+            _touch_distinct(reused, edges, random.Random(generation))
+            _touch_distinct(fresh, edges, random.Random(generation))
+            first = reused.path_hash()
+            assert reused.path_hash() == first  # memo hit
+            assert first == fresh.path_hash(), generation
+            assert list(reused.iter_hits()) == list(fresh.iter_hits())
+            if generation % 2:
+                reused.fast_reset()
+            else:
+                reused.reset()
+
+
+class TestResetEquivalence:
+    @pytest.mark.parametrize("length", RESET_LENGTHS)
+    def test_fast_reset_indistinguishable_from_reset(self, length):
+        rng = random.Random(97 + length)
+        edges = rng.sample(range(MAP_SIZE), length)
+        fast, full = CoverageMap(), CoverageMap()
+        _touch_distinct(fast, edges, random.Random(length))
+        _touch_distinct(full, edges, random.Random(length))
+        assert fast.edge_count() == length
+        fast._prev = full._prev = 0x1234
+        fast.fast_reset()
+        full.reset()
+        assert bytes(fast.counts) == bytes(full.counts) == bytes(MAP_SIZE)
+        assert fast.journal == full.journal == []
+        assert fast._prev == full._prev == 0
+        # both maps stay fully reusable and agree afterwards
+        for block in (1, 2, 3, 1):
+            fast.visit(block)
+            full.visit(block)
+        assert list(fast.iter_hits()) == list(full.iter_hits())
+        assert fast.path_hash() == full.path_hash()
+
+
+class TestTouchOrderInvariance:
+    """The ORDER edges were first touched in (the journal order) is an
+    execution-schedule artifact; every coverage observable — path_hash,
+    sorted hit stream, merge decisions, virgin bytes — must not depend
+    on it.  Maps are built by touching the same edge set in permuted
+    orders (counts identical, journal permuted), exactly the state two
+    interleavings of one execution would produce."""
+
+    @staticmethod
+    def _touch(target_map, edge, count):
+        target_map.counts[edge] = count
+        target_map.journal.append(edge)
+
+    @pytest.mark.parametrize("length", (6, 60, 300))
+    def test_journal_permutations_agree(self, length):
+        rng = random.Random(length * 7)
+        edges = list({rng.randrange(MAP_SIZE) for _ in range(length)})
+        hit_counts = {edge: rng.choice((1, 2, 3, 5, 9)) for edge in edges}
+        baseline_map = CoverageMap()
+        for edge in edges:
+            self._touch(baseline_map, edge, hit_counts[edge])
+        baseline_hash = baseline_map.path_hash()
+        baseline_hits = sorted(baseline_map.iter_hits())
+        for _trial in range(5):
+            shuffled = edges[:]
+            rng.shuffle(shuffled)
+            permuted = CoverageMap()
+            for edge in shuffled:
+                self._touch(permuted, edge, hit_counts[edge])
+            # path_hash sorts its journal: first-touch order must not
+            # leak into the path identity or the hit stream
+            assert sorted(permuted.iter_hits()) == baseline_hits
+            assert permuted.path_hash() == baseline_hash
+            fresh = GlobalCoverage()
+            assert fresh.would_be_new(permuted)
+            assert fresh.merge(permuted)
+            reference = GlobalCoverage()
+            reference.merge(baseline_map)
+            assert bytes(fresh.virgin) == bytes(reference.virgin)
+            assert not fresh.would_be_new(permuted)
+
 
 class TestGlobalCoverage:
     def _map_with(self, *blocks):
@@ -110,12 +227,17 @@ class TestGlobalCoverage:
         assert glob.merge(thrice)  # count bucket 4 is new
 
     def test_would_be_new_does_not_mutate(self):
+        probe = self._map_with(*_random_blocks(random.Random(8), 300))
+        counts, journal = bytes(probe.counts), list(probe.journal)
         glob = GlobalCoverage()
-        probe = self._map_with(1)
         assert glob.would_be_new(probe)
         assert glob.would_be_new(probe)  # still new: nothing merged
+        assert bytes(glob.virgin) == bytes(MAP_SIZE)
         glob.merge(probe)
+        merged = bytes(glob.virgin)
         assert not glob.would_be_new(probe)
+        assert bytes(glob.virgin) == merged
+        assert (bytes(probe.counts), probe.journal) == (counts, journal)
 
     def test_edge_count_accumulates_distinct_edges(self):
         glob = GlobalCoverage()
@@ -123,3 +245,11 @@ class TestGlobalCoverage:
         first = glob.edge_coverage()
         glob.merge(self._map_with(50, 60))
         assert glob.edge_coverage() > first
+
+
+def test_engines_record_into_the_one_map_implementation():
+    spec = get_target("libiec61850")
+    for engine_name in ("peach", "peach-star"):
+        engine = make_engine(engine_name, spec, 1, CampaignConfig())
+        assert type(engine.target.collector.map) is CoverageMap
+        assert type(engine.seed_pool.coverage) is GlobalCoverage

@@ -4,9 +4,9 @@ The sparse journaled pipeline (`repro.runtime.coverage`) replaces the
 seed's dense O(MAP_SIZE) scans.  These tests pin the contract: for the
 same executions, every observable — merge decisions, edge counts, path
 hashes, whole `CampaignResult`s — is bit-for-bit identical to the dense
-reference implementation kept in `repro.runtime._dense_ref`, across all
-six protocol targets.  The parallel campaign executor gets the same
-treatment against its serial counterpart.
+reference implementation kept beside this file in `_dense_ref.py`,
+across all six protocol targets.  The parallel campaign executor gets
+the same treatment against its serial counterpart.
 """
 
 import random
@@ -18,8 +18,9 @@ from repro.core.campaign import (
     run_repetitions_parallel,
 )
 from repro.protocols import TARGET_NAMES, get_target
-from repro.runtime._dense_ref import DenseCoverageMap, DenseGlobalCoverage
 from repro.runtime.coverage import MAP_SIZE, CoverageMap, GlobalCoverage
+
+from _dense_ref import DenseCoverageMap, DenseGlobalCoverage
 
 
 def _pair():
