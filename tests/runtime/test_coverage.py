@@ -3,8 +3,9 @@
 Property-style invariants ride along: ``path_hash``/``iter_hits`` and
 merge decisions do not depend on the order edges were first touched,
 ``fast_reset`` is indistinguishable from ``reset`` on both sides of the
-slice-assign threshold, and the memoized sorted journal never leaks
-state across reset generations.
+slice-assign threshold, the memoized sorted journal never leaks
+state across reset generations, and folding a map's journal form in
+through ``merge_bucketed`` matches merging the map itself.
 """
 
 import random
@@ -17,11 +18,17 @@ from repro.runtime.coverage import (
     _SPARSE_RESET_LIMIT, MAP_SIZE, CoverageMap, GlobalCoverage,
     bucket_count,
 )
+from repro.store.workspace import bucketed_hits
 
 #: journal lengths on both sides of the slice-assign reset branch
 RESET_LENGTHS = (0, 3, 60, 400, _SPARSE_RESET_LIMIT - 1,
                  _SPARSE_RESET_LIMIT, _SPARSE_RESET_LIMIT + 1,
                  2 * _SPARSE_RESET_LIMIT)
+
+
+#: execution lengths for the bucketed merge: with half the blocks from a
+#: hot set, the longer executions climb into the high hit-count buckets
+MERGE_LENGTHS = (0, 1, 3, 60, 400, 1500, 6000, 20000)
 
 
 def _random_blocks(rng, length):
@@ -245,6 +252,36 @@ class TestGlobalCoverage:
         first = glob.edge_coverage()
         glob.merge(self._map_with(50, 60))
         assert glob.edge_coverage() > first
+
+
+class TestBucketedMerge:
+    """Workspace restores and fleet imports fold a map in as the
+    coverage journal stores it (``bucketed_hits``) through
+    ``merge_bucketed``; that must reach the decisions and virgin bytes
+    that merging the map itself does."""
+
+    @pytest.mark.parametrize("length", MERGE_LENGTHS)
+    def test_merge_bucketed_matches_merge(self, length):
+        rng = random.Random(31 + length)
+        hot = _random_blocks(rng, 8)
+        by_map, by_pairs = GlobalCoverage(), GlobalCoverage()
+        for trial in range(3):
+            blocks = [rng.choice(hot) if rng.random() < 0.5
+                      else rng.randrange(1 << 20) for _ in range(length)]
+            # a fresh execution, the same one again (nothing new), and
+            # the blocks replayed twice (higher hit-count buckets)
+            for step, repeats in enumerate((1, 1, 2)):
+                execution = CoverageMap()
+                for _ in range(repeats):
+                    for block in blocks:
+                        execution.visit(block)
+                decision = by_map.merge(execution)
+                assert by_pairs.merge_bucketed(
+                    bucketed_hits(execution)) == decision, (trial, step)
+                assert bytes(by_pairs.virgin) == bytes(by_map.virgin)
+                if step == 1 or length == 0:
+                    assert not decision, trial
+        assert by_pairs.edge_coverage() == by_map.edge_coverage()
 
 
 def test_engines_record_into_the_one_map_implementation():

@@ -5,22 +5,33 @@ seed's dense O(MAP_SIZE) scans.  These tests pin the contract: for the
 same executions, every observable — merge decisions, edge counts, path
 hashes, whole `CampaignResult`s — is bit-for-bit identical to the dense
 reference implementation kept beside this file in `_dense_ref.py`,
-across all six protocol targets.  The parallel campaign executor gets
-the same treatment against its serial counterpart.
+across all six protocol targets, on journals both short and past the
+slice-assign reset limit, and at every batch size of the campaign
+driver.  The parallel campaign executor gets the same treatment against
+its serial counterpart.
 """
 
 import random
 
 import pytest
 
+from repro.core import campaign
 from repro.core.campaign import (
     CampaignConfig, make_engine, run_campaign, run_repetitions,
     run_repetitions_parallel,
 )
 from repro.protocols import TARGET_NAMES, get_target
-from repro.runtime.coverage import MAP_SIZE, CoverageMap, GlobalCoverage
+from repro.runtime.coverage import (
+    _SPARSE_RESET_LIMIT, MAP_SIZE, CoverageMap, GlobalCoverage,
+)
 
 from _dense_ref import DenseCoverageMap, DenseGlobalCoverage
+
+
+#: visit counts from an empty journal to journals past the slice-assign
+#: reset limit (random blocks rarely repeat an edge, so a journal holds
+#: nearly one entry per visit)
+VISIT_LENGTHS = (0, 1, 3, 60, 400, 1500, _SPARSE_RESET_LIMIT + 1000, 20000)
 
 
 def _pair():
@@ -33,6 +44,29 @@ def _random_blocks(rng, length):
 
 class TestMapEquivalence:
     """Replay identical visit sequences into both implementations."""
+
+    @pytest.mark.parametrize("length", VISIT_LENGTHS)
+    def test_observables_match_at_length(self, length):
+        rng = random.Random(length)
+        sparse, dense = _pair()
+        for block in _random_blocks(rng, length):
+            sparse.visit(block)
+            dense.visit(block)
+        assert bytes(sparse.counts) == bytes(dense.counts)
+        assert sparse.edge_count() == dense.edge_count()
+        assert list(sparse.iter_hits()) == list(dense.iter_hits())
+        assert sparse.path_hash() == dense.path_hash()
+        assert sorted(sparse.journal) == \
+            [index for index, _count in dense.iter_hits()]
+        sparse_glob, dense_glob = GlobalCoverage(), DenseGlobalCoverage()
+        assert sparse_glob.merge(sparse) == dense_glob.merge(dense) == \
+            (length > 0)
+        assert bytes(sparse_glob.virgin) == bytes(dense_glob.virgin)
+        assert sparse_glob.edge_coverage() == dense_glob.edge_coverage()
+        sparse.fast_reset()
+        dense.fast_reset()
+        assert bytes(sparse.counts) == bytes(dense.counts) == bytes(MAP_SIZE)
+        assert sparse.edge_count() == dense.edge_count() == 0
 
     def test_random_visit_sequences_match(self):
         rng = random.Random(1234)
@@ -136,14 +170,39 @@ class TestCampaignEquivalence:
             engine=_dense_engine("peach-star", spec, 11, config))
         assert _result_signature(sparse) == _result_signature(dense)
 
-    def test_baseline_engine_campaign_identical(self):
-        spec = get_target("libmodbus")
+    @pytest.mark.parametrize("target_name", TARGET_NAMES)
+    def test_baseline_engine_campaign_identical(self, target_name):
+        spec = get_target(target_name)
         config = _short_config()
         sparse = run_campaign("peach", spec, seed=5, config=config)
         dense = run_campaign(
             "peach", spec, seed=5, config=config,
             engine=_dense_engine("peach", spec, 5, config))
         assert _result_signature(sparse) == _result_signature(dense)
+
+
+class TestBatchedEquivalence:
+    """The batch loop's map pool takes the collector map's type, so an
+    engine carrying the dense maps records every batched execution into
+    dense maps, and still runs the sparse campaign at any batch size."""
+
+    @pytest.mark.parametrize("target_name", ("libmodbus", "iec104"))
+    def test_dense_campaigns_identical_across_batch_sizes(
+            self, monkeypatch, target_name):
+        spec = get_target(target_name)
+        config = _short_config()
+        sparse = _result_signature(
+            run_campaign("peach-star", spec, seed=7, config=config))
+        for batch_size in (1, 2, 5, 16, 64):
+            monkeypatch.setattr(campaign, "BATCH_SIZE", batch_size)
+            engine = _dense_engine("peach-star", spec, 7, config)
+            dense = run_campaign("peach-star", spec, seed=7, config=config,
+                                 engine=engine)
+            assert _result_signature(dense) == sparse, batch_size
+            # a batch of one runs iterate() and never builds the pool
+            pool_types = {type(pooled) for pooled in engine._batch_maps}
+            assert pool_types == (
+                {DenseCoverageMap} if batch_size > 1 else set()), batch_size
 
 
 class TestParallelEquivalence:
